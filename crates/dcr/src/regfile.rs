@@ -96,8 +96,14 @@ impl RegFile {
     }
 
     /// Drain the queued software-write events (owning hardware side).
+    /// Owners poll this every clock edge; with nothing queued it returns
+    /// an unallocated empty vector.
     pub fn take_writes(&self) -> Vec<(u16, u32)> {
-        self.inner.borrow_mut().writes.drain(..).collect()
+        let mut inner = self.inner.borrow_mut();
+        if inner.writes.is_empty() {
+            return Vec::new();
+        }
+        inner.writes.drain(..).collect()
     }
 }
 

@@ -39,6 +39,49 @@ pub fn ps_as_us(ps: u64) -> String {
     format!("{}.{:06}", ps / 1_000_000, ps % 1_000_000)
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Every schema
+/// this workspace speaks nests a handful of levels; the cap keeps the
+/// recursive parser's stack use bounded on untrusted input.
+pub const MAX_DEPTH: usize = 128;
+
+/// Why [`Json::parse`] rejected a document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JsonError {
+    /// The document is not well-formed JSON.
+    Syntax(String),
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`]; `at` is the
+    /// byte offset of the first bracket past the cap.
+    TooDeep {
+        /// Byte offset of the offending `[` or `{`.
+        at: usize,
+    },
+}
+
+impl std::fmt::Display for JsonError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JsonError::Syntax(msg) => f.write_str(msg),
+            JsonError::TooDeep { at } => {
+                write!(f, "nesting deeper than {MAX_DEPTH} at byte {at}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for JsonError {}
+
+impl From<String> for JsonError {
+    fn from(msg: String) -> JsonError {
+        JsonError::Syntax(msg)
+    }
+}
+
+impl From<JsonError> for String {
+    fn from(e: JsonError) -> String {
+        e.to_string()
+    }
+}
+
 /// A parsed JSON value. Numbers keep their source text so 64-bit
 /// integers (campaign seeds) survive without a float round-trip; object
 /// members keep document order.
@@ -60,14 +103,14 @@ pub enum Json {
 
 impl Json {
     /// Parse a complete JSON document (trailing whitespace allowed,
-    /// trailing garbage rejected).
-    pub fn parse(doc: &str) -> Result<Json, String> {
+    /// trailing garbage rejected, nesting capped at [`MAX_DEPTH`]).
+    pub fn parse(doc: &str) -> Result<Json, JsonError> {
         let b = doc.as_bytes();
         let mut at = 0usize;
-        let v = parse_value(b, &mut at)?;
+        let v = parse_value(b, &mut at, 0)?;
         skip_ws(b, &mut at);
         if at != b.len() {
-            return Err(format!("trailing garbage at byte {at}"));
+            return Err(format!("trailing garbage at byte {at}").into());
         }
         Ok(v)
     }
@@ -142,14 +185,18 @@ fn expect(b: &[u8], at: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], at: &mut usize) -> Result<Json, String> {
+/// Parse one value whose enclosing arrays/objects number `depth`.
+fn parse_value(b: &[u8], at: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(b, at);
+    if matches!(b.get(*at), Some(b'[' | b'{')) && depth >= MAX_DEPTH {
+        return Err(JsonError::TooDeep { at: *at });
+    }
     match b.get(*at) {
-        None => Err("unexpected end of document".to_string()),
-        Some(b'n') => expect(b, at, "null").map(|()| Json::Null),
-        Some(b't') => expect(b, at, "true").map(|()| Json::Bool(true)),
-        Some(b'f') => expect(b, at, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(b, at).map(Json::Str),
+        None => Err(JsonError::Syntax("unexpected end of document".to_string())),
+        Some(b'n') => Ok(expect(b, at, "null").map(|()| Json::Null)?),
+        Some(b't') => Ok(expect(b, at, "true").map(|()| Json::Bool(true))?),
+        Some(b'f') => Ok(expect(b, at, "false").map(|()| Json::Bool(false))?),
+        Some(b'"') => Ok(parse_string(b, at).map(Json::Str)?),
         Some(b'[') => {
             *at += 1;
             let mut items = Vec::new();
@@ -159,7 +206,7 @@ fn parse_value(b: &[u8], at: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, at)?);
+                items.push(parse_value(b, at, depth + 1)?);
                 skip_ws(b, at);
                 match b.get(*at) {
                     Some(b',') => *at += 1,
@@ -167,7 +214,7 @@ fn parse_value(b: &[u8], at: &mut usize) -> Result<Json, String> {
                         *at += 1;
                         return Ok(Json::Arr(items));
                     }
-                    _ => return Err(format!("expected `,` or `]` at byte {at}")),
+                    _ => return Err(format!("expected `,` or `]` at byte {at}").into()),
                 }
             }
         }
@@ -184,7 +231,7 @@ fn parse_value(b: &[u8], at: &mut usize) -> Result<Json, String> {
                 let key = parse_string(b, at)?;
                 skip_ws(b, at);
                 expect(b, at, ":")?;
-                members.push((key, parse_value(b, at)?));
+                members.push((key, parse_value(b, at, depth + 1)?));
                 skip_ws(b, at);
                 match b.get(*at) {
                     Some(b',') => *at += 1,
@@ -192,7 +239,7 @@ fn parse_value(b: &[u8], at: &mut usize) -> Result<Json, String> {
                         *at += 1;
                         return Ok(Json::Obj(members));
                     }
-                    _ => return Err(format!("expected `,` or `}}` at byte {at}")),
+                    _ => return Err(format!("expected `,` or `}}` at byte {at}").into()),
                 }
             }
         }
@@ -209,7 +256,7 @@ fn parse_value(b: &[u8], at: &mut usize) -> Result<Json, String> {
                 .map_err(|_| format!("malformed number `{raw}` at byte {start}"))?;
             Ok(Json::Num(raw.to_string()))
         }
-        Some(c) => Err(format!("unexpected byte `{}` at {at}", *c as char)),
+        Some(c) => Err(format!("unexpected byte `{}` at {at}", *c as char).into()),
     }
 }
 
@@ -349,6 +396,19 @@ mod tests {
     fn surrogate_pairs_decode() {
         let v = Json::parse("\"\\ud83d\\ude00\"").expect("parse");
         assert_eq!(v.as_str(), Some("😀"));
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let deep = "[".repeat(100_000);
+        assert_eq!(
+            Json::parse(&deep),
+            Err(JsonError::TooDeep { at: MAX_DEPTH })
+        );
+        let objs = "{\"a\":".repeat(100_000);
+        assert!(matches!(Json::parse(&objs), Err(JsonError::TooDeep { .. })));
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok(), "the cap itself is legal");
     }
 
     #[test]

@@ -96,20 +96,20 @@ impl Ctx<'_> {
     #[inline]
     pub fn set(&mut self, s: SignalId, v: Lv) {
         let w = self.core.signals[s.0 as usize].width;
-        self.core.pending.push((s, v.resize(w)));
+        self.core.push_write(s, v.resize(w));
     }
 
     /// Non-blocking write of a known value.
     #[inline]
     pub fn set_u64(&mut self, s: SignalId, v: u64) {
         let w = self.core.signals[s.0 as usize].width;
-        self.core.pending.push((s, Lv::from_u64(w, v)));
+        self.core.push_write(s, Lv::from_u64(w, v));
     }
 
     /// Non-blocking write of a single-bit signal.
     #[inline]
     pub fn set_bit(&mut self, s: SignalId, b: bool) {
-        self.core.pending.push((s, Lv::bit(b)));
+        self.core.push_write(s, Lv::bit(b));
     }
 
     /// Schedule a write `delay_ps` in the future (transport delay).
@@ -192,8 +192,10 @@ impl Ctx<'_> {
     /// (register files, request queues) it polls.
     #[inline]
     pub fn park_until(&mut self, signals: &[SignalId], doorbells: &[DoorbellId]) {
-        let me = self.me;
-        self.core.park_until(me, signals, doorbells);
+        if self.core.compiled.mode.is_compiled() {
+            let me = self.me;
+            self.core.park_until(me, signals, doorbells);
+        }
     }
 
     // --- Structured event tracing (see `crate::trace`). Every helper is

@@ -89,12 +89,14 @@ pub(crate) struct SignalState {
     /// Compiled-plane flags (dirty watches, park wake list presence);
     /// see [`crate::compiled::cflag`]. Zero for ordinary signals.
     pub cflags: u8,
+    /// `SimCore::step` of the eval phase that last queued a write to
+    /// this signal (see [`SimCore::push_write`]).
+    pub written_step: u64,
 }
 
 struct CompSlot {
     name: NameId,
     kind: CompKind,
-    body: Option<Box<dyn Component>>,
     /// Equals the simulator's current ready generation while the
     /// component is queued in the ready set (generation stamping avoids
     /// a clear pass over all slots per delta).
@@ -290,8 +292,9 @@ pub(crate) struct SimCore {
     seq: u64,
     pub signals: Vec<SignalState>,
     sched: Scheduler,
-    /// Non-blocking writes accumulated during the current delta.
-    pub pending: Vec<(SignalId, Lv)>,
+    /// Non-blocking writes accumulated during the current delta; only
+    /// [`SimCore::push_write`] appends to it.
+    pending: Vec<(SignalId, Lv)>,
     pub messages: Vec<SimMessage>,
     pub finish_requested: bool,
     pub names: NameArena,
@@ -326,14 +329,37 @@ impl SimCore {
         self.names.resolve(self.comp_names[c.0 as usize].0)
     }
 
+    /// Queue a non-blocking write of `v` to `sig`, the one path behind
+    /// [`Ctx::set`] and its variants.
+    ///
+    /// The first write to a signal in an eval phase is dropped when it
+    /// equals the signal's current value. That is exact: until this
+    /// phase's writes apply, `cur` can only change through earlier
+    /// entries of the same batch, and there are none for this signal, so
+    /// the write would apply as a no-op. Every queued write stamps
+    /// `written_step`; later writes to the same signal in the phase are
+    /// always queued, so write-then-revert and last-write-wins sequences
+    /// reach `apply` unchanged.
+    #[inline]
+    pub fn push_write(&mut self, sig: SignalId, v: Lv) {
+        let s = &mut self.signals[sig.0 as usize];
+        if s.written_step != self.step {
+            if s.cur.eq_case(&v) {
+                return;
+            }
+            s.written_step = self.step;
+        }
+        self.pending.push((sig, v));
+    }
+
     /// Park `comp` until one of `signals` changes value or one of
-    /// `doorbells` rings (see [`Ctx::park_until`]). No-op in event-driven
-    /// mode. The wake set is latched from the first call.
+    /// `doorbells` rings (see [`Ctx::park_until`], which checks the mode
+    /// inline and calls this only in compiled modes). The wake set is
+    /// latched from the first call.
+    #[inline(never)]
     pub fn park_until(&mut self, comp: CompId, signals: &[SignalId], doorbells: &[DoorbellId]) {
         let cc = &mut self.compiled;
-        if !cc.mode.is_compiled() {
-            return;
-        }
+        debug_assert!(cc.mode.is_compiled());
         cc.ensure_comps(self.comp_names.len());
         let idx = comp.0 as usize;
         if !cc.wake_registered[idx] {
@@ -377,6 +403,9 @@ pub struct SimStats {
 pub struct Simulator {
     core: SimCore,
     comps: Vec<CompSlot>,
+    /// Component bodies, indexed like `comps`. Kept apart from `core` so
+    /// the eval loop borrows both disjointly.
+    bodies: Vec<Box<dyn Component>>,
     /// Reusable ready queue; membership tracked by `ready_gen` stamps.
     ready: Vec<CompId>,
     ready_gen: u64,
@@ -418,6 +447,7 @@ impl Simulator {
                 compiled: CompiledCore::default(),
             },
             comps: Vec::new(),
+            bodies: Vec::new(),
             ready: Vec::new(),
             ready_gen: 1,
             pop_scratch: Vec::new(),
@@ -444,6 +474,7 @@ impl Simulator {
             sensitive: Vec::new(),
             toggles: 0,
             cflags: 0,
+            written_step: 0,
         });
         id
     }
@@ -471,10 +502,10 @@ impl Simulator {
         self.comps.push(CompSlot {
             name,
             kind,
-            body: Some(body),
             queued_gen: 0,
             evals: 0,
         });
+        self.bodies.push(body);
         self.core.comp_names.push((name, kind));
         for &s in sensitivity {
             self.core.signals[s.0 as usize].sensitive.push(id);
@@ -830,36 +861,22 @@ impl Simulator {
     fn eval_ready(&mut self) {
         // Components cannot be re-queued while this batch runs (queueing
         // only happens in `apply`, which the eval phase never calls), so
-        // the length is fixed and index iteration is safe.
-        let n = self.ready.len();
-        for i in 0..n {
-            let c = self.ready[i];
-            let slot = &mut self.comps[c.0 as usize];
-            slot.evals += 1;
-            let mut body = slot
-                .body
-                .take()
-                .expect("component re-entered during its own eval");
-            self.stats.evals += 1;
-            if self.profiling {
+        // the batch can be iterated in place.
+        let (core, comps, bodies) = (&mut self.core, &mut self.comps, &mut self.bodies);
+        if self.profiling {
+            for &c in &self.ready {
+                comps[c.0 as usize].evals += 1;
                 let t0 = self.profiler.begin();
-                {
-                    let mut ctx = Ctx {
-                        core: &mut self.core,
-                        me: c,
-                    };
-                    body.eval(&mut ctx);
-                }
+                bodies[c.0 as usize].eval(&mut Ctx { core, me: c });
                 self.profiler.end(c, t0);
-            } else {
-                let mut ctx = Ctx {
-                    core: &mut self.core,
-                    me: c,
-                };
-                body.eval(&mut ctx);
             }
-            self.comps[c.0 as usize].body = Some(body);
+        } else {
+            for &c in &self.ready {
+                comps[c.0 as usize].evals += 1;
+                bodies[c.0 as usize].eval(&mut Ctx { core, me: c });
+            }
         }
+        self.stats.evals += self.ready.len() as u64;
         self.ready.clear();
         // Bumping the generation un-queues every component at once.
         self.ready_gen += 1;

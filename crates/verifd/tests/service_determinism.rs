@@ -293,7 +293,16 @@ fn bad_submissions_get_typed_errors_not_hangups() {
     let msg = v.get("error").and_then(obs::json::Json::as_str).unwrap();
     assert!(msg.contains("campaign_submit/v1"), "{msg}");
 
-    // The connection survives both errors.
+    // A pathologically nested line is refused, not a stack overflow.
+    client
+        .send(&"[".repeat(100_000))
+        .expect("send deep nesting");
+    let v = client.recv().expect("recv").expect("frame");
+    assert_eq!(verifd::proto::schema_of(&v), Some("error/v1"));
+    let msg = v.get("error").and_then(obs::json::Json::as_str).unwrap();
+    assert!(msg.contains("nesting deeper than"), "{msg}");
+
+    // The connection survives every error.
     client.ping().expect("ping still works");
     drop(client);
     server.shutdown();
