@@ -36,6 +36,7 @@
 
 use autovision::{Bug, FaultSet, SimMethod, SystemConfig};
 use bench::harness;
+use obs::json::Json;
 use verif::fuzz::{self, FuzzOptions, FuzzReport, FuzzRepro};
 
 const BASELINE_PATH: &str = "BENCH_fuzz.json";
@@ -233,37 +234,22 @@ fn run_full() {
     println!("wrote {BASELINE_PATH}");
 }
 
-/// Pull the number after `"key":` inside the flat object following
-/// `"section":` — enough of a JSON reader for the file this bin writes.
-fn json_number(doc: &str, section: &str, key: &str) -> Option<f64> {
-    let sec = doc.find(&format!("\"{section}\""))?;
-    let rest = &doc[sec..];
-    let open = rest.find('{')?;
-    let close = open + rest[open..].find('}')?;
-    let obj = &rest[open..close];
-    let k = obj.find(&format!("\"{key}\""))?;
-    let after = &obj[k..];
-    let colon = after.find(':')?;
-    let tail = after[colon + 1..].trim_start();
-    let num: String = tail
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e' || *c == '+')
-        .collect();
-    num.parse().ok()
-}
-
 fn run_smoke() {
     println!("fuzz_campaign --smoke\n");
 
     // Gate 1: the committed baseline parses and already satisfies the
     // robustness/detection invariants.
     let doc = std::fs::read_to_string(BASELINE_PATH).expect("read committed BENCH_fuzz.json");
-    assert!(
-        doc.contains("\"schema\": \"bench_fuzz/v1\""),
+    let doc = Json::parse(&doc).expect("committed BENCH_fuzz.json is valid JSON");
+    assert_eq!(
+        doc.get("schema").and_then(Json::as_str),
+        Some("bench_fuzz/v1"),
         "baseline schema mismatch"
     );
     let sig = |section: &str| {
-        json_number(&doc, section, "failure_signatures")
+        doc.get(section)
+            .and_then(|s| s.get("failure_signatures"))
+            .and_then(Json::as_f64)
             .unwrap_or_else(|| panic!("baseline missing {section}.failure_signatures"))
     };
     assert_eq!(sig("clean"), 0.0, "baseline records clean-design failures");

@@ -39,6 +39,7 @@
 
 use autovision::{AvSystem, SystemConfig, CLK_PERIOD_PS};
 use bench::{harness, paper_scale_config, small_config};
+use obs::json::Json;
 use rtlsim::ExecMode;
 use std::time::Instant;
 
@@ -201,30 +202,15 @@ fn render_steady(s: &Steady) -> String {
     )
 }
 
-/// Pull the number after `"key":` inside the flat object following
-/// `"section":` — enough of a JSON reader for the file this bin writes
-/// (every section is a flat object with a mode-qualified name).
-fn json_number(doc: &str, section: &str, key: &str) -> Option<f64> {
-    let sec = doc.find(&format!("\"{section}\""))?;
-    let rest = &doc[sec..];
-    let open = rest.find('{')?;
-    let close = open + rest[open..].find('}')?;
-    let obj = &rest[open..close];
-    let k = obj.find(&format!("\"{key}\""))?;
-    let after = &obj[k..];
-    let colon = after.find(':')?;
-    let tail = after[colon + 1..].trim_start();
-    let num: String = tail
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e' || *c == '+')
-        .collect();
-    num.parse().ok()
+/// The baseline's `section.key` number.
+fn baseline_number(doc: &Json, section: &str, key: &str) -> Option<f64> {
+    doc.get(section)?.get(key)?.as_f64()
 }
 
 /// Compare one deterministic counter with the baseline, printing the
 /// verdict: any drift means the kernel's scheduling semantics changed.
-fn matches_baseline(doc: &str, section: &str, key: &str, got: u64) -> bool {
-    match json_number(doc, section, key) {
+fn matches_baseline(doc: &Json, section: &str, key: &str, got: u64) -> bool {
+    match baseline_number(doc, section, key) {
         Some(want) if want == got as f64 => {
             println!("  {section}.{key} {got} == baseline");
             true
@@ -365,7 +351,14 @@ fn run_smoke() -> i32 {
             return 2;
         }
     };
-    if !doc.contains("\"schema\": \"bench_kernel/v2\"") {
+    let doc = match Json::parse(&doc) {
+        Ok(d) => d,
+        Err(e) => {
+            eprintln!("FAIL: {BASELINE_PATH} is not valid JSON: {e}");
+            return 2;
+        }
+    };
+    if doc.get("schema").and_then(Json::as_str) != Some("bench_kernel/v2") {
         eprintln!("FAIL: baseline is not bench_kernel/v2 — regenerate it");
         return 2;
     }
@@ -407,7 +400,7 @@ fn run_smoke() -> i32 {
         .ok()
         .and_then(|v| v.parse::<f64>().ok())
         .unwrap_or(DEFAULT_MAX_REGRESSION);
-    let baseline_norm = match json_number(&doc, "smoke_event", "normalized_score") {
+    let baseline_norm = match baseline_number(&doc, "smoke_event", "normalized_score") {
         Some(v) if v > 0.0 => v,
         _ => {
             eprintln!("FAIL: baseline is missing smoke_event.normalized_score");

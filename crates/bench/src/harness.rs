@@ -39,7 +39,7 @@ pub fn experiment(payload_words: usize) -> SystemConfigBuilder {
 }
 
 /// The kernel execution mode every bench bin shares, from
-/// `--exec-mode {event|compiled|auto}`. Absent flag means
+/// `--exec-mode {event|compiled}`. Absent flag means
 /// [`ExecMode::EventDriven`] — the committed baselines' mode.
 /// Exits with a usage message on an unknown spelling.
 pub fn exec_mode() -> ExecMode {

@@ -14,11 +14,9 @@
 //! | `ablation_error_source` | error-injection policy ablation |
 //! | `two_region_pipeline` | two-region split pipeline, per-region DPR statistics |
 //!
-//! plus Criterion micro-benchmarks (`cargo bench`) for the SimB codec,
-//! the simulation kernel, the golden video models and a full-system
-//! frame. The boilerplate the bins share (thread counts, argv, the
-//! small experiment configuration, timing, evidence formatting) lives
-//! in [`harness`].
+//! The boilerplate the bins share (thread counts, argv, the small
+//! experiment configuration, timing, evidence formatting) lives in
+//! [`harness`].
 
 pub mod harness;
 

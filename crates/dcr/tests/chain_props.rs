@@ -49,7 +49,7 @@ fn arb_ops(layout: &Layout) -> impl Strategy<Value = Vec<Op>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 24 })]
 
     #[test]
     fn chain_behaves_like_a_flat_register_map(

@@ -42,7 +42,7 @@ fn arb_plan() -> impl Strategy<Value = MasterPlan> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 16 })]
 
     #[test]
     fn contended_writes_never_corrupt(

@@ -573,7 +573,7 @@ mod tests {
     use crate::prelude::*;
 
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+        #![proptest_config(ProptestConfig { cases: 64 })]
 
         #[test]
         fn ranges_stay_in_bounds(x in 3u32..17, y in -5i16..=5) {
@@ -595,7 +595,7 @@ mod tests {
 
         #[test]
         fn oneof_selects_only_given_arms(
-            v in prop_oneof![Just(1u32), Just(2u32), (10u32..12)]
+            v in prop_oneof![Just(1u32), Just(2u32), 10u32..12]
         ) {
             prop_assert!(v == 1 || v == 2 || v == 10 || v == 11);
         }

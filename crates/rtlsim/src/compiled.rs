@@ -60,11 +60,6 @@ pub enum ExecMode {
     /// honoured outside dirty windows. Bit-identical observable
     /// behaviour, fewer component evaluations.
     Compiled,
-    /// Policy alias: resolves to [`ExecMode::Compiled`] today, and is the
-    /// hook for future heuristics (e.g. staying event-driven for
-    /// configurations whose fault plans defeat the steady-state
-    /// assumption). Prefer this in new code.
-    Auto,
 }
 
 impl ExecMode {
@@ -79,7 +74,6 @@ impl ExecMode {
         match self {
             ExecMode::EventDriven => "event",
             ExecMode::Compiled => "compiled",
-            ExecMode::Auto => "auto",
         }
     }
 
@@ -89,7 +83,6 @@ impl ExecMode {
         match s {
             "event" | "event-driven" | "eventdriven" => Some(ExecMode::EventDriven),
             "compiled" => Some(ExecMode::Compiled),
-            "auto" => Some(ExecMode::Auto),
             _ => None,
         }
     }
@@ -98,7 +91,7 @@ impl ExecMode {
 impl std::str::FromStr for ExecMode {
     type Err = String;
     fn from_str(s: &str) -> Result<ExecMode, String> {
-        ExecMode::parse(s).ok_or_else(|| format!("unknown exec mode '{s}' (event|compiled|auto)"))
+        ExecMode::parse(s).ok_or_else(|| format!("unknown exec mode '{s}' (event|compiled)"))
     }
 }
 
@@ -323,7 +316,7 @@ mod tests {
 
     #[test]
     fn exec_mode_round_trips_through_its_name() {
-        for m in [ExecMode::EventDriven, ExecMode::Compiled, ExecMode::Auto] {
+        for m in [ExecMode::EventDriven, ExecMode::Compiled] {
             assert_eq!(ExecMode::parse(m.as_str()), Some(m));
         }
         assert_eq!(ExecMode::parse("event-driven"), Some(ExecMode::EventDriven));

@@ -177,7 +177,7 @@ fn dirty_window_suspends_filtering_and_unparks() {
         Box::new(Clock::new(clk, PERIOD)),
         &[],
     );
-    sim.set_exec_mode(ExecMode::Auto);
+    sim.set_exec_mode(ExecMode::Compiled);
     let seen2 = seen.clone();
     let watcher = sim.add_component(
         "watcher",

@@ -89,7 +89,7 @@ fn build_sim(nl: &Netlist) -> (Simulator, Vec<SignalId>) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 64 })]
 
     #[test]
     fn random_netlists_settle_to_the_reference_fixpoint(

@@ -357,10 +357,6 @@ pub enum Schedule {
     /// workers must steal everything they run. A pathological schedule
     /// kept for the determinism suite.
     ForceSteal,
-    /// The legacy static `i % threads` round-robin sharding with
-    /// stealing disabled — the pre-executor behaviour, kept as the
-    /// throughput-bench baseline.
-    StaticShard,
 }
 
 /// Executor tuning knobs (the scenario list and base configuration live
@@ -373,9 +369,6 @@ pub struct PoolOptions {
     /// many positions past the oldest incomplete one, bounding the
     /// reorder buffer. `0` means `4 × threads`.
     pub scenario_budget: usize,
-    /// Scenarios moved per injector refill or steal. `0` picks a chunk
-    /// from the source's length (half, capped at 8).
-    pub steal_chunk: usize,
     /// Placement/balancing policy.
     pub schedule: Schedule,
     /// Record one span per scenario into [`ExecutorStats::spans`].
@@ -387,7 +380,6 @@ impl Default for PoolOptions {
         PoolOptions {
             threads: 1,
             scenario_budget: 0,
-            steal_chunk: 0,
             schedule: Schedule::WorkStealing,
             spans: false,
         }
@@ -534,8 +526,6 @@ struct Shared<R, S: FnMut(usize, R)> {
     wake: Condvar,
     jobs: usize,
     budget: usize,
-    chunk: usize,
-    schedule: Schedule,
 }
 
 impl<R, S: FnMut(usize, R)> Shared<R, S> {
@@ -587,14 +577,6 @@ impl<R, S: FnMut(usize, R)> Shared<R, S> {
             .is_empty()
     }
 
-    fn chunk_of(&self, len: usize) -> usize {
-        if self.chunk > 0 {
-            self.chunk.min(len).max(1)
-        } else {
-            (len.div_ceil(2)).clamp(1, 8)
-        }
-    }
-
     /// Move a chunk from the injector onto worker `w`'s (empty) deque.
     fn refill(&self, w: usize) -> bool {
         let grabbed: Vec<usize> = {
@@ -602,7 +584,7 @@ impl<R, S: FnMut(usize, R)> Shared<R, S> {
             if inj.is_empty() {
                 return false;
             }
-            let n = self.chunk_of(inj.len());
+            let n = chunk_of(inj.len());
             inj.drain(..n).collect()
         };
         let mut d = self.deques[w].lock().expect("deque lock poisoned");
@@ -632,7 +614,7 @@ impl<R, S: FnMut(usize, R)> Shared<R, S> {
             if dq.is_empty() {
                 return 0;
             }
-            let n = self.chunk_of(dq.len());
+            let n = chunk_of(dq.len());
             dq.drain(..n).collect()
         };
         let n = grabbed.len();
@@ -677,6 +659,12 @@ impl<R, S: FnMut(usize, R)> Shared<R, S> {
     }
 }
 
+/// Jobs moved per injector refill or steal: half the source, capped at
+/// 8.
+fn chunk_of(len: usize) -> usize {
+    len.div_ceil(2).clamp(1, 8)
+}
+
 fn worker_loop<R, S, F>(
     shared: &Shared<R, S>,
     w: usize,
@@ -690,10 +678,9 @@ where
 {
     let mut stats = WorkerStats::default();
     let mut spans = Vec::new();
-    let stealing = shared.schedule != Schedule::StaticShard;
     loop {
         let mut acquired = shared.pop_local(w);
-        if acquired.is_none() && stealing && shared.local_is_empty(w) {
+        if acquired.is_none() && shared.local_is_empty(w) {
             if shared.refill(w) {
                 stats.refills += 1;
                 acquired = shared.pop_local(w);
@@ -706,7 +693,7 @@ where
                 }
             }
         }
-        if acquired.is_none() && stealing {
+        if acquired.is_none() {
             // Own front blocked by the admission window (or someone
             // stole the refill): run the globally smallest queued job.
             if let Some(j) = shared.rescue() {
@@ -778,11 +765,6 @@ where
     match opts.schedule {
         Schedule::WorkStealing => injector.extend(0..jobs),
         Schedule::ForceSteal => deques[0].extend(0..jobs),
-        Schedule::StaticShard => {
-            for i in 0..jobs {
-                deques[i % threads].push_back(i);
-            }
-        }
     }
     let shared = Shared {
         injector: Mutex::new(injector),
@@ -800,8 +782,6 @@ where
         wake: Condvar::new(),
         jobs,
         budget,
-        chunk: opts.steal_chunk,
-        schedule: opts.schedule,
     };
     let t0 = Instant::now();
     let per_worker: Vec<(WorkerStats, Vec<ScenarioSpan>)> = std::thread::scope(|s| {
@@ -865,8 +845,6 @@ pub struct CampaignOptions {
     pub budget_cycles: u64,
     /// Scenario budget; see [`PoolOptions::scenario_budget`].
     pub scenario_budget: usize,
-    /// Steal/refill chunk; see [`PoolOptions::steal_chunk`].
-    pub steal_chunk: usize,
     /// Placement/balancing policy.
     pub schedule: Schedule,
     /// Record per-scenario spans into the report's stats.
@@ -888,7 +866,6 @@ impl Default for CampaignOptions {
             seed: 0xFA_17,
             budget_cycles: 400_000,
             scenario_budget: 0,
-            steal_chunk: 0,
             schedule: Schedule::WorkStealing,
             spans: false,
             scenario_timeout: None,
@@ -923,12 +900,6 @@ impl CampaignBuilder {
     /// the campaign harnesses honour a bench bin's `--exec-mode`).
     pub fn exec_mode(mut self, mode: rtlsim::ExecMode) -> Self {
         self.base.exec_mode = mode;
-        self
-    }
-
-    /// Replace all executor options at once.
-    pub fn options(mut self, opts: CampaignOptions) -> Self {
-        self.opts = opts;
         self
     }
 
@@ -1114,7 +1085,6 @@ impl Campaign {
         let pool = PoolOptions {
             threads: self.opts.threads,
             scenario_budget: self.opts.scenario_budget,
-            steal_chunk: self.opts.steal_chunk,
             schedule: self.opts.schedule,
             spans: self.opts.spans,
         };
@@ -1201,11 +1171,7 @@ mod tests {
 
     #[test]
     fn pool_delivers_results_in_submission_order() {
-        for schedule in [
-            Schedule::WorkStealing,
-            Schedule::ForceSteal,
-            Schedule::StaticShard,
-        ] {
+        for schedule in [Schedule::WorkStealing, Schedule::ForceSteal] {
             for threads in [1, 2, 4] {
                 let (out, stats) = execute(37, &opts(threads, schedule), |i| i * 10);
                 assert_eq!(out, (0..37).map(|i| i * 10).collect::<Vec<_>>());

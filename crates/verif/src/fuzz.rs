@@ -46,10 +46,12 @@
 use crate::detect::{self, Evidence, Verdict};
 use crate::executor::{Campaign, Scenario, ScenarioCtx, ScenarioOutcome, ScenarioTimeout};
 use crate::reconfig_timeline::ReconfigTimeline;
+use crate::wire;
 use autovision::{
     ArtifactCache, AvSystem, FaultSet, RecoveryPolicy, RegionSpec, SimMethod, SystemConfig,
     CLK_PERIOD_PS,
 };
+use obs::json::Json;
 use obs::{span_durations, Span};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -625,8 +627,7 @@ fn apply_op(s: &mut FuzzSchedule, rng: &mut StdRng, opts: &FuzzOptions, base_has
         12 => {
             s.exec_mode = match s.exec_mode {
                 ExecMode::EventDriven => ExecMode::Compiled,
-                ExecMode::Compiled => ExecMode::Auto,
-                ExecMode::Auto => ExecMode::EventDriven,
+                ExecMode::Compiled => ExecMode::EventDriven,
             }
         }
         _ => unreachable!("op index out of table"),
@@ -701,94 +702,19 @@ impl FuzzRepro {
     /// [`FuzzRepro::to_json`] (v1 documents predate the `exec_mode`
     /// knob and replay event-driven).
     pub fn from_json(doc: &str) -> Result<FuzzRepro, String> {
-        let schema = json_str(doc, "schema")?;
-        let exec_mode = match schema.as_str() {
+        let v = Json::parse(doc)?;
+        let exec_mode = match wire::str_of(&v, "schema")?.as_str() {
             "fuzz_repro/v1" => ExecMode::EventDriven,
-            "fuzz_repro/v2" => json_str(doc, "exec_mode")?
-                .parse::<ExecMode>()
-                .map_err(|e| format!("key exec_mode: {e}"))?,
+            "fuzz_repro/v2" => wire::exec_mode_of(&v)?,
             _ => return Err("unsupported schema".to_string()),
         };
-        let flip = match (
-            json_opt_u32(doc, "flip_beat")?,
-            json_opt_u32(doc, "flip_bit")?,
-        ) {
-            (Some(beat), Some(bit)) => Some((beat, bit)),
-            (None, None) => None,
-            _ => return Err("flip_beat/flip_bit must both be set or both null".to_string()),
-        };
         Ok(FuzzRepro {
-            schedule: FuzzSchedule {
-                warmup_cycles: json_u64(doc, "warmup_cycles")? as u32,
-                isr_pad_loops: json_u64(doc, "isr_pad_loops")? as u32,
-                cfg_divider: json_u64(doc, "cfg_divider")? as u32,
-                mem_wait_states: json_u64(doc, "mem_wait_states")? as u32,
-                fixed_wait_loops: json_u64(doc, "fixed_wait_loops")? as u32,
-                round_robin: json_bool(doc, "round_robin")?,
-                topology: if json_bool(doc, "split_topology")? {
-                    FuzzTopology::Split
-                } else {
-                    FuzzTopology::Single
-                },
-                recovery_on: json_bool(doc, "recovery_on")?,
-                flip,
-                stall: json_opt_u32(doc, "stall")?,
-                bus_errors: json_u64(doc, "bus_errors")? as u32,
-                ready_drop: json_opt_u32(doc, "ready_drop")?,
-                exec_mode,
-            },
-            signature: json_str(doc, "signature")?,
-            mutations: json_u64(doc, "mutations")? as usize,
-            budget_cycles: json_u64(doc, "budget_cycles")?,
+            schedule: wire::schedule_from_json(&v, exec_mode)?,
+            signature: wire::str_of(&v, "signature")?,
+            mutations: wire::u64_of(&v, "mutations")? as usize,
+            budget_cycles: wire::u64_of(&v, "budget_cycles")?,
         })
     }
-}
-
-fn json_raw(doc: &str, key: &str) -> Result<String, String> {
-    let pat = format!("\"{key}\":");
-    let at = doc.find(&pat).ok_or_else(|| format!("missing key {key}"))?;
-    let rest = doc[at + pat.len()..].trim_start();
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    Ok(rest[..end].trim().to_string())
-}
-
-fn json_u64(doc: &str, key: &str) -> Result<u64, String> {
-    json_raw(doc, key)?
-        .parse::<u64>()
-        .map_err(|e| format!("key {key}: {e}"))
-}
-
-fn json_opt_u32(doc: &str, key: &str) -> Result<Option<u32>, String> {
-    let raw = json_raw(doc, key)?;
-    if raw == "null" {
-        Ok(None)
-    } else {
-        raw.parse::<u32>()
-            .map(Some)
-            .map_err(|e| format!("key {key}: {e}"))
-    }
-}
-
-fn json_bool(doc: &str, key: &str) -> Result<bool, String> {
-    match json_raw(doc, key)?.as_str() {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        other => Err(format!("key {key}: expected bool, got {other}")),
-    }
-}
-
-fn json_str(doc: &str, key: &str) -> Result<String, String> {
-    let raw = json_raw(doc, key)?;
-    let inner = raw
-        .strip_prefix('"')
-        .and_then(|r| r.strip_suffix('"'))
-        .ok_or_else(|| format!("key {key}: expected string, got {raw}"))?;
-    // Minimal unescape — signatures only ever contain the escapes the
-    // writer emits.
-    Ok(inner
-        .replace("\\\"", "\"")
-        .replace("\\n", "\n")
-        .replace("\\\\", "\\"))
 }
 
 /// Re-run a reproducer against a base configuration.
@@ -1185,6 +1111,18 @@ mod tests {
         );
         let legacy = FuzzRepro::from_json(&v1).expect("v1 parses");
         assert_eq!(legacy.schedule.exec_mode, ExecMode::EventDriven);
+        // Signatures are free text: separators and escapes survive.
+        for signature in ["checker:a,b+hang", "literal \\n here"] {
+            let odd = FuzzRepro {
+                signature: signature.to_string(),
+                ..repro.clone()
+            };
+            assert_eq!(FuzzRepro::from_json(&odd.to_json()), Ok(odd));
+        }
+        // Truncated documents are rejected, not half-read.
+        assert!(FuzzRepro::from_json(&doc[1..]).is_err());
+        let cut = doc.trim_end().strip_suffix('}').expect("closing brace");
+        assert!(FuzzRepro::from_json(cut).is_err());
     }
 
     #[test]

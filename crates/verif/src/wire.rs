@@ -87,14 +87,14 @@ fn schema_check(v: &Json, want: &str) -> Result<(), String> {
     }
 }
 
-fn str_of(v: &Json, key: &str) -> Result<String, String> {
+pub(crate) fn str_of(v: &Json, key: &str) -> Result<String, String> {
     v.get(key)
         .and_then(Json::as_str)
         .map(str::to_string)
         .ok_or_else(|| format!("missing or non-string key {key}"))
 }
 
-fn u64_of(v: &Json, key: &str) -> Result<u64, String> {
+pub(crate) fn u64_of(v: &Json, key: &str) -> Result<u64, String> {
     v.get(key)
         .and_then(Json::as_u64)
         .ok_or_else(|| format!("missing or non-integer key {key}"))
@@ -202,39 +202,51 @@ pub fn scenario_from_json(v: &Json) -> Result<Scenario, String> {
                 recovery_on: bool_of(v, "recovery_on")?,
             }))
         }
-        "fuzz" => {
-            let flip = match (opt_u32_of(v, "flip_beat")?, opt_u32_of(v, "flip_bit")?) {
-                (Some(beat), Some(bit)) => Some((beat, bit)),
-                (None, None) => None,
-                _ => return Err("flip_beat/flip_bit must both be set or both null".to_string()),
-            };
-            Ok(Scenario::Fuzz(FuzzSpec {
-                id: u64_of(v, "id")? as u32,
-                schedule: FuzzSchedule {
-                    warmup_cycles: u64_of(v, "warmup_cycles")? as u32,
-                    isr_pad_loops: u64_of(v, "isr_pad_loops")? as u32,
-                    cfg_divider: u64_of(v, "cfg_divider")? as u32,
-                    mem_wait_states: u64_of(v, "mem_wait_states")? as u32,
-                    fixed_wait_loops: u64_of(v, "fixed_wait_loops")? as u32,
-                    round_robin: bool_of(v, "round_robin")?,
-                    topology: if bool_of(v, "split_topology")? {
-                        FuzzTopology::Split
-                    } else {
-                        FuzzTopology::Single
-                    },
-                    recovery_on: bool_of(v, "recovery_on")?,
-                    flip,
-                    stall: opt_u32_of(v, "stall")?,
-                    bus_errors: u64_of(v, "bus_errors")? as u32,
-                    ready_drop: opt_u32_of(v, "ready_drop")?,
-                    exec_mode: str_of(v, "exec_mode")?
-                        .parse::<ExecMode>()
-                        .map_err(|e| format!("key exec_mode: {e}"))?,
-                },
-            }))
-        }
+        "fuzz" => Ok(Scenario::Fuzz(FuzzSpec {
+            id: u64_of(v, "id")? as u32,
+            schedule: schedule_from_json(v, exec_mode_of(v)?)?,
+        })),
         other => Err(format!("unknown scenario kind \"{other}\"")),
     }
+}
+
+/// The `exec_mode` member of a submission, a fuzz scenario or a
+/// `fuzz_repro/v2` document.
+pub(crate) fn exec_mode_of(v: &Json) -> Result<ExecMode, String> {
+    str_of(v, "exec_mode")?
+        .parse::<ExecMode>()
+        .map_err(|e| format!("key exec_mode: {e}"))
+}
+
+/// Decode a fuzz schedule's knobs from the `fuzz_repro/v2` key set —
+/// the one decoder fuzz scenarios and `fuzz_repro` documents share.
+/// The caller supplies the execution mode, because `fuzz_repro/v1`
+/// documents predate the `exec_mode` key.
+pub(crate) fn schedule_from_json(v: &Json, exec_mode: ExecMode) -> Result<FuzzSchedule, String> {
+    let flip = match (opt_u32_of(v, "flip_beat")?, opt_u32_of(v, "flip_bit")?) {
+        (Some(beat), Some(bit)) => Some((beat, bit)),
+        (None, None) => None,
+        _ => return Err("flip_beat/flip_bit must both be set or both null".to_string()),
+    };
+    Ok(FuzzSchedule {
+        warmup_cycles: u64_of(v, "warmup_cycles")? as u32,
+        isr_pad_loops: u64_of(v, "isr_pad_loops")? as u32,
+        cfg_divider: u64_of(v, "cfg_divider")? as u32,
+        mem_wait_states: u64_of(v, "mem_wait_states")? as u32,
+        fixed_wait_loops: u64_of(v, "fixed_wait_loops")? as u32,
+        round_robin: bool_of(v, "round_robin")?,
+        topology: if bool_of(v, "split_topology")? {
+            FuzzTopology::Split
+        } else {
+            FuzzTopology::Single
+        },
+        recovery_on: bool_of(v, "recovery_on")?,
+        flip,
+        stall: opt_u32_of(v, "stall")?,
+        bus_errors: u64_of(v, "bus_errors")? as u32,
+        ready_drop: opt_u32_of(v, "ready_drop")?,
+        exec_mode,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -346,11 +358,7 @@ impl CampaignSubmission {
             scenario_budget: opt_u64("scenario_budget", d.scenario_budget as u64)? as usize,
             exec_mode: match v.get("exec_mode") {
                 None => d.exec_mode,
-                Some(m) => m
-                    .as_str()
-                    .ok_or("non-string key exec_mode")?
-                    .parse::<ExecMode>()
-                    .map_err(|e| format!("key exec_mode: {e}"))?,
+                Some(_) => exec_mode_of(&v)?,
             },
         })
     }
@@ -701,7 +709,7 @@ mod tests {
             budget_cycles: 123_456,
             threads: 3,
             scenario_budget: 5,
-            exec_mode: ExecMode::Auto,
+            exec_mode: ExecMode::Compiled,
         }
     }
 
@@ -748,6 +756,11 @@ mod tests {
                 "accepted {bad}"
             );
         }
+        let err = CampaignSubmission::from_json(
+            "{\"schema\": \"campaign_submit/v1\", \"scenarios\": [], \"exec_mode\": \"auto\"}",
+        )
+        .unwrap_err();
+        assert!(err.contains("unknown exec mode"), "{err}");
     }
 
     #[test]

@@ -115,7 +115,7 @@ fn emitted_reproducer_replays_to_the_same_signature() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 4 })]
 
     /// For any master seed, corpus evolution and coverage are
     /// bit-identical between a serial and a maximally-parallel session

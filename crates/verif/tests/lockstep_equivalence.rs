@@ -161,7 +161,7 @@ fn vmux_method_runs_in_lockstep() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 4 })]
 
     /// Any schedule from the fuzzer's legal envelope runs in lockstep:
     /// the timing knobs move every reconfiguration window against the

@@ -69,12 +69,14 @@ fn socket_rows_are_byte_identical_to_in_process_runs() {
         "reassembled report differs from in-process rendering"
     );
     assert_eq!(served.done.rows, 5);
+    assert_eq!(served.done.failures, 0);
     assert!(!served.done.cancelled);
 
     // Second identical submission: the shared cache is warm now, so the
     // run derives nothing new — and the rows are still byte-identical.
     let served2 = client.submit(&sub).expect("second submit");
     assert_eq!(served2.rows, want_rows);
+    assert_eq!(served2.done.failures, 0);
     assert_eq!(
         served2.done.artifact_misses, 0,
         "warm-cache submission re-derived artifacts"
