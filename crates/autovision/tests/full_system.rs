@@ -2,7 +2,8 @@
 //! simulation methods: the golden design must process frames end-to-end
 //! with bit-exact displayed output and no checker errors.
 
-use autovision::{AvSystem, SimMethod, SystemConfig};
+use autovision::{AvSystem, SimMethod, SystemConfig, CLK_PERIOD_PS};
+use rtlsim::ExecMode;
 
 fn config(method: SimMethod) -> SystemConfig {
     SystemConfig {
@@ -122,4 +123,44 @@ fn reconfiguration_time_is_bitstream_transfer_time() {
         long > short + 4 * 2_000,
         "longer bitstreams must visibly delay the pipeline: {short} vs {long}"
     );
+}
+
+#[test]
+fn kernel_counters_are_exact_in_both_exec_modes() {
+    // The 32×24, one-frame, 128-word ReSim system run to software halt.
+    // Cycles, events, toggles and frames are mode-independent by the
+    // compiled plane's identity contract; evals and deltas are what each
+    // mode's dispatch filter lets through. Any drift means the kernel's
+    // scheduling semantics changed.
+    for (mode, evals, deltas, steady_evals) in [
+        (ExecMode::EventDriven, 224_312, 26_455, 4_200_000),
+        (ExecMode::Compiled, 87_899, 22_085, 200_000),
+    ] {
+        let mut sys = AvSystem::build(SystemConfig {
+            n_frames: 1,
+            payload_words: 128,
+            exec_mode: mode,
+            ..config(SimMethod::Resim)
+        });
+        let outcome = sys.run(10_000_000);
+        assert!(outcome.halted, "{mode}: software did not halt");
+        assert!(outcome.kernel_error.is_none(), "{mode}");
+        let stats = sys.sim.stats();
+        let shared = (
+            outcome.cycles,
+            stats.events,
+            stats.toggles,
+            outcome.frames_captured,
+        );
+        assert_eq!(shared, (4_608, 10_242, 30_841, 1), "{mode}");
+        assert_eq!((stats.evals, stats.deltas), (evals, deltas), "{mode}");
+        // After halt only the clock generator has work: event-driven
+        // dispatch still evaluates every clocked component on both
+        // edges, compiled dispatch parks everything but the clock.
+        sys.sim
+            .run_for(100_000 * CLK_PERIOD_PS)
+            .expect("quiescent window");
+        let steady = sys.sim.stats().evals - stats.evals;
+        assert_eq!(steady, steady_evals, "{mode}: quiescent-window evals");
+    }
 }

@@ -5,41 +5,35 @@
 //! shrunk failure signatures:
 //!
 //! * **clean** — golden design, timing/arbitration/topology mutations
-//!   only (no word-stream corruption). The robustness gate: *no legal
+//!   only (no word-stream corruption). The robustness claim: *no legal
 //!   schedule may break the golden design*, so this session must end
 //!   with zero failure signatures.
 //! * **corrupt** — golden design with SimB word-stream corruption ops
 //!   enabled (bit flips, stalls, spurious bus errors, ICAP ready
-//!   drops) and the recovery protocol off. The detection gate: the
+//!   drops) and the recovery protocol off. The detection claim: the
 //!   oracles must catch corrupted bitstreams, so this session must
 //!   find at least one failure signature.
 //! * **seeded** — the bug.dpr.6a race (fixed-loop wait instead of
 //!   polling transfer done) seeded into the base design. The
-//!   find-and-shrink gate: the fuzzer must find the race, dedup it to
+//!   find-and-shrink claim: the fuzzer must find the race, dedup it to
 //!   one signature, and shrink the witness to a minimal reproducer.
 //!
 //! Modes:
 //!
-//! * **default** — full-size sessions; prints each report, exercises
-//!   the reproducer replay loop, and writes the `BENCH_fuzz.json`
-//!   baseline (committed at the repo root).
-//! * **`--smoke`** — bounded sessions (fewer rounds, smaller batches)
-//!   plus validation of the committed baseline: the `bench_fuzz/v1`
-//!   schema, zero clean failures and nonzero corrupt/seeded failures
-//!   must hold both in the file and in the re-run. Every failure's
-//!   reproducer is serialized to JSON, parsed back and replayed, and
-//!   must reproduce its signature. Exits nonzero on any mismatch;
-//!   this is what CI gates on.
+//! * **default** — prints each session report, checks the three claims
+//!   above, exercises the reproducer replay loop, and writes every
+//!   shrunk reproducer to `target/fuzz/<session>_<n>.json`.
 //! * **`--replay <file> [bug-id]`** — parse a `fuzz_repro/v2` document
 //!   and replay it against the base design (optionally with a seeded
 //!   bug from the catalog, e.g. `bug.dpr.6a`); prints the verdict.
+//!
+//! The same claims are pinned at smaller scale by
+//! `verif/tests/fuzz_determinism.rs`, which `cargo test` runs.
 
 use autovision::{Bug, FaultSet, SimMethod, SystemConfig};
 use bench::harness;
-use obs::json::Json;
 use verif::fuzz::{self, FuzzOptions, FuzzReport, FuzzRepro};
 
-const BASELINE_PATH: &str = "BENCH_fuzz.json";
 const BUDGET_CYCLES: u64 = 400_000;
 const SEED: u64 = 0x5EED_F022;
 
@@ -122,35 +116,9 @@ fn verify_repros(base: &SystemConfig, report: &FuzzReport) -> usize {
 
 fn print_session(s: &Session) {
     println!("{} ({:.2} s):", s.label, s.wall_s);
-    print!("{}", textwrap(&s.report.render()));
-}
-
-fn textwrap(s: &str) -> String {
-    s.lines().map(|l| format!("  {l}\n")).collect()
-}
-
-fn render_session(s: &Session) -> String {
-    let r = &s.report;
-    format!(
-        concat!(
-            "{{\n",
-            "    \"iterations\": {},\n",
-            "    \"coverage_keys\": {},\n",
-            "    \"corpus\": {},\n",
-            "    \"failure_signatures\": {},\n",
-            "    \"shrink_runs\": {},\n",
-            "    \"timed_out\": {},\n",
-            "    \"wall_seconds\": {:.6}\n",
-            "  }}"
-        ),
-        r.iterations,
-        r.coverage_keys,
-        r.corpus.len(),
-        r.failures.len(),
-        r.shrink_runs,
-        r.timed_out,
-        s.wall_s,
-    )
+    for line in s.report.render().lines() {
+        println!("  {line}");
+    }
 }
 
 fn gate(sessions: &[&Session]) {
@@ -210,75 +178,6 @@ fn run_full() {
             println!("wrote {path} — replay with: fuzz_campaign --replay {path}{bug}");
         }
     }
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"schema\": \"bench_fuzz/v1\",\n",
-            "  \"seed\": {},\n",
-            "  \"budget_cycles\": {},\n",
-            "  \"clean\": {},\n",
-            "  \"corrupt\": {},\n",
-            "  \"seeded\": {},\n",
-            "  \"replayed_repros\": {}\n",
-            "}}\n"
-        ),
-        SEED,
-        BUDGET_CYCLES,
-        render_session(&clean),
-        render_session(&corrupt),
-        render_session(&seeded),
-        verified,
-    );
-    std::fs::write(BASELINE_PATH, &json).expect("write BENCH_fuzz.json");
-    println!("wrote {BASELINE_PATH}");
-}
-
-fn run_smoke() {
-    println!("fuzz_campaign --smoke\n");
-
-    // Gate 1: the committed baseline parses and already satisfies the
-    // robustness/detection invariants.
-    let doc = std::fs::read_to_string(BASELINE_PATH).expect("read committed BENCH_fuzz.json");
-    let doc = Json::parse(&doc).expect("committed BENCH_fuzz.json is valid JSON");
-    assert_eq!(
-        doc.get("schema").and_then(Json::as_str),
-        Some("bench_fuzz/v1"),
-        "baseline schema mismatch"
-    );
-    let sig = |section: &str| {
-        doc.get(section)
-            .and_then(|s| s.get("failure_signatures"))
-            .and_then(Json::as_f64)
-            .unwrap_or_else(|| panic!("baseline missing {section}.failure_signatures"))
-    };
-    assert_eq!(sig("clean"), 0.0, "baseline records clean-design failures");
-    assert!(
-        sig("corrupt") >= 1.0,
-        "baseline corrupt session found nothing"
-    );
-    assert!(
-        sig("seeded") >= 1.0,
-        "baseline seeded session found nothing"
-    );
-    println!("committed baseline: schema + failure gates ok");
-
-    // Gate 2: bounded re-run of all three sessions under the same fixed
-    // seed, same invariants.
-    let clean = run_session("clean", &fuzz_base(), 2, 6, false);
-    let corrupt = run_session("corrupt", &fuzz_base(), 3, 6, true);
-    let seeded = run_session("seeded", &seeded_base(), 2, 6, false);
-    for s in [&clean, &corrupt, &seeded] {
-        print_session(s);
-    }
-    gate(&[&clean, &corrupt, &seeded]);
-
-    // Gate 3: every reproducer survives the full serialize → parse →
-    // replay loop with its signature intact.
-    let verified = verify_repros(&fuzz_base(), &corrupt.report)
-        + verify_repros(&seeded_base(), &seeded.report);
-    assert!(verified >= 2, "expected at least two verified reproducers");
-    println!("\nsmoke ok: clean 0 failures, {verified} reproducer(s) replayed bit-faithfully");
 }
 
 fn run_replay(path: &str, bug_id: Option<&str>) {
@@ -318,9 +217,7 @@ fn run_replay(path: &str, bug_id: Option<&str>) {
 }
 
 fn main() {
-    if harness::has_flag("--smoke") {
-        run_smoke();
-    } else if let Some(path) = harness::flag_value("--replay") {
+    if let Some(path) = harness::flag_value("--replay") {
         let bug = std::env::args().nth(3);
         run_replay(&path, bug.as_deref());
     } else {

@@ -14,7 +14,7 @@ use rtlsim::CompKind;
 /// One measured repetition: (mux fraction, other-artifact fraction,
 /// user fraction, vip fraction, report rows).
 fn measure() -> (f64, f64, f64, f64, Vec<rtlsim::profile::ProfileRow>) {
-    let cfg = harness::with_exec_mode(paper_scale_config());
+    let cfg = paper_scale_config();
     let mut sys = AvSystem::build(cfg);
     sys.sim.set_profiling(true);
     let outcome = sys.run(40_000_000);

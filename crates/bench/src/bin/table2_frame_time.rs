@@ -19,7 +19,7 @@ use std::time::Instant;
 use verif::{probe_high_time, Probe};
 
 fn main() {
-    let cfg = harness::with_exec_mode(paper_scale_config());
+    let cfg = paper_scale_config();
     let n_frames = cfg.n_frames as u64;
     println!(
         "Table II — time to simulate one video frame ({}x{}, SimB payload {} words, {} frames)\n",

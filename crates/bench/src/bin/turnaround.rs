@@ -10,7 +10,7 @@ use verif::{compare, FRAMES_TO_DETECT, ONCHIP_ITERATION_MIN};
 
 fn main() {
     println!("Debug-turnaround comparison (paper §V-B)\n");
-    let mut cfg = harness::with_exec_mode(paper_scale_config());
+    let mut cfg = paper_scale_config();
     cfg.n_frames = 2;
     let frames = cfg.n_frames as f64;
     let (_sys, _outcome, wall_s) = harness::run_built(cfg, 40_000_000);

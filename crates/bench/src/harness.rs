@@ -40,7 +40,7 @@ pub fn experiment(payload_words: usize) -> SystemConfigBuilder {
 
 /// The kernel execution mode every bench bin shares, from
 /// `--exec-mode {event|compiled}`. Absent flag means
-/// [`ExecMode::EventDriven`] — the committed baselines' mode.
+/// [`ExecMode::EventDriven`], the reference mode.
 /// Exits with a usage message on an unknown spelling.
 pub fn exec_mode() -> ExecMode {
     match flag_value("--exec-mode") {
@@ -50,23 +50,6 @@ pub fn exec_mode() -> ExecMode {
             std::process::exit(2);
         }),
     }
-}
-
-/// Overlay the shared `--exec-mode` flag onto an already-built
-/// configuration — the migration shim for bins that assemble a
-/// [`SystemConfig`] outside the builder (struct literals,
-/// [`crate::paper_scale_config`]...). With the flag absent this is the
-/// identity, so existing invocations stay bit-identical.
-pub fn with_exec_mode(mut cfg: SystemConfig) -> SystemConfig {
-    if flag_value("--exec-mode").is_some() {
-        cfg.exec_mode = exec_mode();
-    }
-    cfg
-}
-
-/// `true` when `flag` appears among the command-line arguments.
-pub fn has_flag(flag: &str) -> bool {
-    std::env::args().skip(1).any(|a| a == flag)
 }
 
 /// Positional command-line argument `n` (1-based, as in `args().nth`),

@@ -24,7 +24,8 @@ use autovision::{SimMethod, SystemConfig};
 
 /// The paper-scale Table II configuration: 320×240 frames, SimB with a
 /// 4 K-word payload, fast configuration clock, ISR workload calibrated
-/// to the published 0.5 ms/frame.
+/// to the published 0.5 ms/frame. Honours the shared `--exec-mode`
+/// flag ([`harness::exec_mode`]), as [`harness::experiment`] does.
 pub fn paper_scale_config() -> SystemConfig {
     SystemConfig::builder()
         .method(SimMethod::Resim)
@@ -34,18 +35,7 @@ pub fn paper_scale_config() -> SystemConfig {
         .payload_words(4096)
         .cfg_divider(1)
         .isr_pad_loops(4400)
+        .exec_mode(harness::exec_mode())
         .build()
         .expect("paper-scale config is valid")
-}
-
-/// A small, fast configuration for smoke benches.
-pub fn small_config() -> SystemConfig {
-    SystemConfig::builder()
-        .method(SimMethod::Resim)
-        .width(32)
-        .height(24)
-        .n_frames(1)
-        .payload_words(128)
-        .build()
-        .expect("smoke config is valid")
 }

@@ -79,23 +79,14 @@ pub struct Verdict {
 /// Build the configured system, run it to completion or budget, and
 /// classify. `budget_cycles` bounds hang detection.
 pub fn run_experiment(cfg: SystemConfig, budget_cycles: u64) -> Verdict {
-    run_inner(cfg, budget_cycles, None, None)
+    run_experiment_deadline(cfg, budget_cycles, None, None)
 }
 
 /// [`run_experiment`] sourcing pure setup artifacts (SimB streams,
-/// software image, golden scene) from a shared cache. The verdict is
-/// bit-identical to the uncached path; campaigns use this so N
-/// scenarios stop re-deriving the same data.
-pub fn run_experiment_with(
-    cfg: SystemConfig,
-    budget_cycles: u64,
-    artifacts: &ArtifactCache,
-) -> Verdict {
-    run_inner(cfg, budget_cycles, Some(artifacts), None)
-}
-
-/// [`run_experiment_with`] under a wall-clock deadline. When the
-/// deadline expires mid-run the function panics with the executor's
+/// software image, golden scene) from a shared cache when one is
+/// given — the verdict is bit-identical to the uncached path — and
+/// under a wall-clock deadline. When the deadline expires mid-run the
+/// function panics with the executor's
 /// [`crate::executor::ScenarioTimeout`] marker, which the campaign
 /// pool's panic isolation turns into a typed `TimedOut` row — callers
 /// outside a `catch_unwind` should pass `None`.
@@ -105,7 +96,17 @@ pub fn run_experiment_deadline(
     artifacts: Option<&ArtifactCache>,
     deadline: Option<std::time::Instant>,
 ) -> Verdict {
-    run_inner(cfg, budget_cycles, artifacts, deadline)
+    let n_frames = cfg.n_frames;
+    let mut sys = match artifacts {
+        Some(a) => AvSystem::build_with(cfg, a),
+        None => AvSystem::build(cfg),
+    };
+    let outcome = sys.run_with_deadline(budget_cycles, deadline);
+    if outcome.deadline_hit {
+        std::panic::panic_any(crate::executor::ScenarioTimeout);
+    }
+    tally_compiled(&sys);
+    classify(&sys, &outcome, n_frames)
 }
 
 /// Classify a finished run against every oracle. Shared by the one-shot
@@ -164,25 +165,6 @@ pub fn classify(sys: &AvSystem, outcome: &RunOutcome, n_frames: usize) -> Verdic
         simulated_ns: sys.sim.now() / 1_000,
         kernel_error,
     }
-}
-
-fn run_inner(
-    cfg: SystemConfig,
-    budget_cycles: u64,
-    artifacts: Option<&ArtifactCache>,
-    deadline: Option<std::time::Instant>,
-) -> Verdict {
-    let n_frames = cfg.n_frames;
-    let mut sys = match artifacts {
-        Some(a) => AvSystem::build_with(cfg, a),
-        None => AvSystem::build(cfg),
-    };
-    let outcome = sys.run_with_deadline(budget_cycles, deadline);
-    if outcome.deadline_hit {
-        std::panic::panic_any(crate::executor::ScenarioTimeout);
-    }
-    tally_compiled(&sys);
-    classify(&sys, &outcome, n_frames)
 }
 
 /// Process-wide tally of compiled-plane activity, accumulated by every

@@ -670,31 +670,12 @@ impl FuzzRepro {
     /// Serialize as a flat JSON document (`fuzz_repro/v2`; v2 added the
     /// `exec_mode` knob).
     pub fn to_json(&self) -> String {
-        let s = &self.schedule;
-        let opt = |v: Option<u32>| v.map(|x| x.to_string()).unwrap_or_else(|| "null".into());
-        let (beat, bit) = match s.flip {
-            Some((beat, bit)) => (Some(beat), Some(bit)),
-            None => (None, None),
-        };
         format!(
-            "{{\n  \"schema\": \"fuzz_repro/v2\",\n  \"signature\": \"{}\",\n  \"mutations\": {},\n  \"budget_cycles\": {},\n  \"warmup_cycles\": {},\n  \"isr_pad_loops\": {},\n  \"cfg_divider\": {},\n  \"mem_wait_states\": {},\n  \"fixed_wait_loops\": {},\n  \"round_robin\": {},\n  \"split_topology\": {},\n  \"recovery_on\": {},\n  \"flip_beat\": {},\n  \"flip_bit\": {},\n  \"stall\": {},\n  \"bus_errors\": {},\n  \"ready_drop\": {},\n  \"exec_mode\": \"{}\"\n}}\n",
+            "{{\n  \"schema\": \"fuzz_repro/v2\",\n  \"signature\": \"{}\",\n  \"mutations\": {},\n  \"budget_cycles\": {},\n  {}\n}}\n",
             obs::json::escape(&self.signature),
             self.mutations,
             self.budget_cycles,
-            s.warmup_cycles,
-            s.isr_pad_loops,
-            s.cfg_divider,
-            s.mem_wait_states,
-            s.fixed_wait_loops,
-            s.round_robin,
-            s.topology == FuzzTopology::Split,
-            s.recovery_on,
-            opt(beat),
-            opt(bit),
-            opt(s.stall),
-            s.bus_errors,
-            opt(s.ready_drop),
-            s.exec_mode.as_str(),
+            wire::schedule_to_json(&self.schedule, ",\n  "),
         )
     }
 
@@ -1101,6 +1082,32 @@ mod tests {
             budget_cycles: 400_000,
         };
         let doc = repro.to_json();
+        assert_eq!(
+            doc,
+            concat!(
+                "{\n",
+                "  \"schema\": \"fuzz_repro/v2\",\n",
+                "  \"signature\": \"checker:plb_monitor+hang\",\n",
+                "  \"mutations\": 4,\n",
+                "  \"budget_cycles\": 400000,\n",
+                "  \"warmup_cycles\": 1234,\n",
+                "  \"isr_pad_loops\": 3,\n",
+                "  \"cfg_divider\": 2,\n",
+                "  \"mem_wait_states\": 0,\n",
+                "  \"fixed_wait_loops\": 250,\n",
+                "  \"round_robin\": true,\n",
+                "  \"split_topology\": false,\n",
+                "  \"recovery_on\": false,\n",
+                "  \"flip_beat\": 5,\n",
+                "  \"flip_bit\": 17,\n",
+                "  \"stall\": null,\n",
+                "  \"bus_errors\": 1,\n",
+                "  \"ready_drop\": 96,\n",
+                "  \"exec_mode\": \"compiled\"\n",
+                "}\n",
+            ),
+            "fuzz_repro/v2 bytes changed"
+        );
         let parsed = FuzzRepro::from_json(&doc).expect("parse back");
         assert_eq!(parsed, repro);
         assert!(FuzzRepro::from_json("{}").is_err());

@@ -136,7 +136,6 @@ fn opt_str_of(v: &Json, key: &str) -> Result<Option<String>, String> {
 /// `{"kind": "bug", "bug": "bug.dpr.4"}`, ...). Fuzz scenarios carry
 /// their schedule in the `fuzz_repro/v2` knob encoding.
 pub fn scenario_to_json(s: &Scenario) -> String {
-    let opt = |v: Option<u32>| v.map(|x| x.to_string()).unwrap_or_else(|| "null".into());
     match s {
         Scenario::Clean => "{\"kind\": \"clean\"}".to_string(),
         Scenario::Bug(b) => format!("{{\"kind\": \"bug\", \"bug\": \"{}\"}}", b.id()),
@@ -147,35 +146,11 @@ pub fn scenario_to_json(s: &Scenario) -> String {
             spec.seed,
             spec.recovery_on
         ),
-        Scenario::Fuzz(spec) => {
-            let s = &spec.schedule;
-            let (beat, bit) = match s.flip {
-                Some((beat, bit)) => (Some(beat), Some(bit)),
-                None => (None, None),
-            };
-            format!(
-                "{{\"kind\": \"fuzz\", \"id\": {}, \"warmup_cycles\": {}, \"isr_pad_loops\": {}, \
-                 \"cfg_divider\": {}, \"mem_wait_states\": {}, \"fixed_wait_loops\": {}, \
-                 \"round_robin\": {}, \"split_topology\": {}, \"recovery_on\": {}, \
-                 \"flip_beat\": {}, \"flip_bit\": {}, \"stall\": {}, \"bus_errors\": {}, \
-                 \"ready_drop\": {}, \"exec_mode\": \"{}\"}}",
-                spec.id,
-                s.warmup_cycles,
-                s.isr_pad_loops,
-                s.cfg_divider,
-                s.mem_wait_states,
-                s.fixed_wait_loops,
-                s.round_robin,
-                s.topology == FuzzTopology::Split,
-                s.recovery_on,
-                opt(beat),
-                opt(bit),
-                opt(s.stall),
-                s.bus_errors,
-                opt(s.ready_drop),
-                s.exec_mode.as_str(),
-            )
-        }
+        Scenario::Fuzz(spec) => format!(
+            "{{\"kind\": \"fuzz\", \"id\": {}, {}}}",
+            spec.id,
+            schedule_to_json(&spec.schedule, ", ")
+        ),
     }
 }
 
@@ -216,6 +191,34 @@ pub(crate) fn exec_mode_of(v: &Json) -> Result<ExecMode, String> {
     str_of(v, "exec_mode")?
         .parse::<ExecMode>()
         .map_err(|e| format!("key exec_mode: {e}"))
+}
+
+/// Encode a fuzz schedule's knobs as `"key": value` members in the
+/// `fuzz_repro/v2` key order, joined by `sep` — the one encoder fuzz
+/// scenarios and `fuzz_repro` documents share, each with its own
+/// separator. Unset optional knobs render as `null`.
+pub(crate) fn schedule_to_json(s: &FuzzSchedule, sep: &str) -> String {
+    let opt = |v: Option<u32>| v.map_or_else(|| "null".to_string(), |x| x.to_string());
+    let (beat, bit) = s.flip.unzip();
+    let split = s.topology == FuzzTopology::Split;
+    [
+        ("warmup_cycles", s.warmup_cycles.to_string()),
+        ("isr_pad_loops", s.isr_pad_loops.to_string()),
+        ("cfg_divider", s.cfg_divider.to_string()),
+        ("mem_wait_states", s.mem_wait_states.to_string()),
+        ("fixed_wait_loops", s.fixed_wait_loops.to_string()),
+        ("round_robin", s.round_robin.to_string()),
+        ("split_topology", split.to_string()),
+        ("recovery_on", s.recovery_on.to_string()),
+        ("flip_beat", opt(beat)),
+        ("flip_bit", opt(bit)),
+        ("stall", opt(s.stall)),
+        ("bus_errors", s.bus_errors.to_string()),
+        ("ready_drop", opt(s.ready_drop)),
+        ("exec_mode", format!("\"{}\"", s.exec_mode.as_str())),
+    ]
+    .map(|(key, value)| format!("\"{key}\": {value}"))
+    .join(sep)
 }
 
 /// Decode a fuzz schedule's knobs from the `fuzz_repro/v2` key set —
@@ -716,6 +719,18 @@ mod tests {
     #[test]
     fn submission_roundtrips_every_scenario_kind() {
         let sub = mixed_submission();
+        // The fuzz scenario's knob bytes, pinned: key order, separators
+        // and the `null` rule for unset optional knobs.
+        assert_eq!(
+            scenario_to_json(&sub.scenarios[4]),
+            concat!(
+                r#"{"kind": "fuzz", "id": 9, "warmup_cycles": 128, "isr_pad_loops": 8, "#,
+                r#""cfg_divider": 4, "mem_wait_states": 1, "fixed_wait_loops": 250, "#,
+                r#""round_robin": false, "split_topology": false, "recovery_on": false, "#,
+                r#""flip_beat": 3, "flip_bit": 17, "stall": null, "bus_errors": 0, "#,
+                r#""ready_drop": null, "exec_mode": "compiled"}"#,
+            )
+        );
         let doc = sub.to_json();
         let parsed = CampaignSubmission::from_json(&doc).expect("parse back");
         assert_eq!(parsed, sub);

@@ -22,7 +22,7 @@ use autovision::ArtifactCache;
 use obs::json::Json;
 use obs::MetricsRegistry;
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -229,18 +229,27 @@ impl Server {
     }
 
     /// Serve one connection: read request frames line by line until EOF
-    /// or shutdown. Write errors are treated as a vanished client.
+    /// or shutdown. A line longer than [`proto::MAX_FRAME_BYTES`] or not
+    /// valid UTF-8 gets an `error/v1` reply and the connection carries
+    /// on. Write errors are treated as a vanished client.
     pub fn serve_connection<R: BufRead, W: Write + Send>(
         &self,
-        reader: R,
+        mut reader: R,
         mut writer: W,
     ) -> io::Result<()> {
-        for line in reader.lines() {
-            let line = line?;
+        let mut buf = Vec::new();
+        while let Some(frame) = read_frame(&mut reader, &mut buf)? {
+            let line = match frame {
+                Ok(line) => line,
+                Err(msg) => {
+                    reply(&mut writer, &proto::error_frame(&msg))?;
+                    continue;
+                }
+            };
             if line.trim().is_empty() {
                 continue;
             }
-            if !self.dispatch(&line, &mut writer)? {
+            if !self.dispatch(line, &mut writer)? {
                 break;
             }
         }
@@ -251,11 +260,6 @@ impl Server {
     /// should close (shutdown).
     fn dispatch<W: Write + Send>(&self, line: &str, writer: &mut W) -> io::Result<bool> {
         let parsed = Json::parse(line);
-        let reply = |writer: &mut W, frame: &str| -> io::Result<()> {
-            writer.write_all(frame.as_bytes())?;
-            writer.write_all(b"\n")?;
-            writer.flush()
-        };
         let v = match parsed {
             Ok(v) => v,
             Err(e) => {
@@ -349,11 +353,7 @@ impl Server {
     fn handle_submit<W: Write + Send>(&self, line: &str, writer: &mut W) -> io::Result<()> {
         let sub = match CampaignSubmission::from_json(line) {
             Ok(s) => s,
-            Err(e) => {
-                writer.write_all(proto::error_frame(&e).as_bytes())?;
-                writer.write_all(b"\n")?;
-                return writer.flush();
-            }
+            Err(e) => return reply(writer, &proto::error_frame(&e)),
         };
         let threads = if self.cfg.threads > 0 {
             self.cfg.threads
@@ -368,11 +368,7 @@ impl Server {
         let campaign = sub.plan(threads, budget);
         let guard = match self.admit_one() {
             Ok(g) => g,
-            Err(e) => {
-                writer.write_all(proto::error_frame(&e).as_bytes())?;
-                writer.write_all(b"\n")?;
-                return writer.flush();
-            }
+            Err(e) => return reply(writer, &proto::error_frame(&e)),
         };
         let id = self.next_id.fetch_add(1, Ordering::AcqRel) + 1;
         let entry = Arc::new(CampaignEntry {
@@ -384,9 +380,8 @@ impl Server {
             .lock()
             .expect("registry lock poisoned")
             .insert(id, entry.clone());
-        writer.write_all(proto::accepted_frame(id, campaign.scenarios().len()).as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
+        let accepted = proto::accepted_frame(id, campaign.scenarios().len());
+        reply(writer, &accepted)?;
 
         // Stream rows as the executor delivers them. A write failure
         // means the submitter vanished: cancel the run (watchers still
@@ -439,9 +434,7 @@ impl Server {
         if client_gone.load(Ordering::Relaxed) {
             return Ok(());
         }
-        writer.write_all(done_frame.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()
+        reply(writer, &done_frame)
     }
 
     fn handle_watch<W: Write>(&self, id: u64, writer: &mut W) -> io::Result<()> {
@@ -452,10 +445,10 @@ impl Server {
             .get(&id)
             .cloned();
         let Some(entry) = entry else {
-            writer
-                .write_all(proto::error_frame(&format!("unknown campaign id {id}")).as_bytes())?;
-            writer.write_all(b"\n")?;
-            return writer.flush();
+            return reply(
+                writer,
+                &proto::error_frame(&format!("unknown campaign id {id}")),
+            );
         };
         let mut next = 0usize;
         loop {
@@ -480,13 +473,49 @@ impl Server {
                     st.frames.len() == next
                 };
                 if caught_up {
-                    writer.write_all(d.as_bytes())?;
-                    writer.write_all(b"\n")?;
-                    return writer.flush();
+                    return reply(writer, &d);
                 }
             }
         }
     }
+}
+
+/// Read the next frame into `buf`, reusing its allocation, and return
+/// it without its line terminator; `None` at EOF. A frame longer than
+/// [`proto::MAX_FRAME_BYTES`] is skipped to its newline without being
+/// buffered and comes back as an error naming the limit; so does one
+/// that is not UTF-8.
+fn read_frame<'b, R: BufRead>(
+    reader: &mut R,
+    buf: &'b mut Vec<u8>,
+) -> io::Result<Option<Result<&'b str, String>>> {
+    buf.clear();
+    let cap = proto::MAX_FRAME_BYTES as u64 + 1;
+    if reader.by_ref().take(cap).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > proto::MAX_FRAME_BYTES {
+        reader.skip_until(b'\n')?;
+        return Ok(Some(Err(format!(
+            "frame exceeds the {}-byte limit",
+            proto::MAX_FRAME_BYTES
+        ))));
+    }
+    Ok(Some(
+        std::str::from_utf8(buf).map_err(|e| format!("frame is not valid UTF-8: {e}")),
+    ))
+}
+
+/// Write one frame and its newline, then flush.
+fn reply<W: Write>(writer: &mut W, frame: &str) -> io::Result<()> {
+    writer.write_all(frame.as_bytes())?;
+    writer.write_all(b"\n")?;
+    writer.flush()
 }
 
 /// Where the daemon listens.
@@ -516,6 +545,25 @@ impl Endpoint {
 enum Listener {
     Unix(UnixListener),
     Tcp(TcpListener),
+}
+
+/// An accepted connection, split into its read and write halves.
+type Halves = (Box<dyn Read + Send>, Box<dyn Write + Send>);
+
+impl Listener {
+    /// Block for the next connection.
+    fn accept(&self) -> io::Result<Halves> {
+        Ok(match self {
+            Listener::Unix(l) => {
+                let (s, _) = l.accept()?;
+                (Box::new(s.try_clone()?), Box::new(s))
+            }
+            Listener::Tcp(l) => {
+                let (s, _) = l.accept()?;
+                (Box::new(s.try_clone()?), Box::new(s))
+            }
+        })
+    }
 }
 
 /// A started daemon: the shared [`Server`], its resolved endpoints and
@@ -601,30 +649,7 @@ impl RunningServer {
     /// before calling this, or the join blocks.
     pub fn shutdown(self) {
         self.server.stop();
-        for ep in &self.endpoints {
-            // Poke each listener so its blocking accept returns and the
-            // loop observes the stop flag.
-            match ep {
-                Endpoint::Unix(path) => {
-                    let _ = UnixStream::connect(path);
-                }
-                Endpoint::Tcp(addr) => {
-                    let _ = TcpStream::connect(addr);
-                }
-            }
-        }
-        for t in self.accept_threads {
-            let _ = t.join();
-        }
-        let conns = std::mem::take(&mut *self.conns.lock().expect("conn registry poisoned"));
-        for t in conns {
-            let _ = t.join();
-        }
-        for ep in &self.endpoints {
-            if let Endpoint::Unix(path) = ep {
-                let _ = std::fs::remove_file(path);
-            }
-        }
+        self.wait();
     }
 
     /// Block until every accept thread exits (a client sent
@@ -646,36 +671,72 @@ impl RunningServer {
 }
 
 fn accept_loop(server: Arc<Server>, listener: Listener, conns: Arc<Mutex<Vec<JoinHandle<()>>>>) {
-    loop {
-        if server.stopping() {
-            return;
-        }
-        let handle = match &listener {
-            Listener::Unix(l) => match l.accept() {
-                Ok((stream, _)) => {
-                    let srv = server.clone();
-                    std::thread::spawn(move || {
-                        let Ok(read_half) = stream.try_clone() else {
-                            return;
-                        };
-                        let _ = srv.serve_connection(BufReader::new(read_half), stream);
-                    })
-                }
-                Err(_) => continue,
-            },
-            Listener::Tcp(l) => match l.accept() {
-                Ok((stream, _)) => {
-                    let srv = server.clone();
-                    std::thread::spawn(move || {
-                        let Ok(read_half) = stream.try_clone() else {
-                            return;
-                        };
-                        let _ = srv.serve_connection(BufReader::new(read_half), stream);
-                    })
-                }
-                Err(_) => continue,
-            },
+    while !server.stopping() {
+        let Ok((read_half, write_half)) = listener.accept() else {
+            continue;
         };
-        conns.lock().expect("conn registry poisoned").push(handle);
+        let srv = server.clone();
+        let handle = std::thread::spawn(move || {
+            let _ = srv.serve_connection(BufReader::new(read_half), write_half);
+        });
+        // Join the handlers that have already finished before
+        // registering this one, so a long-running daemon does not keep
+        // a stack mapped for every connection it ever served.
+        let mut conns = conns.lock().expect("conn registry poisoned");
+        for done in conns.extract_if(.., |h| h.is_finished()) {
+            let _ = done.join();
+        }
+        conns.push(handle);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::Shutdown;
+
+    #[test]
+    fn frames_up_to_the_cap_are_read_and_longer_ones_skipped() {
+        let cap = proto::MAX_FRAME_BYTES;
+        let input = format!("{}\n{}\nnext", "a".repeat(cap), "b".repeat(cap + 1));
+        let mut reader = io::Cursor::new(input.into_bytes());
+        let mut buf = Vec::new();
+        let mut next = || {
+            read_frame(&mut reader, &mut buf)
+                .expect("in-memory read")
+                .map(|f| f.map(str::len))
+        };
+        assert_eq!(next(), Some(Ok(cap)));
+        let err = next().expect("a frame").expect_err("over the cap");
+        assert!(err.contains(&cap.to_string()), "{err}");
+        assert_eq!(
+            next(),
+            Some(Ok(4)),
+            "the frame after a skipped one is intact"
+        );
+        assert_eq!(next(), None);
+    }
+
+    #[test]
+    fn finished_connection_handlers_are_joined() {
+        let path = std::env::temp_dir().join(format!("verifd-unit-{}.sock", std::process::id()));
+        let running =
+            RunningServer::start(ServerConfig::default(), &[Endpoint::Unix(path.clone())])
+                .expect("bind unix socket");
+        for _ in 0..64 {
+            let mut conn = UnixStream::connect(&path).expect("connect");
+            conn.write_all(format!("{}\n", proto::bare_frame(proto::PING_SCHEMA)).as_bytes())
+                .expect("send ping");
+            conn.shutdown(Shutdown::Write).expect("half-close");
+            // EOF arrives once the handler has dropped its halves.
+            let mut replies = String::new();
+            conn.read_to_string(&mut replies).expect("read to EOF");
+            assert!(replies.contains(proto::PONG_SCHEMA), "{replies}");
+        }
+        // Each handler is joined when a later connection is accepted, so
+        // only the last few may still be registered.
+        let live = running.conns.lock().expect("conn registry poisoned").len();
+        assert!(live <= 4, "{live} handles kept after 64 connections");
+        running.shutdown();
     }
 }

@@ -3,6 +3,8 @@
 //! must never bend row order — even under a forced 1-scenario window
 //! with concurrent submissions.
 
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use verif::wire::{report_to_json, row_to_json, CampaignSubmission};
@@ -304,9 +306,35 @@ fn bad_submissions_get_typed_errors_not_hangups() {
     let msg = v.get("error").and_then(obs::json::Json::as_str).unwrap();
     assert!(msg.contains("nesting deeper than"), "{msg}");
 
+    // A line past the frame cap is refused by size, not buffered whole.
+    let cap = verifd::proto::MAX_FRAME_BYTES;
+    client
+        .send(&"x".repeat(cap + 1))
+        .expect("send oversized frame");
+    let v = client.recv().expect("recv").expect("frame");
+    assert_eq!(verifd::proto::schema_of(&v), Some("error/v1"));
+    let msg = v.get("error").and_then(obs::json::Json::as_str).unwrap();
+    assert!(msg.contains(&cap.to_string()), "{msg}");
+
     // The connection survives every error.
     client.ping().expect("ping still works");
     drop(client);
+
+    // A line that is not UTF-8 gets a typed error too. The client only
+    // sends strings, so write the bytes on a raw socket.
+    let mut raw = UnixStream::connect(server.unix_path().unwrap()).expect("connect raw");
+    raw.write_all(b"\xff\xfe\n{\"schema\": \"ping/v1\"}\n")
+        .expect("send non-UTF-8 line, then ping");
+    let mut replies = BufReader::new(&raw)
+        .lines()
+        .map(|line| obs::json::Json::parse(&line.expect("read")).expect("reply parses"));
+    let v = replies.next().expect("an error reply, not EOF");
+    assert_eq!(verifd::proto::schema_of(&v), Some("error/v1"));
+    let msg = v.get("error").and_then(obs::json::Json::as_str).unwrap();
+    assert!(msg.contains("UTF-8"), "{msg}");
+    let v = replies.next().expect("a pong after the error");
+    assert_eq!(verifd::proto::schema_of(&v), Some("pong/v1"));
+    drop(raw);
     server.shutdown();
 }
 
