@@ -682,10 +682,6 @@ pub struct RunOutcome {
     /// instead of panicking, so verdict classification can report it as
     /// a detected failure.
     pub kernel_error: Option<KernelError>,
-    /// The wall-clock deadline passed to [`AvSystem::run_with_deadline`]
-    /// expired before frames, halt or the cycle budget. Always `false`
-    /// for [`AvSystem::run`].
-    pub deadline_hit: bool,
 }
 
 /// A fully built Optical Flow Demonstrator simulation.
@@ -1169,35 +1165,19 @@ impl AvSystem {
     /// [`RunOutcome::kernel_error`] so callers can classify it as a
     /// detected failure instead of tearing the whole process down.
     pub fn run(&mut self, budget_cycles: u64) -> RunOutcome {
-        self.run_with_deadline(budget_cycles, None)
-    }
-
-    /// [`AvSystem::run`] with an additional *wall-clock* deadline,
-    /// checked between 512-cycle simulation chunks. When it expires the
-    /// run stops early with [`RunOutcome::deadline_hit`] set — the
-    /// watchdog hook campaign executors use to degrade a runaway
-    /// scenario into a typed row instead of stalling the whole pool.
-    /// `None` behaves exactly like [`AvSystem::run`].
-    pub fn run_with_deadline(
-        &mut self,
-        budget_cycles: u64,
-        deadline: Option<std::time::Instant>,
-    ) -> RunOutcome {
         let start = self.sim.now();
         let chunk = 512 * CLK_PERIOD_PS;
-        let outcome_at =
-            |s: &Self, cycles: u64, hung: bool, err: Option<KernelError>, late: bool| RunOutcome {
-                frames_captured: s.captured.borrow().len(),
-                halted: s.cpu.borrow().halted,
-                hung,
-                cycles,
-                kernel_error: err,
-                deadline_hit: late,
-            };
+        let outcome_at = |s: &Self, cycles: u64, hung: bool, err: Option<KernelError>| RunOutcome {
+            frames_captured: s.captured.borrow().len(),
+            halted: s.cpu.borrow().halted,
+            hung,
+            cycles,
+            kernel_error: err,
+        };
         loop {
             if let Err(e) = self.sim.run_for(chunk) {
                 let cycles = (self.sim.now() - start) / CLK_PERIOD_PS;
-                return outcome_at(self, cycles, false, Some(e), false);
+                return outcome_at(self, cycles, false, Some(e));
             }
             let cycles = (self.sim.now() - start) / CLK_PERIOD_PS;
             let frames = self.captured.borrow().len();
@@ -1205,13 +1185,10 @@ impl AvSystem {
             if halted || frames >= self.config.n_frames {
                 // Let in-flight display DMA finish.
                 let err = self.sim.run_for(chunk).err();
-                return outcome_at(self, cycles, false, err, false);
+                return outcome_at(self, cycles, false, err);
             }
             if cycles >= budget_cycles {
-                return outcome_at(self, cycles, true, None, false);
-            }
-            if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
-                return outcome_at(self, cycles, false, None, true);
+                return outcome_at(self, cycles, true, None);
             }
         }
     }

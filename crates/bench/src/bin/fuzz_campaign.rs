@@ -81,7 +81,6 @@ fn run_session(
         corrupt_stream,
         mutate_recovery: corrupt_stream,
         mutate_topology: true,
-        scenario_timeout: None,
         ..Default::default()
     };
     let (report, wall_s) = harness::timed(|| fuzz::run_fuzz(base, &opts));

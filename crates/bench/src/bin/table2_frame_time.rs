@@ -79,7 +79,6 @@ fn main() {
                 hung: false,
                 cycles,
                 kernel_error: None,
-                deadline_hit: false,
             };
         }
         assert!(cycles < budget, "run hung: {:?}", sys.sim.messages());

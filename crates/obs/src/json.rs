@@ -105,11 +105,10 @@ impl Json {
     /// Parse a complete JSON document (trailing whitespace allowed,
     /// trailing garbage rejected, nesting capped at [`MAX_DEPTH`]).
     pub fn parse(doc: &str) -> Result<Json, JsonError> {
-        let b = doc.as_bytes();
         let mut at = 0usize;
-        let v = parse_value(b, &mut at, 0)?;
-        skip_ws(b, &mut at);
-        if at != b.len() {
+        let v = parse_value(doc, &mut at, 0)?;
+        skip_ws(doc.as_bytes(), &mut at);
+        if at != doc.len() {
             return Err(format!("trailing garbage at byte {at}").into());
         }
         Ok(v)
@@ -186,7 +185,10 @@ fn expect(b: &[u8], at: &mut usize, lit: &str) -> Result<(), String> {
 }
 
 /// Parse one value whose enclosing arrays/objects number `depth`.
-fn parse_value(b: &[u8], at: &mut usize, depth: usize) -> Result<Json, JsonError> {
+/// `at` only ever stops on a character boundary of `doc`: every
+/// token the parser steps over ends in an ASCII byte.
+fn parse_value(doc: &str, at: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let b = doc.as_bytes();
     skip_ws(b, at);
     if matches!(b.get(*at), Some(b'[' | b'{')) && depth >= MAX_DEPTH {
         return Err(JsonError::TooDeep { at: *at });
@@ -196,7 +198,7 @@ fn parse_value(b: &[u8], at: &mut usize, depth: usize) -> Result<Json, JsonError
         Some(b'n') => Ok(expect(b, at, "null").map(|()| Json::Null)?),
         Some(b't') => Ok(expect(b, at, "true").map(|()| Json::Bool(true))?),
         Some(b'f') => Ok(expect(b, at, "false").map(|()| Json::Bool(false))?),
-        Some(b'"') => Ok(parse_string(b, at).map(Json::Str)?),
+        Some(b'"') => Ok(parse_string(doc, at).map(Json::Str)?),
         Some(b'[') => {
             *at += 1;
             let mut items = Vec::new();
@@ -206,7 +208,7 @@ fn parse_value(b: &[u8], at: &mut usize, depth: usize) -> Result<Json, JsonError
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, at, depth + 1)?);
+                items.push(parse_value(doc, at, depth + 1)?);
                 skip_ws(b, at);
                 match b.get(*at) {
                     Some(b',') => *at += 1,
@@ -228,10 +230,10 @@ fn parse_value(b: &[u8], at: &mut usize, depth: usize) -> Result<Json, JsonError
             }
             loop {
                 skip_ws(b, at);
-                let key = parse_string(b, at)?;
+                let key = parse_string(doc, at)?;
                 skip_ws(b, at);
                 expect(b, at, ":")?;
-                members.push((key, parse_value(b, at, depth + 1)?));
+                members.push((key, parse_value(doc, at, depth + 1)?));
                 skip_ws(b, at);
                 match b.get(*at) {
                     Some(b',') => *at += 1,
@@ -250,7 +252,7 @@ fn parse_value(b: &[u8], at: &mut usize, depth: usize) -> Result<Json, JsonError
             {
                 *at += 1;
             }
-            let raw = std::str::from_utf8(&b[start..*at]).expect("digits are ASCII");
+            let raw = &doc[start..*at];
             // Validate via the float path; the literal is kept verbatim.
             raw.parse::<f64>()
                 .map_err(|_| format!("malformed number `{raw}` at byte {start}"))?;
@@ -261,8 +263,11 @@ fn parse_value(b: &[u8], at: &mut usize, depth: usize) -> Result<Json, JsonError
 }
 
 /// Parse a quoted string, undoing exactly the escapes [`escape`] emits
-/// (plus the full `\uXXXX` form, surrogate pairs included).
-fn parse_string(b: &[u8], at: &mut usize) -> Result<String, String> {
+/// (plus the full `\uXXXX` form, surrogate pairs included). Runs of
+/// unescaped characters are copied whole, so a string costs time
+/// linear in its length.
+fn parse_string(doc: &str, at: &mut usize) -> Result<String, String> {
+    let b = doc.as_bytes();
     if b.get(*at) != Some(&b'"') {
         return Err(format!("expected string at byte {at}"));
     }
@@ -271,7 +276,7 @@ fn parse_string(b: &[u8], at: &mut usize) -> Result<String, String> {
     let mut pending_high: Option<u16> = None;
     loop {
         let c = *b.get(*at).ok_or("unterminated string")?;
-        let unit = match c {
+        let ch = match c {
             b'"' => {
                 *at += 1;
                 if pending_high.is_some() {
@@ -284,40 +289,29 @@ fn parse_string(b: &[u8], at: &mut usize) -> Result<String, String> {
                 let e = *b.get(*at).ok_or("unterminated escape")?;
                 *at += 1;
                 match e {
-                    b'"' => Some('"'.into()),
-                    b'\\' => Some('\\'.into()),
-                    b'/' => Some('/'.into()),
-                    b'n' => Some('\n'.into()),
-                    b'r' => Some('\r'.into()),
-                    b't' => Some('\t'.into()),
-                    b'b' => Some('\u{8}'.into()),
-                    b'f' => Some('\u{c}'.into()),
+                    b'"' => '"',
+                    b'\\' => '\\',
+                    b'/' => '/',
+                    b'n' => '\n',
+                    b'r' => '\r',
+                    b't' => '\t',
+                    b'b' => '\u{8}',
+                    b'f' => '\u{c}',
                     b'u' => {
-                        let hex = b
-                            .get(*at..*at + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
+                        let hex = doc.get(*at..*at + 4).ok_or("truncated \\u escape")?;
                         let cp = u16::from_str_radix(hex, 16)
                             .map_err(|_| format!("bad \\u escape `{hex}`"))?;
                         *at += 4;
                         match (pending_high.take(), cp) {
                             (None, 0xD800..=0xDBFF) => {
                                 pending_high = Some(cp);
-                                None
+                                continue;
                             }
-                            (None, _) => Some(
-                                char::from_u32(cp as u32)
-                                    .map(String::from)
-                                    .ok_or("invalid code point")?,
-                            ),
+                            (None, _) => char::from_u32(cp as u32).ok_or("invalid code point")?,
                             (Some(hi), 0xDC00..=0xDFFF) => {
                                 let c =
                                     0x10000 + ((hi as u32 - 0xD800) << 10) + (cp as u32 - 0xDC00);
-                                Some(
-                                    char::from_u32(c)
-                                        .map(String::from)
-                                        .ok_or("invalid surrogate pair")?,
-                                )
+                                char::from_u32(c).ok_or("invalid surrogate pair")?
                             }
                             (Some(_), _) => return Err("unpaired surrogate".to_string()),
                         }
@@ -326,20 +320,24 @@ fn parse_string(b: &[u8], at: &mut usize) -> Result<String, String> {
                 }
             }
             _ => {
-                // Consume one UTF-8 scalar starting at `at`.
-                let rest = std::str::from_utf8(&b[*at..])
-                    .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                let ch = rest.chars().next().ok_or("unterminated string")?;
-                *at += ch.len_utf8();
-                Some(ch.into())
+                if pending_high.is_some() {
+                    return Err("unpaired surrogate in string".to_string());
+                }
+                // Copy the run up to the next quote or backslash. Both
+                // are ASCII, so the run ends on a character boundary.
+                let run = b[*at..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .unwrap_or(b.len() - *at);
+                out.push_str(&doc[*at..*at + run]);
+                *at += run;
+                continue;
             }
         };
-        if let Some(s) = unit {
-            if pending_high.is_some() {
-                return Err("unpaired surrogate in string".to_string());
-            }
-            out.push_str(&s);
+        if pending_high.is_some() {
+            return Err("unpaired surrogate in string".to_string());
         }
+        out.push(ch);
     }
 }
 

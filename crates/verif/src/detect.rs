@@ -79,32 +79,23 @@ pub struct Verdict {
 /// Build the configured system, run it to completion or budget, and
 /// classify. `budget_cycles` bounds hang detection.
 pub fn run_experiment(cfg: SystemConfig, budget_cycles: u64) -> Verdict {
-    run_experiment_deadline(cfg, budget_cycles, None, None)
+    run_experiment_in(cfg, budget_cycles, None)
 }
 
 /// [`run_experiment`] sourcing pure setup artifacts (SimB streams,
 /// software image, golden scene) from a shared cache when one is
-/// given — the verdict is bit-identical to the uncached path — and
-/// under a wall-clock deadline. When the deadline expires mid-run the
-/// function panics with the executor's
-/// [`crate::executor::ScenarioTimeout`] marker, which the campaign
-/// pool's panic isolation turns into a typed `TimedOut` row — callers
-/// outside a `catch_unwind` should pass `None`.
-pub fn run_experiment_deadline(
+/// given; the verdict is bit-identical to the uncached path.
+pub(crate) fn run_experiment_in(
     cfg: SystemConfig,
     budget_cycles: u64,
     artifacts: Option<&ArtifactCache>,
-    deadline: Option<std::time::Instant>,
 ) -> Verdict {
     let n_frames = cfg.n_frames;
     let mut sys = match artifacts {
         Some(a) => AvSystem::build_with(cfg, a),
         None => AvSystem::build(cfg),
     };
-    let outcome = sys.run_with_deadline(budget_cycles, deadline);
-    if outcome.deadline_hit {
-        std::panic::panic_any(crate::executor::ScenarioTimeout);
-    }
+    let outcome = sys.run(budget_cycles);
     tally_compiled(&sys);
     classify(&sys, &outcome, n_frames)
 }

@@ -3,9 +3,9 @@
 //!
 //! The matrix (`Table III`) and the recovery campaign used to hand-roll
 //! their own `i % threads` round-robin fan-outs, so one slow scenario —
-//! a watchdog-timeout run burning its whole cycle budget — stalled its
-//! shard while other workers sat idle. This module replaces both with a
-//! single executor:
+//! a hung run burning its whole cycle budget — stalled its shard while
+//! other workers sat idle. This module replaces both with a single
+//! executor:
 //!
 //! * **per-worker deques + a global injector** — workers drain their own
 //!   deque front-to-back, refill from the injector in chunks, and when
@@ -34,7 +34,7 @@
 //! [`CampaignReport`] whose rows unify the old `MatrixRow` /
 //! recovery-report shapes.
 
-use crate::detect::run_experiment_deadline;
+use crate::detect::run_experiment_in;
 use crate::fuzz::{self, FuzzRow, FuzzSpec};
 use crate::matrix::{self, MatrixConfig, MatrixRow};
 use crate::recovery::{self, RunClass};
@@ -133,12 +133,6 @@ pub struct ScenarioCtx<'a> {
     pub budget_cycles: u64,
     /// Shared pure-artifact cache (SimBs, software images, scenes).
     pub artifacts: &'a ArtifactCache,
-    /// Wall-clock watchdog deadline for the scenario. Runners check it
-    /// between simulation chunks and bail out through the
-    /// [`ScenarioTimeout`] panic marker, which the pool degrades into a
-    /// [`ScenarioOutcome::TimedOut`] row. `None` (the default) never
-    /// times out.
-    pub deadline: Option<Instant>,
 }
 
 impl<'a> ScenarioCtx<'a> {
@@ -153,14 +147,7 @@ impl<'a> ScenarioCtx<'a> {
             base,
             budget_cycles,
             artifacts,
-            deadline: None,
         }
-    }
-
-    /// The same context with a wall-clock watchdog deadline.
-    pub fn with_deadline(mut self, deadline: Option<Instant>) -> ScenarioCtx<'a> {
-        self.deadline = deadline;
-        self
     }
 
     /// Run one experiment: `base` with the given method/fault overlay.
@@ -176,16 +163,9 @@ impl<'a> ScenarioCtx<'a> {
             regions: regions.unwrap_or_else(|| self.base.regions.clone()),
             ..self.base.clone()
         };
-        run_experiment_deadline(cfg, self.budget_cycles, Some(self.artifacts), self.deadline)
+        run_experiment_in(cfg, self.budget_cycles, Some(self.artifacts))
     }
 }
-
-/// Panic marker a scenario runner throws when its wall-clock deadline
-/// expires. [`run_scenario`]'s panic isolation downcasts it into a
-/// [`ScenarioOutcome::TimedOut`] row, so a runaway scenario degrades
-/// into a typed result instead of stalling the campaign drain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScenarioTimeout;
 
 // ---------------------------------------------------------------------
 // Unified report rows
@@ -236,10 +216,6 @@ pub enum ScenarioOutcome {
         /// The panic payload, stringified.
         panic: String,
     },
-    /// The scenario's wall-clock watchdog expired; the pool degraded it
-    /// into this typed row and kept draining. Carries no wall-clock
-    /// fields so report digests stay deterministic.
-    TimedOut,
     /// The campaign was cancelled before this scenario ran (see
     /// [`Campaign::run_streaming_with`]); the row is a typed placeholder
     /// so delivery stays index-complete.
@@ -319,17 +295,15 @@ impl CampaignReport {
             .collect()
     }
 
-    /// Rows whose scenario panicked, timed out, or was cancelled — the
-    /// rows that carry no verification result.
+    /// Rows whose scenario panicked or was cancelled — the rows that
+    /// carry no verification result.
     pub fn failures(&self) -> Vec<&CampaignRow> {
         self.rows
             .iter()
             .filter(|r| {
                 matches!(
                     r.outcome,
-                    ScenarioOutcome::Failed { .. }
-                        | ScenarioOutcome::TimedOut
-                        | ScenarioOutcome::Cancelled
+                    ScenarioOutcome::Failed { .. } | ScenarioOutcome::Cancelled
                 )
             })
             .collect()
@@ -849,12 +823,6 @@ pub struct CampaignOptions {
     pub schedule: Schedule,
     /// Record per-scenario spans into the report's stats.
     pub spans: bool,
-    /// Per-scenario wall-clock watchdog. A scenario still running past
-    /// this degrades into a [`ScenarioOutcome::TimedOut`] row instead of
-    /// stalling the campaign drain. `None` (the default) never fires —
-    /// and is required for bit-deterministic reports, since whether a
-    /// scenario beats a wall clock is not.
-    pub scenario_timeout: Option<Duration>,
 }
 
 impl Default for CampaignOptions {
@@ -868,7 +836,6 @@ impl Default for CampaignOptions {
             scenario_budget: 0,
             schedule: Schedule::WorkStealing,
             spans: false,
-            scenario_timeout: None,
         }
     }
 }
@@ -936,13 +903,6 @@ impl CampaignBuilder {
     /// Record per-scenario spans.
     pub fn spans(mut self, spans: bool) -> Self {
         self.opts.spans = spans;
-        self
-    }
-
-    /// Per-scenario wall-clock watchdog (see
-    /// [`CampaignOptions::scenario_timeout`]).
-    pub fn scenario_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.opts.scenario_timeout = timeout;
         self
     }
 
@@ -1090,7 +1050,6 @@ impl Campaign {
         };
         let ctx = ScenarioCtx::new(&self.base, self.opts.budget_cycles, artifacts);
         let scenarios = &self.scenarios;
-        let timeout = self.opts.scenario_timeout;
         let mut rows: Vec<CampaignRow> = Vec::with_capacity(scenarios.len());
         let mut stats = {
             let rows = &mut rows;
@@ -1101,7 +1060,6 @@ impl Campaign {
                     if cancelled() {
                         return ScenarioOutcome::Cancelled;
                     }
-                    let ctx = ctx.with_deadline(timeout.map(|t| Instant::now() + t));
                     run_scenario(&ctx, scenarios[i])
                 },
                 move |i, outcome| {
@@ -1134,17 +1092,11 @@ pub fn run_scenario(ctx: &ScenarioCtx<'_>, scenario: Scenario) -> ScenarioOutcom
         Scenario::Recovery(spec) => ScenarioOutcome::Recovery(recovery::run_one(ctx, spec)),
         Scenario::Fuzz(spec) => ScenarioOutcome::Fuzz(fuzz::run_one(ctx, spec)),
     }));
-    match result {
-        Ok(outcome) => outcome,
+    result.unwrap_or_else(|payload| ScenarioOutcome::Failed {
         // `as_ref` (not `&payload`): a plain reference would unsize the
         // Box itself into `dyn Any` and the downcasts would never match.
-        Err(payload) if payload.downcast_ref::<ScenarioTimeout>().is_some() => {
-            ScenarioOutcome::TimedOut
-        }
-        Err(payload) => ScenarioOutcome::Failed {
-            panic: panic_message(payload.as_ref()),
-        },
-    }
+        panic: panic_message(payload.as_ref()),
+    })
 }
 
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

@@ -24,12 +24,11 @@
 //! The fuzzer runs in *rounds*: each round derives a batch of schedules
 //! from the corpus with a seeded [`StdRng`], executes the batch as
 //! [`Scenario::Fuzz`] rows through the work-stealing [`Campaign`] pool
-//! (inheriting panic isolation, the wall-clock watchdog and
-//! index-ordered delivery), and only then folds results into the
-//! coverage map, corpus and failure set — in submission order. Mutation
-//! randomness never interleaves with execution, so the same seed yields
-//! bit-identical schedules, corpus evolution and shrunk reproducers for
-//! any thread count.
+//! (inheriting panic isolation and index-ordered delivery), and only
+//! then folds results into the coverage map, corpus and failure set —
+//! in submission order. Mutation randomness never interleaves with
+//! execution, so the same seed yields bit-identical schedules, corpus
+//! evolution and shrunk reproducers for any thread count.
 //!
 //! # Failures, dedup, shrinking
 //!
@@ -44,7 +43,7 @@
 //! JSON document.
 
 use crate::detect::{self, Evidence, Verdict};
-use crate::executor::{Campaign, Scenario, ScenarioCtx, ScenarioOutcome, ScenarioTimeout};
+use crate::executor::{Campaign, Scenario, ScenarioCtx, ScenarioOutcome};
 use crate::reconfig_timeline::ReconfigTimeline;
 use crate::wire;
 use autovision::{
@@ -57,7 +56,6 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rtlsim::{coverage_key, log2_bucket, ExecMode, TraceCat, TraceEvent, TraceKind};
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Duration;
 
 /// Trace capacity for fuzz runs: small frames keep event counts in the
 /// low thousands, so 64 K slots never drop and cost ~2.5 MiB per
@@ -339,10 +337,7 @@ pub fn run_one(ctx: &ScenarioCtx<'_>, spec: FuzzSpec) -> FuzzRow {
         }
     }
     let _ = sys.sim.run_for(sch.warmup_cycles as u64 * CLK_PERIOD_PS);
-    let outcome = sys.run_with_deadline(ctx.budget_cycles, ctx.deadline);
-    if outcome.deadline_hit {
-        std::panic::panic_any(ScenarioTimeout);
-    }
+    let outcome = sys.run(ctx.budget_cycles);
     detect::tally_compiled(&sys);
     let verdict = detect::classify(&sys, &outcome, n_frames);
     let coverage = coverage_of(&sys.sim.trace_events(), &verdict);
@@ -533,9 +528,6 @@ pub struct FuzzOptions {
     /// Allow toggling the region topology (only effective when the base
     /// config carries no seeded bug — the split software rejects them).
     pub mutate_topology: bool,
-    /// Per-scenario wall-clock watchdog handed to the campaign pool.
-    /// `None` keeps the session bit-deterministic.
-    pub scenario_timeout: Option<Duration>,
     /// Corpus size cap (oldest non-baseline entries evicted first).
     pub max_corpus: usize,
     /// Maximum re-runs the shrinker may spend per failure signature.
@@ -555,7 +547,6 @@ impl Default for FuzzOptions {
             corrupt_stream: true,
             mutate_recovery: false,
             mutate_topology: true,
-            scenario_timeout: None,
             max_corpus: 64,
             shrink_budget: 64,
         }
@@ -681,7 +672,9 @@ impl FuzzRepro {
 
     /// Parse a `fuzz_repro/v1` or `/v2` document produced by
     /// [`FuzzRepro::to_json`] (v1 documents predate the `exec_mode`
-    /// knob and replay event-driven).
+    /// knob and replay event-driven). A budget or warmup above
+    /// [`wire::MAX_BUDGET_CYCLES`] is rejected with an error naming the
+    /// limit.
     pub fn from_json(doc: &str) -> Result<FuzzRepro, String> {
         let v = Json::parse(doc)?;
         let exec_mode = match wire::str_of(&v, "schema")?.as_str() {
@@ -693,7 +686,7 @@ impl FuzzRepro {
             schedule: wire::schedule_from_json(&v, exec_mode)?,
             signature: wire::str_of(&v, "signature")?,
             mutations: wire::u64_of(&v, "mutations")? as usize,
-            budget_cycles: wire::u64_of(&v, "budget_cycles")?,
+            budget_cycles: wire::u64_at_most(&v, "budget_cycles", wire::MAX_BUDGET_CYCLES)?,
         })
     }
 }
@@ -742,19 +735,13 @@ pub struct FuzzReport {
     /// Deduplicated failures, in discovery order, each with a shrunk
     /// reproducer.
     pub failures: Vec<FuzzFailure>,
-    /// Scenarios the wall-clock watchdog killed (excluded from the
-    /// failure set: whether a run beats a wall clock is not
-    /// deterministic).
-    pub timed_out: usize,
     /// Re-runs the shrinker spent.
     pub shrink_runs: usize,
 }
 
 impl FuzzReport {
     /// A deterministic line rendering — what the determinism suite
-    /// compares byte-for-byte across worker counts (timed-out counts are
-    /// excluded; they are wall-clock-dependent and zero without a
-    /// watchdog).
+    /// compares byte-for-byte across worker counts.
     pub fn digest(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -777,13 +764,12 @@ impl FuzzReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "fuzz session (seed {:#x}): {} schedules, {} coverage keys, corpus {}, {} failure signature(s), {} timed out\n",
+            "fuzz session (seed {:#x}): {} schedules, {} coverage keys, corpus {}, {} failure signature(s)\n",
             self.seed,
             self.iterations,
             self.coverage_keys,
             self.corpus.len(),
             self.failures.len(),
-            self.timed_out,
         ));
         for f in &self.failures {
             out.push_str(&format!(
@@ -908,7 +894,7 @@ pub fn shrink(
 /// the index-ordered results into the coverage map / corpus / failure
 /// set. New failure signatures are shrunk immediately (sequentially, on
 /// the driver thread). The whole session is a pure function of
-/// `(base, opts)` as long as no `scenario_timeout` is set.
+/// `(base, opts)`.
 pub fn run_fuzz(base: &SystemConfig, opts: &FuzzOptions) -> FuzzReport {
     let baseline = FuzzSchedule::baseline(base);
     let base_has_faults = !base.faults.is_empty();
@@ -919,7 +905,6 @@ pub fn run_fuzz(base: &SystemConfig, opts: &FuzzOptions) -> FuzzReport {
     let artifacts = ArtifactCache::new();
     let mut next_id = 0u32;
     let mut iterations = 0usize;
-    let mut timed_out = 0usize;
     let mut shrink_runs = 0usize;
     for _round in 0..opts.rounds {
         // Derive the whole batch before anything runs: mutation
@@ -940,7 +925,6 @@ pub fn run_fuzz(base: &SystemConfig, opts: &FuzzOptions) -> FuzzReport {
             .base(base.clone())
             .threads(opts.threads)
             .budget_cycles(opts.budget_cycles)
-            .scenario_timeout(opts.scenario_timeout)
             .scenarios(batch.iter().map(|s| Scenario::Fuzz(*s)))
             .build()
             .run();
@@ -964,10 +948,6 @@ pub fn run_fuzz(base: &SystemConfig, opts: &FuzzOptions) -> FuzzReport {
                         continue;
                     };
                     (spec.schedule, Some(format!("panic:{panic}")))
-                }
-                ScenarioOutcome::TimedOut => {
-                    timed_out += 1;
-                    continue;
                 }
                 _ => continue,
             };
@@ -1000,7 +980,6 @@ pub fn run_fuzz(base: &SystemConfig, opts: &FuzzOptions) -> FuzzReport {
         coverage_keys: coverage.len(),
         corpus,
         failures,
-        timed_out,
         shrink_runs,
     }
 }
@@ -1130,6 +1109,13 @@ mod tests {
         assert!(FuzzRepro::from_json(&doc[1..]).is_err());
         let cut = doc.trim_end().strip_suffix('}').expect("closing brace");
         assert!(FuzzRepro::from_json(cut).is_err());
+        // A budget past the wire limit is refused, not replayed.
+        let limit = wire::MAX_BUDGET_CYCLES;
+        for budget in [limit + 1, u64::MAX] {
+            let over = doc.replace("400000", &budget.to_string());
+            let err = FuzzRepro::from_json(&over).unwrap_err();
+            assert!(err.contains(&format!("limit of {limit}")), "{err}");
+        }
     }
 
     #[test]

@@ -12,7 +12,11 @@
 //!
 //! Both directions are schema-checked: [`CampaignSubmission::from_json`]
 //! and [`report_from_json`] reject any document whose `schema` member is
-//! not the version this build speaks.
+//! not the version this build speaks. The decoders of documents that
+//! request work — submissions and `fuzz_repro` files — also bound it:
+//! [`MAX_BUDGET_CYCLES`], [`MAX_THREADS`] and [`MAX_SCENARIOS`] cap what
+//! one document can ask for, so every accepted scenario finishes in
+//! bounded host time.
 //!
 //! # Examples
 //!
@@ -77,6 +81,17 @@ pub const CAMPAIGN_SUBMIT_SCHEMA: &str = "campaign_submit/v1";
 /// the daemon stamps on streamed row frames).
 pub const CAMPAIGN_REPORT_SCHEMA: &str = "campaign_report/v1";
 
+/// The largest `budget_cycles` a submission or `fuzz_repro` document
+/// may request, and the largest fuzz `warmup_cycles`: ten times the
+/// 400 000-cycle default. The cycle budget is the only thing that ends
+/// a run early, so this cap bounds every run's host time.
+pub const MAX_BUDGET_CYCLES: u64 = 4_000_000;
+/// The most worker threads a submission may request.
+pub const MAX_THREADS: usize = 256;
+/// The most scenarios a submission may plan: its explicit scenarios,
+/// plus the matrix, plus the recovery batch.
+pub const MAX_SCENARIOS: usize = 16_384;
+
 fn schema_check(v: &Json, want: &str) -> Result<(), String> {
     match v.get("schema").and_then(Json::as_str) {
         Some(got) if got == want => Ok(()),
@@ -100,6 +115,19 @@ pub(crate) fn u64_of(v: &Json, key: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("missing or non-integer key {key}"))
 }
 
+/// [`u64_of`], rejecting a value above `max` with an error naming the
+/// key and the limit.
+pub(crate) fn u64_at_most(v: &Json, key: &str, max: u64) -> Result<u64, String> {
+    match u64_of(v, key)? {
+        n if n > max => Err(format!("key {key} is {n}, above the limit of {max}")),
+        n => Ok(n),
+    }
+}
+
+fn u32_of(v: &Json, key: &str) -> Result<u32, String> {
+    u64_at_most(v, key, u32::MAX.into()).map(|n| n as u32)
+}
+
 fn bool_of(v: &Json, key: &str) -> Result<bool, String> {
     v.get(key)
         .and_then(Json::as_bool)
@@ -110,10 +138,7 @@ fn opt_u32_of(v: &Json, key: &str) -> Result<Option<u32>, String> {
     match v.get(key) {
         None => Err(format!("missing key {key}")),
         Some(Json::Null) => Ok(None),
-        Some(n) => n
-            .as_u64()
-            .map(|x| Some(x as u32))
-            .ok_or_else(|| format!("non-integer key {key}")),
+        Some(_) => u32_of(v, key).map(Some),
     }
 }
 
@@ -178,7 +203,7 @@ pub fn scenario_from_json(v: &Json) -> Result<Scenario, String> {
             }))
         }
         "fuzz" => Ok(Scenario::Fuzz(FuzzSpec {
-            id: u64_of(v, "id")? as u32,
+            id: u32_of(v, "id")?,
             schedule: schedule_from_json(v, exec_mode_of(v)?)?,
         })),
         other => Err(format!("unknown scenario kind \"{other}\"")),
@@ -224,7 +249,8 @@ pub(crate) fn schedule_to_json(s: &FuzzSchedule, sep: &str) -> String {
 /// Decode a fuzz schedule's knobs from the `fuzz_repro/v2` key set —
 /// the one decoder fuzz scenarios and `fuzz_repro` documents share.
 /// The caller supplies the execution mode, because `fuzz_repro/v1`
-/// documents predate the `exec_mode` key.
+/// documents predate the `exec_mode` key. The warmup runs before the
+/// cycle budget starts, so it is capped at [`MAX_BUDGET_CYCLES`] too.
 pub(crate) fn schedule_from_json(v: &Json, exec_mode: ExecMode) -> Result<FuzzSchedule, String> {
     let flip = match (opt_u32_of(v, "flip_beat")?, opt_u32_of(v, "flip_bit")?) {
         (Some(beat), Some(bit)) => Some((beat, bit)),
@@ -232,11 +258,11 @@ pub(crate) fn schedule_from_json(v: &Json, exec_mode: ExecMode) -> Result<FuzzSc
         _ => return Err("flip_beat/flip_bit must both be set or both null".to_string()),
     };
     Ok(FuzzSchedule {
-        warmup_cycles: u64_of(v, "warmup_cycles")? as u32,
-        isr_pad_loops: u64_of(v, "isr_pad_loops")? as u32,
-        cfg_divider: u64_of(v, "cfg_divider")? as u32,
-        mem_wait_states: u64_of(v, "mem_wait_states")? as u32,
-        fixed_wait_loops: u64_of(v, "fixed_wait_loops")? as u32,
+        warmup_cycles: u64_at_most(v, "warmup_cycles", MAX_BUDGET_CYCLES)? as u32,
+        isr_pad_loops: u32_of(v, "isr_pad_loops")?,
+        cfg_divider: u32_of(v, "cfg_divider")?,
+        mem_wait_states: u32_of(v, "mem_wait_states")?,
+        fixed_wait_loops: u32_of(v, "fixed_wait_loops")?,
         round_robin: bool_of(v, "round_robin")?,
         topology: if bool_of(v, "split_topology")? {
             FuzzTopology::Split
@@ -246,7 +272,7 @@ pub(crate) fn schedule_from_json(v: &Json, exec_mode: ExecMode) -> Result<FuzzSc
         recovery_on: bool_of(v, "recovery_on")?,
         flip,
         stall: opt_u32_of(v, "stall")?,
-        bus_errors: u64_of(v, "bus_errors")? as u32,
+        bus_errors: u32_of(v, "bus_errors")?,
         ready_drop: opt_u32_of(v, "ready_drop")?,
         exec_mode,
     })
@@ -258,10 +284,10 @@ pub(crate) fn schedule_from_json(v: &Json, exec_mode: ExecMode) -> Result<FuzzSc
 
 /// One `campaign_submit/v1` document: an explicit scenario list plus
 /// the executor knobs a client may set. Runs over the standard matrix
-/// base configuration (32×24, two frames, 256-word SimB) — the base the
-/// committed baselines pin. Thread count and scenario budget are
-/// *requests*: the daemon may cap or override both, and by the
-/// executor's determinism contract neither changes a single row.
+/// base configuration (32×24, two frames, 256-word SimB). Thread count
+/// and scenario budget are *requests*: a daemon configured with its own
+/// values overrides them, and by the executor's determinism contract
+/// neither changes a single row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSubmission {
     /// Explicit scenarios, in submission order.
@@ -330,14 +356,19 @@ impl CampaignSubmission {
     /// schema version. Every executor knob is optional and defaults as
     /// [`CampaignSubmission::default`]; `scenarios` is required (an
     /// empty array is legal when `matrix` or `recovery_runs` supplies
-    /// the work).
+    /// the work). A budget above [`MAX_BUDGET_CYCLES`], a thread request
+    /// above [`MAX_THREADS`] or a plan of more than [`MAX_SCENARIOS`]
+    /// scenarios is rejected with an error naming the limit.
     pub fn from_json(doc: &str) -> Result<CampaignSubmission, String> {
         let v = Json::parse(doc)?;
         schema_check(&v, CAMPAIGN_SUBMIT_SCHEMA)?;
         let d = CampaignSubmission::default();
-        let opt_u64 = |key: &str, d: u64| match v.get(key) {
+        let opt_u64 = |key: &str, d: u64, max: u64| match v.get(key) {
             None => Ok(d),
-            Some(n) => n.as_u64().ok_or_else(|| format!("non-integer key {key}")),
+            Some(_) => u64_at_most(&v, key, max),
+        };
+        let opt_usize = |key: &str, d: usize, max: usize| {
+            opt_u64(key, d as u64, max as u64).map(|n| n as usize)
         };
         let opt_bool = |key: &str, d: bool| match v.get(key) {
             None => Ok(d),
@@ -350,20 +381,29 @@ impl CampaignSubmission {
             .iter()
             .map(scenario_from_json)
             .collect::<Result<Vec<Scenario>, String>>()?;
-        Ok(CampaignSubmission {
+        let sub = CampaignSubmission {
             scenarios,
             matrix: opt_bool("matrix", d.matrix)?,
-            recovery_runs: opt_u64("recovery_runs", d.recovery_runs as u64)? as usize,
+            recovery_runs: opt_usize("recovery_runs", d.recovery_runs, MAX_SCENARIOS)?,
             recovery_on: opt_bool("recovery_on", d.recovery_on)?,
-            seed: opt_u64("seed", d.seed)?,
-            budget_cycles: opt_u64("budget_cycles", d.budget_cycles)?,
-            threads: opt_u64("threads", d.threads as u64)? as usize,
-            scenario_budget: opt_u64("scenario_budget", d.scenario_budget as u64)? as usize,
+            seed: opt_u64("seed", d.seed, u64::MAX)?,
+            budget_cycles: opt_u64("budget_cycles", d.budget_cycles, MAX_BUDGET_CYCLES)?,
+            threads: opt_usize("threads", d.threads, MAX_THREADS)?,
+            scenario_budget: opt_usize("scenario_budget", d.scenario_budget, usize::MAX)?,
             exec_mode: match v.get("exec_mode") {
                 None => d.exec_mode,
                 Some(_) => exec_mode_of(&v)?,
             },
-        })
+        };
+        // What `plan` expands: the matrix, the explicit list, the batch.
+        let matrix = if sub.matrix { 1 + Bug::ALL.len() } else { 0 };
+        let planned = matrix + sub.scenarios.len() + sub.recovery_runs;
+        if planned > MAX_SCENARIOS {
+            return Err(format!(
+                "the submission plans {planned} scenarios, above the limit of {MAX_SCENARIOS}"
+            ));
+        }
+        Ok(sub)
     }
 
     /// The fully planned campaign this submission describes: the matrix
@@ -440,7 +480,6 @@ pub enum WireOutcome {
     Failed {
         panic: String,
     },
-    TimedOut,
     Cancelled,
 }
 
@@ -469,7 +508,6 @@ pub fn wire_row(row: &CampaignRow) -> WireRow {
         ScenarioOutcome::Failed { panic } => WireOutcome::Failed {
             panic: panic.clone(),
         },
-        ScenarioOutcome::TimedOut => WireOutcome::TimedOut,
         ScenarioOutcome::Cancelled => WireOutcome::Cancelled,
     };
     WireRow {
@@ -545,9 +583,6 @@ impl WireRow {
                 fields.push("\"kind\": \"failed\"".to_string());
                 fields.push(format!("\"panic\": \"{}\"", escape(panic)));
             }
-            WireOutcome::TimedOut => {
-                fields.push("\"kind\": \"timed_out\"".to_string());
-            }
             WireOutcome::Cancelled => {
                 fields.push("\"kind\": \"cancelled\"".to_string());
             }
@@ -591,7 +626,6 @@ impl WireRow {
             "failed" => WireOutcome::Failed {
                 panic: str_of(v, "panic")?,
             },
-            "timed_out" => WireOutcome::TimedOut,
             "cancelled" => WireOutcome::Cancelled,
             other => return Err(format!("unknown row kind \"{other}\"")),
         };
@@ -778,6 +812,86 @@ mod tests {
         assert!(err.contains("unknown exec mode"), "{err}");
     }
 
+    /// A submission document with no scenarios and `members` spliced
+    /// in before `scenarios`.
+    fn submit_doc(members: &str) -> String {
+        format!("{{\"schema\": \"campaign_submit/v1\", {members}\"scenarios\": []}}")
+    }
+
+    #[test]
+    fn submission_knobs_past_their_limits_are_rejected_naming_the_limit() {
+        let (budget, threads) = (MAX_BUDGET_CYCLES, MAX_THREADS as u64);
+        let (plan, room) = (MAX_SCENARIOS as u64, MAX_SCENARIOS - 1 - Bug::ALL.len());
+        for (members, limit) in [
+            (format!("\"budget_cycles\": {}, ", u64::MAX), budget),
+            (format!("\"budget_cycles\": {}, ", budget + 1), budget),
+            (format!("\"threads\": {}, ", threads + 1), threads),
+            (format!("\"threads\": {}, ", 1u64 << 40), threads),
+            (format!("\"recovery_runs\": {}, ", 1u64 << 40), plan),
+            (
+                format!("\"matrix\": true, \"recovery_runs\": {}, ", room + 1),
+                plan,
+            ),
+        ] {
+            let err = CampaignSubmission::from_json(&submit_doc(&members)).unwrap_err();
+            assert!(
+                err.contains(&format!("limit of {limit}")),
+                "{members}: {err}"
+            );
+        }
+        // Every limit itself is legal.
+        let at_limits = submit_doc(&format!(
+            "\"budget_cycles\": {budget}, \"threads\": {threads}, \
+             \"matrix\": true, \"recovery_runs\": {room}, "
+        ));
+        let sub = CampaignSubmission::from_json(&at_limits).expect("the limits parse");
+        assert_eq!(sub.to_campaign().scenarios().len(), MAX_SCENARIOS);
+    }
+
+    #[test]
+    fn integer_knobs_out_of_range_are_rejected_not_truncated() {
+        let fuzz = scenario_to_json(&mixed_submission().scenarios[4]);
+        for (from, to) in [
+            (
+                "\"cfg_divider\": 4,",
+                "\"cfg_divider\": 4294967300,".to_string(),
+            ),
+            ("\"id\": 9,", "\"id\": 4294967305,".to_string()),
+            (
+                "\"flip_beat\": 3,",
+                "\"flip_beat\": 4294967299,".to_string(),
+            ),
+            (
+                "\"warmup_cycles\": 128,",
+                format!("\"warmup_cycles\": {},", MAX_BUDGET_CYCLES + 1),
+            ),
+        ] {
+            let scenario = fuzz.replace(from, &to);
+            assert_ne!(scenario, fuzz, "{from} not found");
+            let doc =
+                format!("{{\"schema\": \"campaign_submit/v1\", \"scenarios\": [{scenario}]}}");
+            let err = CampaignSubmission::from_json(&doc).unwrap_err();
+            let key = from.split('"').nth(1).expect("quoted key");
+            assert!(err.contains(&format!("key {key} is")), "{err}");
+        }
+        // A reproducer's warmup runs before its budget starts: it is
+        // capped too, not wrapped to zero.
+        let repro = crate::fuzz::FuzzRepro {
+            schedule: FuzzSchedule::baseline(&autovision::SystemConfig::default()),
+            signature: "hang".to_string(),
+            mutations: 0,
+            budget_cycles: 400_000,
+        }
+        .to_json()
+        .replace("\"warmup_cycles\": 0,", "\"warmup_cycles\": 4294967296,");
+        let err = crate::fuzz::FuzzRepro::from_json(&repro).unwrap_err();
+        assert!(err.contains("key warmup_cycles is 4294967296"), "{err}");
+        assert!(
+            err.contains(&format!("limit of {MAX_BUDGET_CYCLES}")),
+            "{err}"
+        );
+    }
+
     #[test]
     fn submission_expands_matrix_and_recovery_batches_like_the_builder() {
         let sub = CampaignSubmission {
@@ -824,6 +938,13 @@ mod tests {
         let err =
             report_from_json("{\"schema\": \"campaign_report/v9\", \"rows\": []}").unwrap_err();
         assert!(err.contains("campaign_report/v1"), "{err}");
+    }
+
+    #[test]
+    fn rows_of_an_unknown_kind_are_rejected() {
+        let row = "{\"index\": 0, \"scenario\": \"Clean\", \"kind\": \"expired\"}";
+        let err = WireRow::from_json(row).unwrap_err();
+        assert!(err.contains("unknown row kind"), "{err}");
     }
 
     #[test]

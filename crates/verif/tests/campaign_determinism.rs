@@ -143,46 +143,6 @@ proptest! {
 }
 
 #[test]
-fn watchdog_turns_a_budget_burning_scenario_into_a_timed_out_row() {
-    // bug.hw.4 burns its entire cycle budget; with an effectively
-    // unbounded budget and a tiny wall-clock watchdog the pool must
-    // degrade the scenario into a typed TimedOut row — and still
-    // deliver every other row.
-    // A small base keeps the clean row comfortably inside the watchdog
-    // window even in a debug build; the bugged row still burns cycles
-    // until the wall clock expires.
-    let base = autovision::SystemConfig::builder()
-        .method(autovision::SimMethod::Resim)
-        .width(32)
-        .height(24)
-        .n_frames(1)
-        .payload_words(128)
-        .build()
-        .expect("valid base");
-    let report = Campaign::builder()
-        .base(base)
-        .threads(2)
-        .budget_cycles(4_000_000_000)
-        .scenario_timeout(Some(std::time::Duration::from_millis(500)))
-        .scenario(Scenario::Bug(Bug::Hw4IrqPulse))
-        .scenario(Scenario::Clean)
-        .build()
-        .run();
-    assert_eq!(report.rows.len(), 2);
-    assert!(
-        matches!(report.rows[0].outcome, ScenarioOutcome::TimedOut),
-        "expected a timed-out row, got {:?}",
-        report.rows[0].outcome
-    );
-    assert!(matches!(report.rows[1].outcome, ScenarioOutcome::Matrix(_)));
-    // Timeouts are failures: a campaign that timed out must not read
-    // as clean.
-    assert_eq!(report.failures().len(), 1);
-    let json = report.to_json();
-    assert!(json.contains("\"kind\": \"timed_out\""), "{json}");
-}
-
-#[test]
 fn panic_payload_is_surfaced_in_the_failed_row_and_report_json() {
     let report = Campaign::builder()
         .threads(1)

@@ -64,7 +64,6 @@ fn session(
             corrupt_stream: corrupt,
             mutate_recovery: corrupt,
             mutate_topology: true,
-            scenario_timeout: None,
             // Small shrink budget keeps the debug-build suite fast; the
             // shrinker is deterministic at any budget.
             shrink_budget: 8,

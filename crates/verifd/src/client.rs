@@ -7,7 +7,7 @@ use obs::json::Json;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
-use verif::wire::CampaignSubmission;
+use verif::wire::{CampaignSubmission, WireReport, WireRow};
 
 /// One connection to a daemon.
 pub struct Client {
@@ -35,21 +35,16 @@ impl Served {
     /// streamed rows — byte-identical to the in-process
     /// [`verif::wire::report_to_json`] rendering of the same campaign.
     pub fn report_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"campaign_report/v1\",\n  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(r);
-            if i + 1 < self.rows.len() {
-                out.push(',');
-            }
-            out.push('\n');
+        WireReport {
+            rows: self
+                .rows
+                .iter()
+                .map(|r| WireRow::from_json(r).expect("streamed rows were parsed on arrival"))
+                .collect(),
+            scenarios: self.rows.len(),
+            workers: self.done.workers as usize,
         }
-        out.push_str(&format!(
-            "  ],\n  \"stats\": {{\"scenarios\": {}, \"workers\": {}}}\n}}\n",
-            self.rows.len(),
-            self.done.workers
-        ));
-        out
+        .to_json()
     }
 }
 
@@ -90,6 +85,12 @@ impl Client {
 
     /// Receive and parse one frame; `None` on a closed connection.
     pub fn recv(&mut self) -> io::Result<Option<Json>> {
+        Ok(self.recv_line()?.map(|(_, v)| v))
+    }
+
+    /// Receive one frame as its line (without the newline) and its
+    /// parse; `None` on a closed connection.
+    fn recv_line(&mut self) -> io::Result<Option<(String, Json)>> {
         let mut line = String::new();
         loop {
             line.clear();
@@ -99,16 +100,21 @@ impl Client {
             if line.trim().is_empty() {
                 continue;
             }
-            return Json::parse(line.trim_end_matches('\n'))
-                .map(Some)
-                .map_err(proto_err);
+            line.truncate(line.trim_end_matches('\n').len());
+            let v = Json::parse(&line).map_err(proto_err)?;
+            return Ok(Some((line, v)));
         }
     }
 
     /// Receive one frame, turning EOF and `error/v1` into errors.
     pub fn expect_frame(&mut self) -> io::Result<Json> {
-        let v = self
-            .recv()?
+        self.expect_line().map(|(_, v)| v)
+    }
+
+    /// [`Client::expect_frame`], also returning the frame's line.
+    fn expect_line(&mut self) -> io::Result<(String, Json)> {
+        let (line, v) = self
+            .recv_line()?
             .ok_or_else(|| proto_err("connection closed mid-response"))?;
         if proto::schema_of(&v) == Some(proto::ERROR_SCHEMA) {
             let msg = v
@@ -117,7 +123,7 @@ impl Client {
                 .unwrap_or("unknown error");
             return Err(proto_err(format!("daemon error: {msg}")));
         }
-        Ok(v)
+        Ok((line, v))
     }
 
     /// Submit a campaign and invoke `on_row` with each raw row JSON
@@ -184,9 +190,7 @@ impl Client {
                     // Canonical re-render: byte-identical to the wire
                     // bytes, since the daemon rendered with the same
                     // single row printer.
-                    let raw = verif::wire::WireRow::from_value(row)
-                        .map_err(proto_err)?
-                        .to_json();
+                    let raw = WireRow::from_value(row).map_err(proto_err)?.to_json();
                     on_row(&raw);
                     rows.push(raw);
                 }
@@ -217,16 +221,15 @@ impl Client {
         Ok(())
     }
 
-    /// Scrape the daemon's one-lined `obs_metrics/v1` snapshot.
+    /// Scrape the daemon's one-lined `obs_metrics/v1` snapshot, as
+    /// the daemon sent it.
     pub fn metrics(&mut self) -> io::Result<String> {
         self.send(&proto::bare_frame(proto::METRICS_SCHEMA))?;
-        let v = self.expect_frame()?;
+        let (line, v) = self.expect_line()?;
         if proto::schema_of(&v) != Some("obs_metrics/v1") {
             return Err(proto_err("expected obs_metrics/v1 snapshot"));
         }
-        // Hand callers the raw line; re-rendering a metrics snapshot is
-        // not part of the byte-identity contract.
-        Ok(render_snapshot(&v))
+        Ok(line)
     }
 
     /// Round-trip liveness check.
@@ -248,47 +251,4 @@ impl Client {
         }
         Ok(())
     }
-}
-
-/// Re-render a parsed metrics snapshot compactly (sorted structure is
-/// preserved because the parser keeps member order).
-fn render_snapshot(v: &Json) -> String {
-    fn go(v: &Json, out: &mut String) {
-        match v {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => out.push_str(n),
-            Json::Str(s) => {
-                out.push('"');
-                out.push_str(&obs::json::escape(s));
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, it) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    go(it, out);
-                }
-                out.push(']');
-            }
-            Json::Obj(members) => {
-                out.push('{');
-                for (i, (k, val)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    out.push_str(&obs::json::escape(k));
-                    out.push_str("\":");
-                    go(val, out);
-                }
-                out.push('}');
-            }
-        }
-    }
-    let mut out = String::new();
-    go(v, &mut out);
-    out
 }

@@ -118,8 +118,7 @@ pub struct Done {
     /// Rows delivered (always the full scenario count, even when
     /// cancelled — cancellation yields typed `cancelled` rows).
     pub rows: u64,
-    /// Rows that carry no verification result (failed / timed out /
-    /// cancelled).
+    /// Rows that carry no verification result (failed or cancelled).
     pub failures: u64,
     /// Worker threads the daemon granted the run.
     pub workers: u64,
@@ -212,8 +211,32 @@ mod tests {
     }
 
     #[test]
+    fn a_submission_just_under_the_frame_cap_parses_and_round_trips() {
+        let fuzz = verif::Scenario::Fuzz(verif::FuzzSpec {
+            id: 0,
+            schedule: verif::FuzzSchedule::baseline(&verif::MatrixConfig::default().base),
+        });
+        let line = |n| {
+            oneline(
+                &verif::wire::CampaignSubmission {
+                    scenarios: vec![fuzz; n],
+                    ..Default::default()
+                }
+                .to_json(),
+            )
+        };
+        let (one, per) = (line(1).len(), line(2).len() - line(1).len());
+        let n = 1 + (MAX_FRAME_BYTES - one) / per;
+        let doc = line(n);
+        assert!(MAX_FRAME_BYTES - doc.len() < per, "{} bytes", doc.len());
+        let sub = verif::wire::CampaignSubmission::from_json(&doc).expect("parses");
+        assert_eq!(sub.scenarios.len(), n);
+        assert_eq!(oneline(&sub.to_json()), doc);
+    }
+
+    #[test]
     fn row_frame_embeds_the_row_object_verbatim() {
-        let row = "{\"index\": 0, \"scenario\": \"Clean\", \"kind\": \"timed_out\"}";
+        let row = "{\"index\": 0, \"scenario\": \"Clean\", \"kind\": \"cancelled\"}";
         let frame = row_frame(7, row);
         let v = Json::parse(&frame).expect("frame parses");
         assert_eq!(schema_of(&v), Some(ROW_SCHEMA));

@@ -40,7 +40,8 @@ pub struct ServerConfig {
     /// ones; anything past this is rejected.
     pub max_queued: usize,
     /// Worker threads granted per campaign. `0` honours the
-    /// submission's request (which may itself be 0 = executor default).
+    /// submission's request (which may itself be 0 = executor default;
+    /// the decoder caps it at [`verif::wire::MAX_THREADS`]).
     pub threads: usize,
     /// Scenario budget forced on every campaign. `0` honours the
     /// submission's request.

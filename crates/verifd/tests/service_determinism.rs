@@ -7,7 +7,9 @@ use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use verif::wire::{report_to_json, row_to_json, CampaignSubmission};
+use verif::wire::{
+    report_to_json, row_to_json, CampaignSubmission, MAX_BUDGET_CYCLES, MAX_SCENARIOS, MAX_THREADS,
+};
 use verif::{MatrixConfig, Scenario};
 use verifd::client::Client;
 use verifd::server::{Endpoint, RunningServer, ServerConfig};
@@ -315,6 +317,30 @@ fn bad_submissions_get_typed_errors_not_hangups() {
     assert_eq!(verifd::proto::schema_of(&v), Some("error/v1"));
     let msg = v.get("error").and_then(obs::json::Json::as_str).unwrap();
     assert!(msg.contains(&cap.to_string()), "{msg}");
+
+    // Work past the wire limits is refused before it is planned or
+    // admitted, with the limit named.
+    for (member, limit) in [
+        (
+            format!("\"budget_cycles\": {}", u64::MAX),
+            MAX_BUDGET_CYCLES,
+        ),
+        ("\"threads\": 1000000000000".to_string(), MAX_THREADS as u64),
+        (
+            "\"recovery_runs\": 1000000000000".to_string(),
+            MAX_SCENARIOS as u64,
+        ),
+    ] {
+        client
+            .send(&format!(
+                "{{\"schema\": \"campaign_submit/v1\", {member}, \"scenarios\": []}}"
+            ))
+            .expect("send over-limit submission");
+        let v = client.recv().expect("recv").expect("frame");
+        assert_eq!(verifd::proto::schema_of(&v), Some("error/v1"));
+        let msg = v.get("error").and_then(obs::json::Json::as_str).unwrap();
+        assert!(msg.contains(&format!("limit of {limit}")), "{msg}");
+    }
 
     // The connection survives every error.
     client.ping().expect("ping still works");
