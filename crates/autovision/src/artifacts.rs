@@ -22,6 +22,7 @@ use crate::system::{EngineKind, MemLayout, SystemConfig};
 use ppc::Program;
 use resim::{build_simb, build_simb_integrity, SimbKind};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use video::{Frame, Scene};
@@ -83,26 +84,30 @@ impl ArtifactCache {
         )
     }
 
-    fn get_or_insert<K, V>(
+    /// Look `key` up, computing and inserting the artifact on a miss.
+    /// The key is borrowed, so a hit allocates nothing; it is copied
+    /// into the map only on a miss.
+    fn get_or_insert<K, Q, V>(
         &self,
         map: &Mutex<HashMap<K, Arc<V>>>,
-        key: K,
+        key: &Q,
         compute: impl FnOnce() -> V,
     ) -> Arc<V>
     where
-        K: std::hash::Hash + Eq,
+        K: std::borrow::Borrow<Q> + Hash + Eq,
+        Q: ToOwned<Owned = K> + Hash + Eq + ?Sized,
     {
         // The compute runs inside the lock: recomputing the same
         // artifact on two workers would waste exactly the work the
         // cache exists to absorb, and producers have no side effects.
         let mut map = map.lock().expect("artifact cache poisoned");
-        if let Some(v) = map.get(&key) {
+        if let Some(v) = map.get(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(v);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let v = Arc::new(compute());
-        map.insert(key, Arc::clone(&v));
+        map.insert(key.to_owned(), Arc::clone(&v));
         v
     }
 
@@ -129,7 +134,7 @@ impl ArtifactCache {
             seed,
             integrity,
         };
-        self.get_or_insert(&self.simbs, key, || {
+        self.get_or_insert(&self.simbs, &key, || {
             let simb_kind = SimbKind::Config { module };
             if integrity {
                 build_simb_integrity(simb_kind, rr_id, payload_words, seed)
@@ -142,25 +147,9 @@ impl ArtifactCache {
     /// The assembled software image of `source` (load base `0x1000`,
     /// matching [`crate::fabric::cpu_subsystem`]).
     pub fn program(&self, source: &str) -> Arc<Program> {
-        if let Some(p) = self
-            .programs
-            .lock()
-            .expect("artifact cache poisoned")
-            .get(source)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(p);
-        }
-        // Assemble outside the borrow so the double-checked insert below
-        // needs no owned key until a miss is certain.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let p = Arc::new(ppc::assemble(source, 0x1000).expect("system software must assemble"));
-        self.programs
-            .lock()
-            .expect("artifact cache poisoned")
-            .entry(source.to_string())
-            .or_insert(p)
-            .clone()
+        self.get_or_insert(&self.programs, source, || {
+            ppc::assemble(source, 0x1000).expect("system software must assemble")
+        })
     }
 
     /// The input frames and golden prediction for a configuration's
@@ -173,7 +162,7 @@ impl ArtifactCache {
             seed: cfg.seed,
             n_frames: cfg.n_frames,
         };
-        self.get_or_insert(&self.scenes, key, || {
+        self.get_or_insert(&self.scenes, &key, || {
             let scene = Scene::new(cfg.width, cfg.height, cfg.scene_objects, cfg.seed);
             let inputs: Vec<Frame> = (0..cfg.n_frames).map(|t| scene.frame(t)).collect();
             let golden = crate::system::golden_output(&inputs, cfg.width, cfg.height);
@@ -258,5 +247,37 @@ mod tests {
         let _again = AvSystem::build_with(small(), &cache);
         let (_, misses_after) = cache.stats();
         assert_eq!(misses_before, misses_after);
+    }
+
+    #[test]
+    fn concurrent_program_lookups_assemble_once() {
+        let cfg = SystemConfig::default();
+        let layout = MemLayout::for_config(&cfg);
+        let source = crate::software::generate(&crate::software::SwConfig {
+            method: cfg.method,
+            faults: cfg.faults.clone(),
+            width: cfg.width as u32,
+            height: cfg.height as u32,
+            n_frames: cfg.n_frames as u32,
+            in0: layout.in0,
+            cen0: layout.cen0,
+            vecs: layout.vecs,
+            simb_me: layout.simb_me,
+            simb_cie: layout.simb_cie,
+            isr_pad_loops: cfg.isr_pad_loops,
+            fixed_wait_loops: cfg.fixed_wait_loops,
+            recovery: cfg.recovery.enabled,
+        });
+        let cache = ArtifactCache::new();
+        let gate = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    gate.wait();
+                    cache.program(&source);
+                });
+            }
+        });
+        assert_eq!(cache.stats(), (3, 1), "one image assembled twice");
     }
 }

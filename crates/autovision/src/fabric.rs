@@ -348,7 +348,7 @@ pub fn region_isolation(
         from: port,
         to: boundary.plb,
     };
-    let relay_comp = sim.add_component(
+    sim.add_component(
         &*names.relay,
         CompKind::UserStatic,
         Box::new(rev),
@@ -360,27 +360,6 @@ pub fn region_isolation(
             port.rdata,
             port.complete,
             port.err,
-        ],
-    );
-    sim.declare_comb(
-        relay_comp,
-        &[
-            port.gnt,
-            port.addr_ack,
-            port.wready,
-            port.rvalid,
-            port.rdata,
-            port.complete,
-            port.err,
-        ],
-        &[
-            boundary.plb.gnt,
-            boundary.plb.addr_ack,
-            boundary.plb.wready,
-            boundary.plb.rvalid,
-            boundary.plb.rdata,
-            boundary.plb.complete,
-            boundary.plb.err,
         ],
     );
     RegionIsolation {

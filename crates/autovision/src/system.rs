@@ -173,10 +173,10 @@ pub struct SystemConfig {
     /// Disabled (the default) leaves every paper-reproduction number
     /// untouched.
     pub recovery: RecoveryPolicy,
-    /// Kernel execution mode. [`ExecMode::Compiled`] runs the levelized
-    /// steady-state schedule (activation filtering + parking) and falls
-    /// back to full event-driven dispatch inside reconfiguration and
-    /// X-injection windows; outputs are bit-identical in every mode.
+    /// Kernel execution mode. [`ExecMode::Compiled`] filters steady-state
+    /// dispatches (edge filtering + parking) and falls back to full
+    /// event-driven dispatch inside reconfiguration and X-injection
+    /// windows; outputs are bit-identical in every mode.
     /// The default stays [`ExecMode::EventDriven`] so committed
     /// baselines are untouched.
     pub exec_mode: ExecMode,

@@ -45,14 +45,12 @@ impl Isolation {
     ) {
         let mut sens = vec![isolate];
         sens.extend(pairs.iter().map(|p| p.from));
-        let outs: Vec<SignalId> = pairs.iter().map(|p| p.to).collect();
         let iso = Isolation {
             isolate,
             pairs,
             trace_track,
         };
-        let comp = sim.add_component(name, CompKind::UserStatic, Box::new(iso), &sens);
-        sim.declare_comb(comp, &sens, &outs);
+        sim.add_component(name, CompKind::UserStatic, Box::new(iso), &sens);
     }
 }
 

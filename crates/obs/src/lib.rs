@@ -39,16 +39,12 @@ pub fn record_sim_stats(reg: &mut MetricsRegistry, stats: &SimStats) {
 }
 
 /// Fold compiled-plane statistics into the registry under `compiled.*`:
-/// the plan shape (sequential rank, levelized comb depth), the dispatch
-/// filter's work avoidance (edge/parked skips, parks, wakes), and the
-/// steady-state vs dirty-window fallback split.
+/// the dispatch filter's work avoidance (edge/parked skips, parks,
+/// wakes) and the steady-state vs dirty-window fallback split. Every key
+/// is written, so a registry that outlives one run never shows an
+/// earlier run's value; `compiled.fallback_share` is 0 when no time
+/// point ran.
 pub fn record_compiled_stats(reg: &mut MetricsRegistry, stats: &CompiledStats) {
-    reg.counter("compiled.compile_nanos", stats.compile_nanos);
-    reg.counter("compiled.schedule_comps", stats.schedule_comps);
-    reg.counter("compiled.seq_rank", stats.seq_rank);
-    reg.counter("compiled.comb_comps", stats.comb_comps);
-    reg.counter("compiled.comb_levels", stats.comb_levels);
-    reg.counter("compiled.comb_cyclic", stats.comb_cyclic);
     reg.counter("compiled.skipped_edge", stats.skipped_edge);
     reg.counter("compiled.skipped_parked", stats.skipped_parked);
     reg.counter("compiled.parks", stats.parks);
@@ -59,12 +55,12 @@ pub fn record_compiled_stats(reg: &mut MetricsRegistry, stats: &CompiledStats) {
     reg.counter("compiled.steady_points", stats.steady_points);
     reg.counter("compiled.fallback_points", stats.fallback_points);
     let total = stats.steady_points + stats.fallback_points;
-    if total > 0 {
-        reg.gauge(
-            "compiled.fallback_share",
-            stats.fallback_points as f64 / total as f64,
-        );
-    }
+    let share = if total > 0 {
+        stats.fallback_points as f64 / total as f64
+    } else {
+        0.0
+    };
+    reg.gauge("compiled.fallback_share", share);
 }
 
 fn kind_label(kind: CompKind) -> &'static str {

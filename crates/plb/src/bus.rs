@@ -337,24 +337,12 @@ impl PlbBus {
         for (s, _) in &slaves {
             sens.extend_from_slice(&[s.aready, s.wready, s.rvalid, s.rdata, s.complete, s.err]);
         }
-        let mut writes: Vec<SignalId> = Vec::new();
-        for m in &masters {
-            writes.extend_from_slice(&[
-                m.gnt, m.addr_ack, m.wready, m.rvalid, m.rdata, m.complete, m.err,
-            ]);
-        }
-        for (s, _) in &slaves {
-            writes.extend_from_slice(&[
-                s.sel, s.a_rnw, s.a_addr, s.a_size, s.wvalid, s.wdata, s.rready,
-            ]);
-        }
-        let relay_comp = sim.add_component(
+        sim.add_component(
             format!("{name}.relay"),
             CompKind::UserStatic,
             Box::new(relay),
             &sens,
         );
-        sim.declare_comb(relay_comp, &sens, &writes);
 
         PlbBus { owner, slave, errm }
     }

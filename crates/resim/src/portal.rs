@@ -391,20 +391,6 @@ pub fn instantiate_region_with(
         boundary.plb.complete,
         boundary.plb.err,
     ]);
-    let mut writes: Vec<SignalId> = vec![boundary.busy, boundary.done];
-    writes.extend_from_slice(&boundary.plb.master_driven());
-    for e in &ifs {
-        writes.extend_from_slice(&[e.sel, e.capture, e.restore]);
-        writes.extend_from_slice(&[
-            e.plb.gnt,
-            e.plb.addr_ack,
-            e.plb.wready,
-            e.plb.rvalid,
-            e.plb.rdata,
-            e.plb.complete,
-            e.plb.err,
-        ]);
-    }
     let mux = RrMux {
         rr_id,
         modules: ifs,
@@ -417,12 +403,11 @@ pub fn instantiate_region_with(
         restore: icap.restore_strobe,
         source,
     };
-    let mux_comp = sim.add_component(
+    sim.add_component(
         format!("{name}.mux"),
         CompKind::Artifact,
         Box::new(mux),
         &sens,
     );
-    sim.declare_comb(mux_comp, &sens, &writes);
     stats
 }

@@ -180,30 +180,15 @@ pub fn instantiate_vmux(
         boundary.plb.complete,
         boundary.plb.err,
     ]);
-    let mut writes: Vec<SignalId> = vec![boundary.busy, boundary.done];
-    writes.extend_from_slice(&boundary.plb.master_driven());
-    for (_, m) in &modules {
-        writes.push(m.sel);
-        writes.extend_from_slice(&[
-            m.plb.gnt,
-            m.plb.addr_ack,
-            m.plb.wready,
-            m.plb.rvalid,
-            m.plb.rdata,
-            m.plb.complete,
-            m.plb.err,
-        ]);
-    }
     let mux = VmuxMux {
         modules,
         boundary,
         signature,
     };
-    let mux_comp = sim.add_component(
+    sim.add_component(
         format!("{name}.mux"),
         CompKind::Artifact,
         Box::new(mux),
         &sens,
     );
-    sim.declare_comb(mux_comp, &sens, &writes);
 }

@@ -1,5 +1,5 @@
-//! The compiled-simulation plane: levelized schedule analysis plus the
-//! steady-state dispatch filter behind [`ExecMode`].
+//! The compiled-simulation plane: the steady-state dispatch filter
+//! behind [`ExecMode`].
 //!
 //! # What "compiled" means here
 //!
@@ -31,20 +31,10 @@
 //! state handoff in both directions is trivially clean: there is no
 //! second state copy, the event queue and signal arena are shared, and
 //! entering/leaving a dirty window is a flag flip plus an unpark sweep.
-//!
-//! # Levelization
-//!
-//! [`crate::Simulator::declare_comb`] records a combinational component's
-//! read/write sets. At compile time the plane topologically orders the
-//! declared combinational netlist (Kahn), yielding the per-cycle
-//! schedule shape: one batched sequential rank (all `Clocked`
-//! components, dispatched together at their clock edge) followed by at
-//! most `comb_levels` cascaded combinational ranks. The levelization is
-//! used to validate acyclicity and to bound the delta-cascade depth; the
-//! *execution order* within a delta remains event order, which is what
+//! The execution order within a delta remains event order, which is what
 //! pins waveforms bit-identical between modes.
 
-use crate::{CompId, SignalId};
+use crate::CompId;
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -123,24 +113,10 @@ pub enum DirtyWatch {
     TruthyOrUnknown,
 }
 
-/// Statistics of the compiled plane, populated once the plan is built.
+/// Dispatch counters of the compiled plane. Every field is additive, so
+/// the counters of several runs fold with [`CompiledStats::merge`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompiledStats {
-    /// Wall-clock nanoseconds spent building the plan (levelization plus
-    /// dense-table construction).
-    pub compile_nanos: u64,
-    /// Components covered by the plan (dense slot count).
-    pub schedule_comps: u64,
-    /// Components in the batched sequential rank (declared clocked).
-    pub seq_rank: u64,
-    /// Declared combinational components.
-    pub comb_comps: u64,
-    /// Depth of the levelized combinational schedule (0 when no comb
-    /// declarations exist).
-    pub comb_levels: u64,
-    /// Declared combinational components on a cycle (levelization could
-    /// not order them; they stay generically dispatched).
-    pub comb_cyclic: u64,
     /// Dispatches skipped because the activation was the wrong clock
     /// edge.
     pub skipped_edge: u64,
@@ -158,8 +134,23 @@ pub struct CompiledStats {
     pub fallback_exits: u64,
     /// Time points executed with filtering active.
     pub steady_points: u64,
-    /// Time points executed in fallback (or before the plan was built).
+    /// Time points executed in fallback.
     pub fallback_points: u64,
+}
+
+impl CompiledStats {
+    /// Add `other`'s counters to these, as if both runs had been one.
+    pub fn merge(&mut self, other: &CompiledStats) {
+        self.skipped_edge += other.skipped_edge;
+        self.skipped_parked += other.skipped_parked;
+        self.parks += other.parks;
+        self.signal_wakes += other.signal_wakes;
+        self.doorbell_rings += other.doorbell_rings;
+        self.fallback_entries += other.fallback_entries;
+        self.fallback_exits += other.fallback_exits;
+        self.steady_points += other.steady_points;
+        self.fallback_points += other.fallback_points;
+    }
 }
 
 /// Per-signal compiled-plane flags, packed next to the signal's hot
@@ -176,18 +167,16 @@ pub(crate) mod cflag {
     pub const WATCH_ANY: u8 = WATCH_TRUTHY | WATCH_UNKNOWN;
 }
 
-pub(crate) const NO_CLOCK: u32 = u32::MAX;
+const NO_CLOCK: u32 = u32::MAX;
 
 /// Dense per-component / per-signal compiled-plane state, embedded in
 /// `SimCore` so both the dispatcher and `Ctx::park_until` reach it.
 #[derive(Default)]
 pub(crate) struct CompiledCore {
     pub mode: ExecMode,
-    /// Hot gate: true iff `mode.is_compiled()`, the plan is built, and no
-    /// dirty window is active. Checked once per signal application.
+    /// Hot gate: true iff `mode.is_compiled()` and no dirty window is
+    /// active. Checked once per signal application.
     pub filtering: bool,
-    /// Plan built (dense tables sized); set by `compile_plan`.
-    pub built: bool,
     /// Per component: declared clock signal id, `NO_CLOCK` if generic.
     pub clock_of: Vec<u32>,
     /// Per component: currently parked.
@@ -199,8 +188,6 @@ pub(crate) struct CompiledCore {
     pub wakers: Vec<Vec<CompId>>,
     /// Registered doorbells and their parked listeners.
     pub doorbells: Vec<(Rc<Cell<bool>>, Vec<CompId>)>,
-    /// Declared combinational read/write sets (levelization input).
-    pub comb_decls: Vec<(CompId, Vec<SignalId>, Vec<SignalId>)>,
     /// Number of signals currently dirty; filtering is suspended while
     /// non-zero.
     pub dirty_count: u32,
@@ -212,21 +199,12 @@ pub(crate) struct CompiledCore {
 }
 
 impl CompiledCore {
-    /// Ensure dense tables cover `n_comps` components (components added
-    /// after compile get generic, unparked slots — always dispatched).
-    pub fn ensure_comps(&mut self, n_comps: usize) {
-        if self.clock_of.len() < n_comps {
-            self.clock_of.resize(n_comps, NO_CLOCK);
-            self.parked.resize(n_comps, false);
-            self.wake_registered.resize(n_comps, false);
-        }
-    }
-
-    /// Ensure the per-signal wake-list table covers `n_signals`.
-    pub fn ensure_signals(&mut self, n_signals: usize) {
-        if self.wakers.len() < n_signals {
-            self.wakers.resize_with(n_signals, Vec::new);
-        }
+    /// Give a newly added component its dense slot: no clock, unparked,
+    /// no wake set.
+    pub fn add_comp(&mut self) {
+        self.clock_of.push(NO_CLOCK);
+        self.parked.push(false);
+        self.wake_registered.push(false);
     }
 
     /// Clear every parked flag (dirty-window entry / full flush).
@@ -236,10 +214,10 @@ impl CompiledCore {
         }
     }
 
-    /// Recompute the hot filtering gate from mode/plan/dirty state.
+    /// Recompute the hot filtering gate from mode/dirty state.
     #[inline]
     pub fn refresh_gate(&mut self) {
-        self.filtering = self.mode.is_compiled() && self.built && self.dirty_count == 0;
+        self.filtering = self.mode.is_compiled() && self.dirty_count == 0;
     }
 
     /// Consume raised doorbells, unparking their listeners. Called once
@@ -256,58 +234,6 @@ impl CompiledCore {
             }
         }
     }
-
-    /// Levelize the declared combinational netlist: Kahn topological sort
-    /// over "writer feeds reader" edges. Returns (levels, cyclic_comps).
-    pub fn levelize(&self) -> (u64, u64) {
-        let n = self.comb_decls.len();
-        if n == 0 {
-            return (0, 0);
-        }
-        // Map each written signal to its writing decl indices.
-        let mut writers: std::collections::HashMap<u32, Vec<usize>> =
-            std::collections::HashMap::new();
-        for (i, (_, _, writes)) in self.comb_decls.iter().enumerate() {
-            for s in writes {
-                writers.entry(s.0).or_default().push(i);
-            }
-        }
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut indeg = vec![0usize; n];
-        for (i, (_, reads, _)) in self.comb_decls.iter().enumerate() {
-            for s in reads {
-                if let Some(ws) = writers.get(&s.0) {
-                    for &w in ws {
-                        if w != i {
-                            succ[w].push(i);
-                            indeg[i] += 1;
-                        }
-                    }
-                }
-            }
-        }
-        let mut level = vec![0u64; n];
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut seen = queue.len();
-        let mut head = 0;
-        let mut max_level = if queue.is_empty() { 0 } else { 1 };
-        while head < queue.len() {
-            let u = queue[head];
-            head += 1;
-            for &v in &succ[u] {
-                indeg[v] -= 1;
-                if level[v] < level[u] + 1 {
-                    level[v] = level[u] + 1;
-                    max_level = max_level.max(level[v] + 1);
-                }
-                if indeg[v] == 0 {
-                    queue.push(v);
-                    seen += 1;
-                }
-            }
-        }
-        (max_level, (n - seen) as u64)
-    }
 }
 
 #[cfg(test)]
@@ -322,29 +248,5 @@ mod tests {
         assert_eq!(ExecMode::parse("event-driven"), Some(ExecMode::EventDriven));
         assert_eq!(ExecMode::parse("bogus"), None);
         assert_eq!(ExecMode::default(), ExecMode::EventDriven);
-    }
-
-    #[test]
-    fn levelize_orders_a_chain_and_flags_a_cycle() {
-        let mut cc = CompiledCore::default();
-        let s = |n: u32| SignalId(n);
-        // a: s0 -> s1, b: s1 -> s2, c: s2 -> s3 — a 3-level chain.
-        cc.comb_decls.push((CompId(0), vec![s(0)], vec![s(1)]));
-        cc.comb_decls.push((CompId(1), vec![s(1)], vec![s(2)]));
-        cc.comb_decls.push((CompId(2), vec![s(2)], vec![s(3)]));
-        let (levels, cyclic) = cc.levelize();
-        assert_eq!(levels, 3);
-        assert_eq!(cyclic, 0);
-        // d/e form a combinational loop: flagged, not ordered.
-        cc.comb_decls.push((CompId(3), vec![s(9)], vec![s(8)]));
-        cc.comb_decls.push((CompId(4), vec![s(8)], vec![s(9)]));
-        let (_, cyclic) = cc.levelize();
-        assert_eq!(cyclic, 2);
-    }
-
-    #[test]
-    fn empty_netlist_levelizes_to_zero() {
-        let cc = CompiledCore::default();
-        assert_eq!(cc.levelize(), (0, 0));
     }
 }

@@ -61,7 +61,7 @@ pub use component::{CompKind, Component, Ctx};
 pub use logic::Logic;
 pub use lv::Lv;
 pub use name::{Name, NameId};
-pub use sim::{KernelError, SimError, SimMessage, SimStats, Simulator, DELTA_LIMIT};
+pub use sim::{KernelError, SimMessage, SimStats, Simulator, DELTA_LIMIT};
 pub use trace::{coverage_key, log2_bucket, TraceCat, TraceEvent, TraceKind};
 
 /// Handle to a signal in a [`Simulator`]'s arena.

@@ -29,9 +29,7 @@
 //! and ready-queue membership is tracked with a generation stamp instead
 //! of a drained `bool` flag.
 
-use crate::compiled::{
-    cflag, CompiledCore, CompiledStats, DirtyWatch, DoorbellId, ExecMode, NO_CLOCK,
-};
+use crate::compiled::{cflag, CompiledCore, CompiledStats, DirtyWatch, DoorbellId, ExecMode};
 use crate::component::{CompKind, Component, Ctx};
 use crate::lv::Lv;
 use crate::name::{Name, NameArena, NameId};
@@ -360,11 +358,9 @@ impl SimCore {
     pub fn park_until(&mut self, comp: CompId, signals: &[SignalId], doorbells: &[DoorbellId]) {
         let cc = &mut self.compiled;
         debug_assert!(cc.mode.is_compiled());
-        cc.ensure_comps(self.comp_names.len());
         let idx = comp.0 as usize;
         if !cc.wake_registered[idx] {
             cc.wake_registered[idx] = true;
-            cc.ensure_signals(self.signals.len());
             for &s in signals {
                 cc.wakers[s.0 as usize].push(comp);
                 self.signals[s.0 as usize].cflags |= cflag::HAS_WAKERS;
@@ -476,6 +472,7 @@ impl Simulator {
             cflags: 0,
             written_step: 0,
         });
+        self.core.compiled.wakers.push(Vec::new());
         id
     }
 
@@ -507,19 +504,13 @@ impl Simulator {
         });
         self.bodies.push(body);
         self.core.comp_names.push((name, kind));
+        self.core.compiled.add_comp();
         for &s in sensitivity {
             self.core.signals[s.0 as usize].sensitive.push(id);
         }
         self.profiler.register(id, kind);
         self.uninitialized.push(id);
         id
-    }
-
-    /// Add extra sensitivity after registration.
-    pub fn sensitize(&mut self, comp: CompId, signals: &[SignalId]) {
-        for &s in signals {
-            self.core.signals[s.0 as usize].sensitive.push(comp);
-        }
     }
 
     /// Current simulation time in picoseconds.
@@ -636,22 +627,6 @@ impl Simulator {
     /// Events lost to ring overwrite.
     pub fn trace_dropped(&self) -> u64 {
         self.core.trace.dropped()
-    }
-
-    /// Emit a trace event from the testbench (components use the `Ctx`
-    /// helpers instead). No-op while tracing is off.
-    pub fn trace_emit(
-        &mut self,
-        kind: TraceKind,
-        cat: TraceCat,
-        name: &'static str,
-        track: u32,
-        arg: u64,
-    ) {
-        if self.core.trace.enabled {
-            let now = self.core.now;
-            self.core.trace.push(now, kind, cat, name, track, arg);
-        }
     }
 
     /// Enable or disable per-component wall-time profiling (off by
@@ -899,9 +874,7 @@ impl Simulator {
                     EventKind::Wake(c) => {
                         // A self-scheduled wakeup always dispatches and
                         // always unparks: the component asked for it.
-                        if self.core.compiled.built {
-                            self.core.compiled.parked[c.0 as usize] = false;
-                        }
+                        self.core.compiled.parked[c.0 as usize] = false;
                         let gen = self.ready_gen;
                         let slot = &mut self.comps[c.0 as usize];
                         if slot.queued_gen != gen {
@@ -958,9 +931,6 @@ impl Simulator {
     /// `deadline` (unless finished early), so testbench pokes issued
     /// between run calls land when wall-of-code order suggests.
     pub fn run_until(&mut self, deadline: u64) -> Result<(), KernelError> {
-        if self.core.compiled.mode.is_compiled() && !self.core.compiled.built {
-            self.compile_plan();
-        }
         self.init_components();
         let compiled_mode = self.core.compiled.mode.is_compiled();
         loop {
@@ -1020,9 +990,6 @@ impl Simulator {
 
     /// Execute pending same-time activity without advancing time.
     pub fn settle(&mut self) -> Result<(), KernelError> {
-        if self.core.compiled.mode.is_compiled() && !self.core.compiled.built {
-            self.compile_plan();
-        }
         self.init_components();
         self.settle_now()
     }
@@ -1031,8 +998,7 @@ impl Simulator {
 
     /// Select the execution mode. Call before the first run; switching
     /// back to [`ExecMode::EventDriven`] mid-run is allowed (it simply
-    /// stops filtering and unparks everything), switching *into* a
-    /// compiled mode compiles lazily on the next run call.
+    /// stops filtering and unparks everything).
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
         self.core.compiled.mode = mode;
         if !mode.is_compiled() {
@@ -1052,18 +1018,7 @@ impl Simulator {
     /// skips exactly those activations in compiled mode. Activations from
     /// any other sensitivity (reset lines, data inputs) are unaffected.
     pub fn declare_clocked(&mut self, comp: CompId, clk: SignalId) {
-        self.core.compiled.ensure_comps(self.comps.len());
         self.core.compiled.clock_of[comp.0 as usize] = clk.0;
-    }
-
-    /// Declare `comp` combinational with the given read/write sets. Feeds
-    /// the levelization pass (schedule depth, acyclicity check); has no
-    /// dispatch effect of its own.
-    pub fn declare_comb(&mut self, comp: CompId, reads: &[SignalId], writes: &[SignalId]) {
-        self.core
-            .compiled
-            .comb_decls
-            .push((comp, reads.to_vec(), writes.to_vec()));
     }
 
     /// Watch `sig` as a dirty-window trigger: while the condition holds,
@@ -1101,45 +1056,16 @@ impl Simulator {
         id
     }
 
-    /// Build the compiled plan: size the dense per-component tables and
-    /// levelize the declared combinational netlist. Called lazily by the
-    /// run methods; callable eagerly to front-load the (small) cost.
-    pub fn compile_plan(&mut self) {
-        let t0 = std::time::Instant::now();
-        self.core.compiled.ensure_comps(self.comps.len());
-        self.core.compiled.ensure_signals(self.core.signals.len());
-        let (levels, cyclic) = self.core.compiled.levelize();
-        let cc = &mut self.core.compiled;
-        cc.stats.schedule_comps = self.comps.len() as u64;
-        cc.stats.seq_rank = cc.clock_of.iter().filter(|&&c| c != NO_CLOCK).count() as u64;
-        cc.stats.comb_comps = cc.comb_decls.len() as u64;
-        cc.stats.comb_levels = levels;
-        cc.stats.comb_cyclic = cyclic;
-        cc.built = true;
-        cc.refresh_gate();
-        cc.stats.compile_nanos = t0.elapsed().as_nanos() as u64;
-    }
-
-    /// Compiled-plane statistics; `None` until a plan has been built.
+    /// Compiled-plane statistics; `None` exactly in event-driven mode.
     pub fn compiled_stats(&self) -> Option<CompiledStats> {
-        self.core.compiled.built.then_some(self.core.compiled.stats)
+        let cc = &self.core.compiled;
+        cc.mode.is_compiled().then_some(cc.stats)
     }
 
     /// Dirty-window fallback intervals as `(entry_ps, exit_ps)` pairs; an
     /// open window reads as `exit_ps == u64::MAX`.
     pub fn fallback_windows(&self) -> &[(u64, u64)] {
         &self.core.compiled.windows
-    }
-
-    /// Number of declared signals (lockstep-diff support).
-    pub fn signal_count(&self) -> usize {
-        self.core.signals.len()
-    }
-
-    /// Peek a signal by dense index (lockstep-diff support; pairs with
-    /// [`Simulator::signal_count`] and [`Simulator::signal_name`]).
-    pub fn peek_index(&self, idx: usize) -> Lv {
-        self.core.signals[idx].cur
     }
 
     /// Order-sensitive FNV-1a digest over every signal's current value
@@ -1184,9 +1110,6 @@ pub enum KernelError {
         time_ps: u64,
     },
 }
-
-/// Former name of [`KernelError`], kept as an alias for existing code.
-pub type SimError = KernelError;
 
 impl fmt::Display for KernelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -1,7 +1,7 @@
 //! Integration tests for the simulation kernel: scheduling semantics,
 //! delta cycles, X propagation, tracing and diagnostics.
 
-use rtlsim::{Clock, CompKind, Ctx, Logic, Lv, Severity, SimError, Simulator};
+use rtlsim::{Clock, CompKind, Ctx, KernelError, Logic, Lv, Severity, Simulator};
 
 const PERIOD: u64 = 10_000; // 10 ns
 
@@ -113,7 +113,7 @@ fn oscillation_hits_delta_limit() {
         &[a],
     );
     let err = sim.settle().unwrap_err();
-    assert!(matches!(err, SimError::DeltaOverflow { time_ps: 0 }));
+    assert!(matches!(err, KernelError::DeltaOverflow { time_ps: 0 }));
 }
 
 /// X driven into a combinational cone reaches the output, and dominance

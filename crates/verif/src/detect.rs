@@ -8,7 +8,7 @@
 //! bugs were found the same way (wrong pixels, stuck pipelines, protocol
 //! violations in the waveform).
 
-use autovision::{ArtifactCache, AvSystem, RunOutcome, SystemConfig};
+use autovision::{AvSystem, RunOutcome, SystemConfig};
 
 /// One piece of evidence that a run misbehaved.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,24 +79,9 @@ pub struct Verdict {
 /// Build the configured system, run it to completion or budget, and
 /// classify. `budget_cycles` bounds hang detection.
 pub fn run_experiment(cfg: SystemConfig, budget_cycles: u64) -> Verdict {
-    run_experiment_in(cfg, budget_cycles, None)
-}
-
-/// [`run_experiment`] sourcing pure setup artifacts (SimB streams,
-/// software image, golden scene) from a shared cache when one is
-/// given; the verdict is bit-identical to the uncached path.
-pub(crate) fn run_experiment_in(
-    cfg: SystemConfig,
-    budget_cycles: u64,
-    artifacts: Option<&ArtifactCache>,
-) -> Verdict {
     let n_frames = cfg.n_frames;
-    let mut sys = match artifacts {
-        Some(a) => AvSystem::build_with(cfg, a),
-        None => AvSystem::build(cfg),
-    };
+    let mut sys = AvSystem::build(cfg);
     let outcome = sys.run(budget_cycles);
-    tally_compiled(&sys);
     classify(&sys, &outcome, n_frames)
 }
 
@@ -155,62 +140,5 @@ pub fn classify(sys: &AvSystem, outcome: &RunOutcome, n_frames: usize) -> Verdic
         frames: outcome.frames_captured,
         simulated_ns: sys.sim.now() / 1_000,
         kernel_error,
-    }
-}
-
-/// Process-wide tally of compiled-plane activity, accumulated by every
-/// experiment whose simulator built a compiled plan. Long-lived servers
-/// (`verifd`) scrape this into their metrics snapshot; per-run
-/// [`rtlsim::CompiledStats`] die with the simulator, so an aggregate is
-/// the only way a service can report compiled-mode behaviour across
-/// submissions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompiledTally {
-    /// Experiments that ran with a compiled plan.
-    pub plans: u64,
-    /// Wall-clock nanoseconds spent building plans.
-    pub compile_nanos: u64,
-    /// Time points executed with filtered steady-state dispatch.
-    pub steady_points: u64,
-    /// Time points executed in the dirty-window fallback.
-    pub fallback_points: u64,
-    /// Parked components woken by a watched-signal change.
-    pub signal_wakes: u64,
-    /// Dispatches skipped because the component was parked.
-    pub skipped_parked: u64,
-}
-
-static TALLY_PLANS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static TALLY_COMPILE_NANOS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static TALLY_STEADY: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static TALLY_FALLBACK: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static TALLY_WAKES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static TALLY_PARKED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Fold a finished system's compiled-plane statistics into the
-/// process-wide tally (no-op for event-driven runs). Called by the
-/// experiment paths here and by the fuzzer's self-built runs.
-pub(crate) fn tally_compiled(sys: &AvSystem) {
-    use std::sync::atomic::Ordering::Relaxed;
-    if let Some(cs) = sys.sim.compiled_stats() {
-        TALLY_PLANS.fetch_add(1, Relaxed);
-        TALLY_COMPILE_NANOS.fetch_add(cs.compile_nanos, Relaxed);
-        TALLY_STEADY.fetch_add(cs.steady_points, Relaxed);
-        TALLY_FALLBACK.fetch_add(cs.fallback_points, Relaxed);
-        TALLY_WAKES.fetch_add(cs.signal_wakes, Relaxed);
-        TALLY_PARKED.fetch_add(cs.skipped_parked, Relaxed);
-    }
-}
-
-/// The current process-wide compiled-plane tally.
-pub fn compiled_tally() -> CompiledTally {
-    use std::sync::atomic::Ordering::Relaxed;
-    CompiledTally {
-        plans: TALLY_PLANS.load(Relaxed),
-        compile_nanos: TALLY_COMPILE_NANOS.load(Relaxed),
-        steady_points: TALLY_STEADY.load(Relaxed),
-        fallback_points: TALLY_FALLBACK.load(Relaxed),
-        signal_wakes: TALLY_WAKES.load(Relaxed),
-        skipped_parked: TALLY_PARKED.load(Relaxed),
     }
 }

@@ -34,12 +34,13 @@
 //! [`CampaignReport`] whose rows unify the old `MatrixRow` /
 //! recovery-report shapes.
 
-use crate::detect::run_experiment_in;
+use crate::detect::{self, Verdict};
 use crate::fuzz::{self, FuzzRow, FuzzSpec};
 use crate::matrix::{self, MatrixConfig, MatrixRow};
 use crate::recovery::{self, RunClass};
-use autovision::{ArtifactCache, Bug, RecoveryPolicy, SystemConfig};
+use autovision::{ArtifactCache, AvSystem, Bug, RecoveryPolicy, RunOutcome, SystemConfig};
 use obs::{Histogram, MetricsRegistry};
+use rtlsim::CompiledStats;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -123,8 +124,10 @@ impl Scenario {
 
 /// Everything a scenario runner needs beyond the scenario itself: the
 /// base configuration, the hang budget, and the shared artifact cache.
-/// Runners derive their concrete [`SystemConfig`]s from `base`.
-#[derive(Debug, Clone, Copy)]
+/// Runners derive their concrete [`SystemConfig`]s from `base` and run
+/// each system through `ScenarioCtx::run`, which folds its
+/// compiled-plane counters into the context.
+#[derive(Debug)]
 pub struct ScenarioCtx<'a> {
     /// Base system configuration (method/faults/recovery overridden per
     /// scenario).
@@ -133,6 +136,8 @@ pub struct ScenarioCtx<'a> {
     pub budget_cycles: u64,
     /// Shared pure-artifact cache (SimBs, software images, scenes).
     pub artifacts: &'a ArtifactCache,
+    /// Compiled-mode runs so far and their summed counters.
+    compiled: Mutex<(u64, CompiledStats)>,
 }
 
 impl<'a> ScenarioCtx<'a> {
@@ -147,23 +152,40 @@ impl<'a> ScenarioCtx<'a> {
             base,
             budget_cycles,
             artifacts,
+            compiled: Mutex::default(),
         }
     }
 
-    /// Run one experiment: `base` with the given method/fault overlay.
+    /// Run `sys` to completion or the hang budget, and fold its
+    /// compiled-plane counters (if it ran compiled) into the context.
+    pub(crate) fn run(&self, sys: &mut AvSystem) -> RunOutcome {
+        let outcome = sys.run(self.budget_cycles);
+        if let Some(cs) = sys.sim.compiled_stats() {
+            let mut fold = self.compiled.lock().expect("compiled fold poisoned");
+            fold.0 += 1;
+            fold.1.merge(&cs);
+        }
+        outcome
+    }
+
+    /// Run one experiment: `base` with the given method/fault overlay,
+    /// built against the shared cache and classified.
     pub(crate) fn experiment(
         &self,
         method: autovision::SimMethod,
         faults: autovision::FaultSet,
         regions: Option<Vec<autovision::RegionSpec>>,
-    ) -> crate::detect::Verdict {
+    ) -> Verdict {
         let cfg = SystemConfig {
             method,
             faults,
             regions: regions.unwrap_or_else(|| self.base.regions.clone()),
             ..self.base.clone()
         };
-        run_experiment_in(cfg, self.budget_cycles, Some(self.artifacts))
+        let n_frames = cfg.n_frames;
+        let mut sys = AvSystem::build_with(cfg, self.artifacts);
+        let outcome = self.run(&mut sys);
+        detect::classify(&sys, &outcome, n_frames)
     }
 }
 
@@ -416,6 +438,11 @@ pub struct ExecutorStats {
     pub artifact_hits: u64,
     /// Artifact-cache misses of the campaign that produced this run.
     pub artifact_misses: u64,
+    /// Systems of the campaign that ran in compiled mode (zero for raw
+    /// pool runs).
+    pub compiled_plans: u64,
+    /// Those systems' compiled-plane counters, summed.
+    pub compiled: CompiledStats,
 }
 
 impl ExecutorStats {
@@ -452,7 +479,10 @@ impl ExecutorStats {
         h
     }
 
-    /// Fold the statistics into a metrics registry under `campaign.*`.
+    /// Fold the statistics into a metrics registry under `campaign.*`
+    /// and `compiled.*`. Every `compiled.*` key is written (zeros for an
+    /// event-driven campaign), so in a long-lived registry they are the
+    /// last campaign's.
     pub fn record(&self, reg: &mut MetricsRegistry) {
         reg.counter("campaign.scenarios", self.scenarios as u64);
         reg.counter("campaign.steals", self.steals());
@@ -471,6 +501,8 @@ impl ExecutorStats {
             reg.counter(&format!("campaign.worker{i}.idle_ns"), w.idle_ns);
         }
         reg.merge_histogram("campaign.run_ns", &self.run_ns_histogram());
+        reg.counter("compiled.plans", self.compiled_plans);
+        obs::record_compiled_stats(reg, &self.compiled);
     }
 }
 
@@ -787,8 +819,7 @@ where
         workers,
         max_reorder_depth: ro.max_depth,
         spans,
-        artifact_hits: 0,
-        artifact_misses: 0,
+        ..Default::default()
     }
 }
 
@@ -1078,6 +1109,8 @@ impl Campaign {
         let (hits, misses) = artifacts.stats();
         stats.artifact_hits = hits - hits0;
         stats.artifact_misses = misses - misses0;
+        (stats.compiled_plans, stats.compiled) =
+            *ctx.compiled.lock().expect("compiled fold poisoned");
         CampaignReport { rows, stats }
     }
 }

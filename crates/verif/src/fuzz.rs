@@ -337,8 +337,7 @@ pub fn run_one(ctx: &ScenarioCtx<'_>, spec: FuzzSpec) -> FuzzRow {
         }
     }
     let _ = sys.sim.run_for(sch.warmup_cycles as u64 * CLK_PERIOD_PS);
-    let outcome = sys.run(ctx.budget_cycles);
-    detect::tally_compiled(&sys);
+    let outcome = ctx.run(&mut sys);
     let verdict = detect::classify(&sys, &outcome, n_frames);
     let coverage = coverage_of(&sys.sim.trace_events(), &verdict);
     FuzzRow {

@@ -40,7 +40,7 @@ pub mod turnaround;
 pub mod wire;
 
 pub use coverage::{CoverageProbes, DprCoverage};
-pub use detect::{compiled_tally, run_experiment, CompiledTally, Evidence, Verdict};
+pub use detect::{run_experiment, Evidence, Verdict};
 pub use executor::{
     execute, execute_streaming, run_scenario, Campaign, CampaignBuilder, CampaignOptions,
     CampaignReport, CampaignRow, ExecutorStats, PoolOptions, RecoveryRow, RecoverySpec, Scenario,

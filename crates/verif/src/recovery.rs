@@ -180,7 +180,7 @@ pub fn run_one(ctx: &ScenarioCtx<'_>, spec: RecoverySpec) -> RecoveryRow {
     // event, so any warmup before the final reconfiguration still fires.
     let warmup_cycles: u64 = rng.random_range(0u64..4096);
     let _ = sys.sim.run_for(warmup_cycles * CLK_PERIOD_PS);
-    let outcome = sys.run(ctx.budget_cycles);
+    let outcome = ctx.run(&mut sys);
 
     let golden = sys.golden_output();
     let captured = sys.captured.borrow();

@@ -5,12 +5,14 @@
 //! pins event-driven and compiled execution to bit-identical behaviour.
 //! This suite pins both halves: a campaign submitted in `Compiled` mode
 //! against a cache warmed by an `EventDriven` campaign must hit for
-//! every artifact — and still produce byte-identical rows.
+//! every artifact — and still produce byte-identical rows. It also pins
+//! that a campaign's compiled-plane counters fold from every runner.
 
-use autovision::ArtifactCache;
+use autovision::{ArtifactCache, Bug};
+use obs::MetricsRegistry;
 use rtlsim::ExecMode;
 use verif::wire::report_to_json;
-use verif::{Campaign, Scenario};
+use verif::{Campaign, FuzzSchedule, FuzzSpec, MatrixConfig, RecoverySpec, Scenario};
 
 fn campaign(mode: ExecMode) -> Campaign {
     Campaign::builder()
@@ -66,4 +68,50 @@ fn pre_cancelled_campaigns_yield_typed_cancelled_rows_for_every_scenario() {
     );
     let json = report_to_json(&report);
     assert!(json.contains("\"kind\": \"cancelled\""), "{json}");
+}
+
+/// One scenario per runner, all in `mode`: a matrix row (two systems),
+/// one recovery run and one fuzz run.
+fn every_runner(mode: ExecMode) -> Campaign {
+    let schedule = FuzzSchedule {
+        exec_mode: mode,
+        ..FuzzSchedule::baseline(&MatrixConfig::default().base)
+    };
+    Campaign::builder()
+        .threads(2)
+        .exec_mode(mode)
+        .scenario(Scenario::Clean)
+        .scenario(Scenario::Recovery(RecoverySpec {
+            fault: Bug::TRANSIENTS[0],
+            seed: 7,
+            recovery_on: true,
+        }))
+        .scenario(Scenario::Fuzz(FuzzSpec { id: 0, schedule }))
+        .build()
+}
+
+#[test]
+fn compiled_counters_fold_from_every_runner_of_the_campaign() {
+    let compiled = every_runner(ExecMode::Compiled).run();
+    assert!(compiled.failures().is_empty(), "{}", compiled.digest());
+    assert_eq!(
+        compiled.stats.compiled_plans, 4,
+        "2 matrix systems + 1 recovery + 1 fuzz"
+    );
+    assert!(compiled.stats.compiled.steady_points > 0);
+
+    let event = every_runner(ExecMode::EventDriven).run();
+    assert!(event.failures().is_empty(), "{}", event.digest());
+    assert_eq!(event.stats.compiled_plans, 0);
+    assert_eq!(event.stats.compiled.steady_points, 0);
+
+    // A registry that outlives the campaign shows the last one only.
+    let mut reg = MetricsRegistry::new();
+    compiled.stats.record(&mut reg);
+    assert_eq!(reg.get_counter("compiled.plans"), 4);
+    assert!(reg.get_gauge("compiled.fallback_share").is_some());
+    event.stats.record(&mut reg);
+    assert_eq!(reg.get_counter("compiled.plans"), 0);
+    assert_eq!(reg.get_counter("compiled.steady_points"), 0);
+    assert_eq!(reg.get_gauge("compiled.fallback_share"), Some(0.0));
 }

@@ -115,7 +115,7 @@ fn lockstep(cfg: &SystemConfig, max_cycles: u64) -> usize {
     // The work-avoidance counters are the *allowed* per-mode difference;
     // everything compared above was not. Sanity: the compiled run
     // actually filtered something.
-    let cs = co.sim.compiled_stats().expect("compiled plan was built");
+    let cs = co.sim.compiled_stats().expect("compiled mode has stats");
     assert!(
         cs.skipped_edge + cs.skipped_parked > 0,
         "compiled run never skipped a dispatch — filtering was inert"

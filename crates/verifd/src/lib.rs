@@ -11,8 +11,8 @@
 //!   the one-lining rule that keeps multi-line documents NDJSON-safe);
 //! * [`server`] — the daemon: admission control over concurrent
 //!   campaigns, per-submission row streaming, a campaign registry for
-//!   watch/cancel, and a `/metrics`-style scrape of the shared
-//!   [`obs::MetricsRegistry`] plus the compiled-plane tally;
+//!   watch/cancel, and a `/metrics`-style scrape of the daemon's
+//!   [`obs::MetricsRegistry`];
 //! * [`client`] — a small blocking client used by `verifctl`, the bench
 //!   harness and the test suite.
 //!

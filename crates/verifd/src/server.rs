@@ -207,8 +207,8 @@ impl Server {
     }
 
     /// The one-lined `obs_metrics/v1` snapshot: service counters, the
-    /// last campaign's executor stats, cache totals and the process-wide
-    /// compiled-plane tally.
+    /// last campaign's executor and compiled-plane stats, and cache
+    /// totals.
     pub fn metrics_snapshot(&self) -> String {
         let mut reg = self.metrics.lock().expect("metrics lock poisoned");
         {
@@ -219,13 +219,6 @@ impl Server {
         let (hits, misses) = self.artifacts.stats();
         reg.counter("service.artifact_cache.hits", hits);
         reg.counter("service.artifact_cache.misses", misses);
-        let ct = verif::compiled_tally();
-        reg.counter("compiled.plans", ct.plans);
-        reg.counter("compiled.compile_nanos", ct.compile_nanos);
-        reg.counter("compiled.steady_points", ct.steady_points);
-        reg.counter("compiled.fallback_points", ct.fallback_points);
-        reg.counter("compiled.signal_wakes", ct.signal_wakes);
-        reg.counter("compiled.skipped_parked", ct.skipped_parked);
         proto::oneline(&reg.snapshot_json())
     }
 

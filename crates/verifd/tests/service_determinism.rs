@@ -3,6 +3,8 @@
 //! must never bend row order — even under a forced 1-scenario window
 //! with concurrent submissions.
 
+use obs::json::Json;
+use rtlsim::ExecMode;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -165,6 +167,44 @@ fn tcp_endpoint_serves_ping_metrics_and_campaigns() {
     );
     drop(client);
     server.shutdown();
+}
+
+/// One counter of a one-line metrics snapshot.
+fn counter(snap: &str, name: &str) -> Option<u64> {
+    Json::parse(snap).ok()?.get("counters")?.get(name)?.as_u64()
+}
+
+#[test]
+fn each_server_scrapes_its_own_last_campaign() {
+    let (server_a, endpoint_a) = start_unix(ServerConfig::default());
+    let (server_b, endpoint_b) = start_unix(ServerConfig::default());
+    let clean = |exec_mode| CampaignSubmission {
+        scenarios: vec![Scenario::Clean],
+        exec_mode,
+        ..Default::default()
+    };
+    let mut a = Client::connect(&endpoint_a).expect("connect a");
+    let mut b = Client::connect(&endpoint_b).expect("connect b");
+    b.submit(&clean(ExecMode::EventDriven)).expect("submit b");
+    a.submit(&clean(ExecMode::Compiled)).expect("submit a");
+    let snap_a = a.metrics().expect("scrape a");
+    let snap_b = b.metrics().expect("scrape b");
+    assert_eq!(counter(&snap_a, "compiled.plans"), Some(2), "{snap_a}");
+    assert_eq!(counter(&snap_b, "compiled.plans"), Some(0), "{snap_b}");
+
+    // The next campaign replaces the compiled.* values; nothing adds up.
+    a.submit(&clean(ExecMode::EventDriven)).expect("resubmit a");
+    let snap_a = a.metrics().expect("rescrape a");
+    assert_eq!(counter(&snap_a, "compiled.plans"), Some(0), "{snap_a}");
+    assert_eq!(
+        counter(&snap_a, "compiled.steady_points"),
+        Some(0),
+        "{snap_a}"
+    );
+    drop(a);
+    drop(b);
+    server_a.shutdown();
+    server_b.shutdown();
 }
 
 #[test]
