@@ -5,8 +5,9 @@
 //! pins event-driven and compiled execution to bit-identical behaviour.
 //! This suite pins both halves: a campaign submitted in `Compiled` mode
 //! against a cache warmed by an `EventDriven` campaign must hit for
-//! every artifact — and still produce byte-identical rows. It also pins
-//! that a campaign's compiled-plane counters fold from every runner.
+//! every artifact — and still produce byte-identical rows, across the
+//! whole bug catalog and the transient faults. It also pins that a
+//! campaign's compiled-plane counters fold from every runner.
 
 use autovision::{ArtifactCache, Bug};
 use obs::MetricsRegistry;
@@ -44,6 +45,31 @@ fn compiled_submissions_hit_the_cache_warmed_by_event_driven_runs() {
     // And mode independence is not just a key property — the rows the
     // two modes produce are byte-identical (the PR 9 identity contract
     // seen from the campaign plane).
+    assert_eq!(report_to_json(&event), report_to_json(&compiled));
+}
+
+/// The Table III matrix, the split pipeline and two transient-fault
+/// batches (recovery off, then on): every scenario family the lockstep
+/// suite does not drive through the dispatch filter.
+fn catalog(mode: ExecMode) -> Campaign {
+    Campaign::builder()
+        .threads(2)
+        .exec_mode(mode)
+        .matrix()
+        .split_clean()
+        .recovery_campaign(8, false)
+        .recovery_campaign(8, true)
+        .build()
+}
+
+#[test]
+fn bug_catalog_and_transient_faults_report_identically_in_both_modes() {
+    let cache = ArtifactCache::new();
+    let event = catalog(ExecMode::EventDriven).run_streaming_with(&cache, None, |_| {});
+    let compiled = catalog(ExecMode::Compiled).run_streaming_with(&cache, None, |_| {});
+    for report in [&event, &compiled] {
+        assert!(report.failures().is_empty(), "{}", report.digest());
+    }
     assert_eq!(report_to_json(&event), report_to_json(&compiled));
 }
 
