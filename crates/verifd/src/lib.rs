@@ -10,8 +10,8 @@
 //! * [`proto`] — the NDJSON frame vocabulary (requests, responses, and
 //!   the one-lining rule that keeps multi-line documents NDJSON-safe);
 //! * [`server`] — the daemon: admission control over concurrent
-//!   campaigns, per-submission row streaming, a campaign registry for
-//!   watch/cancel, and a `/metrics`-style scrape of the daemon's
+//!   campaigns, per-submission row streaming, a bounded campaign
+//!   registry for watch/cancel, and a `/metrics`-style scrape of the daemon's
 //!   [`obs::MetricsRegistry`];
 //! * [`client`] — a small blocking client used by `verifctl`, the bench
 //!   harness and the test suite.

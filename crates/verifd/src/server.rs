@@ -15,7 +15,9 @@
 //! so `campaign_watch/v1` on another connection can replay and follow a
 //! run. `campaign_cancel/v1` flips the entry's cancellation flag; the
 //! executor converts every not-yet-started scenario into a typed
-//! `cancelled` row, keeping delivery index-complete.
+//! `cancelled` row, keeping delivery index-complete. The registry keeps
+//! every running campaign but only the newest finished ones; an evicted
+//! id answers `watch` and `cancel` like one never issued.
 
 use crate::proto;
 use autovision::ArtifactCache;
@@ -30,6 +32,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use verif::wire::CampaignSubmission;
+
+/// Finished campaigns the registry keeps for `watch` replay. Older
+/// finished entries are evicted as newer ones finish, so the frame logs
+/// a long-lived daemon holds stay bounded.
+const MAX_FINISHED_CAMPAIGNS: usize = 64;
 
 /// Daemon policy knobs.
 #[derive(Debug, Clone)]
@@ -86,6 +93,14 @@ impl CampaignEntry {
         let mut st = self.state.lock().expect("entry lock poisoned");
         st.done = Some(done);
         self.progress.notify_all();
+    }
+
+    fn is_finished(&self) -> bool {
+        self.state
+            .lock()
+            .expect("entry lock poisoned")
+            .done
+            .is_some()
     }
 }
 
@@ -415,6 +430,7 @@ impl Server {
         };
         let done_frame = done.to_frame();
         entry.finish(done_frame.clone());
+        self.evict_finished();
         {
             let mut reg = self.metrics.lock().expect("metrics lock poisoned");
             reg.add("service.submissions", 1);
@@ -429,6 +445,23 @@ impl Server {
             return Ok(());
         }
         reply(writer, &done_frame)
+    }
+
+    /// Drop the oldest finished campaigns beyond
+    /// [`MAX_FINISHED_CAMPAIGNS`]. Ids grow with submission order, so
+    /// the map's order is age order; running campaigns are never
+    /// evicted.
+    fn evict_finished(&self) {
+        let mut campaigns = self.campaigns.lock().expect("registry lock poisoned");
+        let finished = campaigns.values().filter(|e| e.is_finished()).count();
+        let mut excess = finished.saturating_sub(MAX_FINISHED_CAMPAIGNS);
+        campaigns.retain(|_, e| {
+            if excess > 0 && e.is_finished() {
+                excess -= 1;
+                return false;
+            }
+            true
+        });
     }
 
     fn handle_watch<W: Write>(&self, id: u64, writer: &mut W) -> io::Result<()> {
@@ -687,6 +720,7 @@ fn accept_loop(server: Arc<Server>, listener: Listener, conns: Arc<Mutex<Vec<Joi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Client;
     use std::net::Shutdown;
 
     #[test]
@@ -731,6 +765,54 @@ mod tests {
         // only the last few may still be registered.
         let live = running.conns.lock().expect("conn registry poisoned").len();
         assert!(live <= 4, "{live} handles kept after 64 connections");
+        running.shutdown();
+    }
+
+    #[test]
+    fn finished_campaigns_past_the_cap_are_evicted() {
+        let path = std::env::temp_dir().join(format!("verifd-evict-{}.sock", std::process::id()));
+        let running = RunningServer::start(
+            ServerConfig {
+                threads: 1,
+                ..Default::default()
+            },
+            &[Endpoint::Unix(path.clone())],
+        )
+        .expect("bind unix socket");
+        let endpoint = format!("unix:{}", path.display());
+        let mut client = Client::connect(&endpoint).expect("connect");
+        // Empty campaigns finish at once; the registry holds them all
+        // the same.
+        let sub = CampaignSubmission::default();
+        let served: Vec<_> = (0..=MAX_FINISHED_CAMPAIGNS)
+            .map(|_| client.submit(&sub).expect("submit"))
+            .collect();
+        let first = served[0].id;
+        let err = client.watch(first, |_| {}).expect_err("evicted id");
+        assert!(
+            err.to_string()
+                .contains(&format!("unknown campaign id {first}")),
+            "{err}"
+        );
+        let err = client.cancel(first).expect_err("evicted id");
+        assert!(err.to_string().contains("unknown campaign id"), "{err}");
+        let last = served.last().expect("submitted");
+        let (rows, done) = client.watch(last.id, |_| {}).expect("replay");
+        assert_eq!((rows, done), (last.rows.clone(), last.done.clone()));
+        assert_eq!(
+            running
+                .server()
+                .campaigns
+                .lock()
+                .expect("registry lock poisoned")
+                .len(),
+            MAX_FINISHED_CAMPAIGNS
+        );
+        drop(client);
+        Client::connect(&endpoint)
+            .expect("fresh connection")
+            .ping()
+            .expect("ping");
         running.shutdown();
     }
 }
