@@ -176,9 +176,9 @@ pub struct SystemConfig {
     /// Kernel execution mode. [`ExecMode::Compiled`] filters steady-state
     /// dispatches (edge filtering + parking) and falls back to full
     /// event-driven dispatch inside reconfiguration and X-injection
-    /// windows; outputs are bit-identical in every mode.
-    /// The default stays [`ExecMode::EventDriven`] so committed
-    /// baselines are untouched.
+    /// windows; outputs are bit-identical in every mode. Defaults to
+    /// [`ExecMode::default`], the compiled plane;
+    /// [`ExecMode::EventDriven`] is the reference it is pinned against.
     pub exec_mode: ExecMode,
 }
 
@@ -214,7 +214,7 @@ impl Default for SystemConfig {
             swap_trigger: resim::icap::SwapTrigger::LastPayloadWord,
             optimistic_region: false,
             recovery: RecoveryPolicy::default(),
-            exec_mode: ExecMode::EventDriven,
+            exec_mode: ExecMode::default(),
         }
     }
 }

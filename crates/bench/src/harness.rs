@@ -40,11 +40,11 @@ pub fn experiment(payload_words: usize) -> SystemConfigBuilder {
 
 /// The kernel execution mode every bench bin shares, from
 /// `--exec-mode {event|compiled}`. Absent flag means
-/// [`ExecMode::EventDriven`], the reference mode.
+/// [`ExecMode::default`], the compiled plane.
 /// Exits with a usage message on an unknown spelling.
 pub fn exec_mode() -> ExecMode {
     match flag_value("--exec-mode") {
-        None => ExecMode::EventDriven,
+        None => ExecMode::default(),
         Some(v) => v.parse().unwrap_or_else(|e: String| {
             eprintln!("{e}");
             std::process::exit(2);

@@ -43,12 +43,13 @@ use std::rc::Rc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
     /// Classic event-driven kernel: every sensitivity activation
-    /// dispatches. The reference semantics and the default.
-    #[default]
+    /// dispatches. The reference semantics the compiled plane is pinned
+    /// against.
     EventDriven,
     /// Compiled steady-state dispatch: edge filtering and parking are
     /// honoured outside dirty windows. Bit-identical observable
-    /// behaviour, fewer component evaluations.
+    /// behaviour, fewer component evaluations. The default.
+    #[default]
     Compiled,
 }
 
@@ -247,6 +248,6 @@ mod tests {
         }
         assert_eq!(ExecMode::parse("event-driven"), Some(ExecMode::EventDriven));
         assert_eq!(ExecMode::parse("bogus"), None);
-        assert_eq!(ExecMode::default(), ExecMode::EventDriven);
+        assert_eq!(ExecMode::default(), ExecMode::Compiled);
     }
 }

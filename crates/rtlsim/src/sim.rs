@@ -425,9 +425,9 @@ impl Default for Simulator {
 }
 
 impl Simulator {
-    /// Create an empty simulator at time 0.
+    /// Create an empty simulator at time 0, in [`ExecMode::default`].
     pub fn new() -> Simulator {
-        Simulator {
+        let mut sim = Simulator {
             core: SimCore {
                 now: 0,
                 step: 1,
@@ -453,7 +453,11 @@ impl Simulator {
             tracing: false,
             stats: SimStats::default(),
             uninitialized: Vec::new(),
-        }
+        };
+        // Open the dispatch gate the default mode implies, so a bare
+        // simulator filters exactly like one given the mode explicitly.
+        sim.core.compiled.refresh_gate();
+        sim
     }
 
     /// Declare a new signal. Initial value is all-`X` (uninitialised), as

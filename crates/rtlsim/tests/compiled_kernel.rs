@@ -87,6 +87,39 @@ fn compiled_counter_matches_event_driven_bit_for_bit() {
     assert!(co.fallback_windows()[0].1 < u64::MAX);
 }
 
+/// `Simulator::new()` starts in the default mode with its dispatch gate
+/// open: a clocked process is filtered without any mode call.
+#[test]
+fn a_bare_simulator_filters_in_the_default_mode() {
+    let mut sim = Simulator::new();
+    assert_eq!(sim.exec_mode(), ExecMode::Compiled);
+    let clk = sim.signal("clk", 1);
+    let q = sim.signal_init("q", 8, 0);
+    sim.add_component(
+        "clkgen",
+        CompKind::Vip,
+        Box::new(Clock::new(clk, PERIOD)),
+        &[],
+    );
+    let counter = sim.add_component(
+        "counter",
+        CompKind::UserStatic,
+        Box::new(move |ctx: &mut Ctx<'_>| {
+            if ctx.rose(clk) {
+                let v = ctx.get(q) + Lv::from_u64(8, 1);
+                ctx.set(q, v);
+            }
+        }),
+        &[clk],
+    );
+    sim.declare_clocked(counter, clk);
+    sim.run_for(10 * PERIOD).unwrap();
+    assert_eq!(sim.peek_u64(q), Some(10));
+    let cs = sim.compiled_stats().expect("compiled mode has stats");
+    assert!(cs.skipped_edge > 0, "{cs:?}");
+    assert_eq!(cs.fallback_points, 0, "{cs:?}");
+}
+
 /// An idle FSM that parks until its `go` input changes, plus a doorbell
 /// rung from the testbench side.
 #[test]

@@ -321,7 +321,7 @@ impl Default for CampaignSubmission {
             budget_cycles: 400_000,
             threads: 0,
             scenario_budget: 0,
-            exec_mode: ExecMode::EventDriven,
+            exec_mode: ExecMode::default(),
         }
     }
 }
@@ -780,7 +780,7 @@ mod tests {
         .expect("minimal doc parses");
         assert_eq!(parsed.scenarios, vec![Scenario::Clean]);
         assert_eq!(parsed.budget_cycles, 400_000);
-        assert_eq!(parsed.exec_mode, ExecMode::EventDriven);
+        assert_eq!(parsed.exec_mode, ExecMode::Compiled);
         assert_eq!(parsed.threads, 0);
     }
 
