@@ -164,3 +164,49 @@ fn kernel_counters_are_exact_in_both_exec_modes() {
         assert_eq!(steady, steady_evals, "{mode}: quiescent-window evals");
     }
 }
+
+/// FNV-1a over a byte stream, the pin format for whole files.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+#[test]
+fn reconfiguration_vcd_is_pinned_in_both_exec_modes() {
+    // The `waveforms` example's system: every value change of every
+    // signal, in kernel apply order, through one reconfiguration frame.
+    // The bytes are the same in both modes, and the pinned digest holds
+    // them across kernel changes (the example writes md5
+    // 4a4a49fee549186857838e20380c4f4e).
+    let dir = std::env::temp_dir().join(format!("autovision_vcd_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let vcds: Vec<Vec<u8>> = [ExecMode::EventDriven, ExecMode::Compiled]
+        .into_iter()
+        .map(|mode| {
+            let cfg = SystemConfig::builder()
+                .method(SimMethod::Resim)
+                .width(16)
+                .height(8)
+                .n_frames(1)
+                .payload_words(64)
+                .exec_mode(mode)
+                .build()
+                .expect("waveform config is valid");
+            let path = dir.join(format!("reconfiguration_{mode}.vcd"));
+            let mut sys = AvSystem::build(cfg);
+            sys.sim.trace_vcd(&path).unwrap();
+            let outcome = sys.run(1_000_000);
+            sys.sim.flush_vcd().unwrap();
+            assert!(!outcome.hung, "{mode}");
+            std::fs::read(&path).unwrap()
+        })
+        .collect();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(vcds[0] == vcds[1], "VCD bytes differ between exec modes");
+    assert_eq!(
+        (vcds[0].len(), fnv1a(&vcds[0])),
+        (149_008, 0xe9cd_cc56_e524_05fc),
+        "reconfiguration VCD drifted"
+    );
+}
