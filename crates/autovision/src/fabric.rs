@@ -25,7 +25,7 @@ use plb::{
 };
 use ppc::{IntController, IssConfig, IssStats, PpcIss};
 use resim::RrBoundary;
-use rtlsim::{Clock, CompKind, Component, Ctx, DoorbellId, ResetGen, SignalId, Simulator};
+use rtlsim::{CompKind, Component, Ctx, DoorbellId, SignalId, Simulator};
 use std::cell::RefCell;
 use std::rc::Rc;
 use video::{Frame, MatchParams};
@@ -43,22 +43,12 @@ pub struct ClockReset {
     pub rst: SignalId,
 }
 
-/// Allocate `clk`/`rst` and the generators driving them.
+/// Allocate `clk`/`rst` and drive them from the kernel.
 pub fn clock_reset(sim: &mut Simulator) -> ClockReset {
     let clk = sim.signal("clk", 1);
     let rst = sim.signal("rst", 1);
-    sim.add_component(
-        "clkgen",
-        CompKind::Vip,
-        Box::new(Clock::new(clk, CLK_PERIOD_PS)),
-        &[],
-    );
-    sim.add_component(
-        "rstgen",
-        CompKind::Vip,
-        Box::new(ResetGen::new(rst, 5 * CLK_PERIOD_PS)),
-        &[],
-    );
+    sim.add_clock(clk, CLK_PERIOD_PS);
+    sim.add_reset(rst, 5 * CLK_PERIOD_PS);
     ClockReset { clk, rst }
 }
 
@@ -425,9 +415,13 @@ pub fn system_control(sim: &mut Simulator, cr: ClockReset, regs: RegFile, isolat
         isolates,
         bell: Some(bell),
     };
-    let sens = [cr.clk, cr.rst];
-    let comp = sim.add_component("sysctrl", CompKind::UserStatic, Box::new(ctl), &sens);
-    sim.declare_clocked(comp, cr.clk);
+    sim.add_clocked(
+        "sysctrl",
+        CompKind::UserStatic,
+        Box::new(ctl),
+        cr.clk,
+        &[cr.rst],
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -262,8 +262,7 @@ impl IcapCtrl {
             irq_pulsed: false,
             bell: Some(bell),
         };
-        let comp = sim.add_component(name, CompKind::UserStatic, Box::new(ctrl), &[clk, rst]);
-        sim.declare_clocked(comp, clk);
+        sim.add_clocked(name, CompKind::UserStatic, Box::new(ctrl), clk, &[rst]);
         rstats
     }
 

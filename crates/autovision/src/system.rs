@@ -173,12 +173,12 @@ pub struct SystemConfig {
     /// Disabled (the default) leaves every paper-reproduction number
     /// untouched.
     pub recovery: RecoveryPolicy,
-    /// Kernel execution mode. [`ExecMode::Compiled`] filters steady-state
-    /// dispatches (edge filtering + parking) and falls back to full
-    /// event-driven dispatch inside reconfiguration and X-injection
-    /// windows; outputs are bit-identical in every mode. Defaults to
-    /// [`ExecMode::default`], the compiled plane;
-    /// [`ExecMode::EventDriven`] is the reference it is pinned against.
+    /// Kernel execution mode. [`ExecMode::Compiled`] skips parked
+    /// components at dispatch and falls back to full event-driven
+    /// dispatch inside reconfiguration and X-injection windows; outputs
+    /// are bit-identical in every mode. Defaults to [`ExecMode::default`],
+    /// the compiled plane; [`ExecMode::EventDriven`] is the reference it
+    /// is pinned against.
     pub exec_mode: ExecMode,
 }
 

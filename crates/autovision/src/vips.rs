@@ -80,8 +80,7 @@ impl VideoInVip {
             supplied: supplied.clone(),
             bell: Some(bell),
         };
-        let comp = sim.add_component(name, CompKind::Vip, Box::new(vip), &[clk, rst]);
-        sim.declare_clocked(comp, clk);
+        sim.add_clocked(name, CompKind::Vip, Box::new(vip), clk, &[rst]);
         supplied
     }
 }
@@ -192,8 +191,7 @@ impl VideoOutVip {
             poisoned: poisoned.clone(),
             bell: Some(bell),
         };
-        let comp = sim.add_component(name, CompKind::Vip, Box::new(vip), &[clk, rst]);
-        sim.declare_clocked(comp, clk);
+        sim.add_clocked(name, CompKind::Vip, Box::new(vip), clk, &[rst]);
         (captured, poisoned)
     }
 }

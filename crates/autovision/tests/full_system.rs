@@ -133,8 +133,8 @@ fn kernel_counters_are_exact_in_both_exec_modes() {
     // mode's dispatch filter lets through. Any drift means the kernel's
     // scheduling semantics changed.
     for (mode, evals, deltas, steady_evals) in [
-        (ExecMode::EventDriven, 224_312, 26_455, 4_200_000),
-        (ExecMode::Compiled, 87_899, 22_085, 200_000),
+        (ExecMode::EventDriven, 111_683, 11_096, 2_000_000),
+        (ExecMode::Compiled, 49_616, 10_443, 0),
     ] {
         let mut sys = AvSystem::build(SystemConfig {
             n_frames: 1,
@@ -154,9 +154,9 @@ fn kernel_counters_are_exact_in_both_exec_modes() {
         );
         assert_eq!(shared, (4_608, 10_242, 30_841, 1), "{mode}");
         assert_eq!((stats.evals, stats.deltas), (evals, deltas), "{mode}");
-        // After halt only the clock generator has work: event-driven
-        // dispatch still evaluates every clocked component on both
-        // edges, compiled dispatch parks everything but the clock.
+        // After halt only the clock has work: event-driven dispatch
+        // still evaluates every clocked component on each rising edge,
+        // compiled dispatch parks them all.
         sys.sim
             .run_for(100_000 * CLK_PERIOD_PS)
             .expect("quiescent window");

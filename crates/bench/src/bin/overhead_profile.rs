@@ -79,7 +79,7 @@ fn main() {
     );
     println!(
         "{:<44} {:>9.2}%",
-        "verification IP (ISS, VIPs, clocks, monitors)",
+        "verification IP (ISS, VIPs, monitors)",
         100.0 * vip_frac
     );
     println!("\ntop components by eval time:");

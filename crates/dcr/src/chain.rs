@@ -316,17 +316,15 @@ impl<'a> DcrChainBuilder<'a> {
             x_when,
             wake: wake.clone(),
         };
-        let mut sens = vec![self.clk];
-        sens.extend_from_slice(&wake);
-        let comp = self.sim.add_component(
+        // A falling clk would only re-run the comb passthrough with
+        // unchanged inputs, so the slave is posedge-clocked.
+        self.sim.add_clocked(
             format!("{}.slave.{}", self.name, label),
             CompKind::UserStatic,
             Box::new(slave),
-            &sens,
+            self.clk,
+            &wake,
         );
-        // Wrong-edge clk activations only re-run the comb passthrough
-        // with unchanged inputs — idempotent, safe to filter.
-        self.sim.declare_clocked(comp, self.clk);
         self.tail_d = d_out;
         self.tail_ack = ack_out;
     }
@@ -348,13 +346,13 @@ impl<'a> DcrChainBuilder<'a> {
             state: MState::Idle,
             bell: Some(bell),
         };
-        let comp = self.sim.add_component(
+        self.sim.add_clocked(
             format!("{}.master", self.name),
             CompKind::UserStatic,
             Box::new(master),
-            &[self.clk, self.rst],
+            self.clk,
+            &[self.rst],
         );
-        self.sim.declare_clocked(comp, self.clk);
         handle
     }
 }

@@ -3,7 +3,7 @@
 
 use dcr::{DcrChainBuilder, DcrOp, DcrResult, RegFile};
 use proptest::prelude::*;
-use rtlsim::{Clock, CompKind, ResetGen, Simulator};
+use rtlsim::Simulator;
 use std::collections::HashMap;
 
 const PERIOD: u64 = 10_000;
@@ -61,8 +61,8 @@ proptest! {
         let mut sim = Simulator::new();
         let clk = sim.signal("clk", 1);
         let rst = sim.signal("rst", 1);
-        sim.add_component("clk", CompKind::Vip, Box::new(Clock::new(clk, PERIOD)), &[]);
-        sim.add_component("rst", CompKind::Vip, Box::new(ResetGen::new(rst, 2 * PERIOD)), &[]);
+        sim.add_clock(clk, PERIOD);
+        sim.add_reset(rst, 2 * PERIOD);
         let mut chain = DcrChainBuilder::new(&mut sim, "dcr", clk, rst);
         for (i, (base, count)) in layout.blocks.iter().enumerate() {
             chain.add_slave(&format!("s{i}"), RegFile::new(*base, *count), None);

@@ -3,7 +3,7 @@
 //! mechanism behind the paper's "DCR registers inside the RR" bug class.
 
 use dcr::{DcrChainBuilder, DcrHandle, DcrOp, DcrResult, RegFile};
-use rtlsim::{Clock, CompKind, ResetGen, SignalId, Simulator};
+use rtlsim::{SignalId, Simulator};
 
 const PERIOD: u64 = 10_000;
 
@@ -22,18 +22,8 @@ fn testbench(corrupt_idx: Option<usize>) -> Tb {
     let clk = sim.signal("clk", 1);
     let rst = sim.signal("rst", 1);
     let corrupt = sim.signal_init("rr_reconfiguring", 1, 0);
-    sim.add_component(
-        "clkgen",
-        CompKind::Vip,
-        Box::new(Clock::new(clk, PERIOD)),
-        &[],
-    );
-    sim.add_component(
-        "rstgen",
-        CompKind::Vip,
-        Box::new(ResetGen::new(rst, 2 * PERIOD)),
-        &[],
-    );
+    sim.add_clock(clk, PERIOD);
+    sim.add_reset(rst, 2 * PERIOD);
     let files = vec![
         RegFile::new(0x100, 8),
         RegFile::new(0x200, 8),

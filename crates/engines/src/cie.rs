@@ -93,8 +93,7 @@ impl CensusEngine {
             sig_acc,
             pixels_per_cycle,
         };
-        let comp = sim.add_component(name, CompKind::UserReconf, Box::new(eng), &[io.clk, io.rst]);
-        sim.declare_clocked(comp, io.clk);
+        sim.add_clocked(name, CompKind::UserReconf, Box::new(eng), io.clk, &[io.rst]);
     }
 
     fn census_at(&self, x: usize) -> u8 {

@@ -96,8 +96,7 @@ impl EngineCtrl {
             run_open: false,
             bell: Some(bell),
         };
-        let comp = sim.add_component(name, CompKind::UserStatic, Box::new(c), &[clk, rst]);
-        sim.declare_clocked(comp, clk);
+        sim.add_clocked(name, CompKind::UserStatic, Box::new(c), clk, &[rst]);
     }
 }
 

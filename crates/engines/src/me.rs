@@ -83,8 +83,7 @@ impl MatchingEngine {
             sig_cost,
             ops_per_cycle: Self::OPS_PER_CYCLE,
         };
-        let comp = sim.add_component(name, CompKind::UserReconf, Box::new(eng), &[io.clk, io.rst]);
-        sim.declare_clocked(comp, io.clk);
+        sim.add_clocked(name, CompKind::UserReconf, Box::new(eng), io.clk, &[io.rst]);
     }
 
     fn anchor_cycles(&self) -> u32 {

@@ -3,7 +3,7 @@
 
 use engines::{CensusEngine, EngineIf, EngineParamSignals, MatchingEngine};
 use plb::{AddressWindow, MemorySlave, PlbBus, PlbBusConfig, SharedMem};
-use rtlsim::{Clock, CompKind, ResetGen, SignalId, Simulator};
+use rtlsim::{SignalId, Simulator};
 use video::{census_transform, match_frames, Frame, MatchParams, MotionVector, Scene};
 
 const PERIOD: u64 = 10_000;
@@ -23,18 +23,8 @@ fn tb(kind: &str, w: usize, h: usize) -> Tb {
     let mut sim = Simulator::new();
     let clk = sim.signal("clk", 1);
     let rst = sim.signal("rst", 1);
-    sim.add_component(
-        "clkgen",
-        CompKind::Vip,
-        Box::new(Clock::new(clk, PERIOD)),
-        &[],
-    );
-    sim.add_component(
-        "rstgen",
-        CompKind::Vip,
-        Box::new(ResetGen::new(rst, 2 * PERIOD)),
-        &[],
-    );
+    sim.add_clock(clk, PERIOD);
+    sim.add_reset(rst, 2 * PERIOD);
     let mem = SharedMem::new(1 << 20);
     let sport = MemorySlave::instantiate(&mut sim, "mem", clk, rst, mem.clone(), 0);
     let go = sim.signal_init("go", 1, 0);

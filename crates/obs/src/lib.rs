@@ -39,13 +39,11 @@ pub fn record_sim_stats(reg: &mut MetricsRegistry, stats: &SimStats) {
 }
 
 /// Fold compiled-plane statistics into the registry under `compiled.*`:
-/// the dispatch filter's work avoidance (edge/parked skips, parks,
-/// wakes) and the steady-state vs dirty-window fallback split. Every key
-/// is written, so a registry that outlives one run never shows an
-/// earlier run's value; `compiled.fallback_share` is 0 when no time
-/// point ran.
+/// the dispatch filter's work avoidance (parked skips, parks, wakes) and
+/// the steady-state vs dirty-window fallback split. Every key is written,
+/// so a registry that outlives one run never shows an earlier run's
+/// value; `compiled.fallback_share` is 0 when no time point ran.
 pub fn record_compiled_stats(reg: &mut MetricsRegistry, stats: &CompiledStats) {
-    reg.counter("compiled.skipped_edge", stats.skipped_edge);
     reg.counter("compiled.skipped_parked", stats.skipped_parked);
     reg.counter("compiled.parks", stats.parks);
     reg.counter("compiled.signal_wakes", stats.signal_wakes);

@@ -74,8 +74,7 @@ impl TestMaster {
             delay_left: 0,
             log: log.clone(),
         };
-        let comp = sim.add_component(name, CompKind::Vip, Box::new(tm), &[clk, rst]);
-        sim.declare_clocked(comp, clk);
+        sim.add_clocked(name, CompKind::Vip, Box::new(tm), clk, &[rst]);
         (port, log)
     }
 }

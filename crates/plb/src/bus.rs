@@ -313,13 +313,13 @@ impl PlbBus {
             hang_reported: false,
             wake,
         };
-        let arb_comp = sim.add_component(
+        sim.add_clocked(
             format!("{name}.arbiter"),
             CompKind::UserStatic,
             Box::new(arb),
-            &[clk, rst],
+            clk,
+            &[rst],
         );
-        sim.declare_clocked(arb_comp, clk);
 
         let relay = Relay {
             masters: masters.clone(),

@@ -260,8 +260,7 @@ impl MemorySlave {
         let port = SlavePort::alloc(sim, name);
         let slave = MemorySlave::new(port, clk, rst, mem, wait_states)
             .with_stale_beat_bug(stale_first_beat_bug);
-        let comp = sim.add_component(name, CompKind::UserStatic, Box::new(slave), &[clk, rst]);
-        sim.declare_clocked(comp, clk);
+        sim.add_clocked(name, CompKind::UserStatic, Box::new(slave), clk, &[rst]);
         port
     }
 
@@ -282,8 +281,7 @@ impl MemorySlave {
         let slave = MemorySlave::new(port, clk, rst, mem, wait_states)
             .with_stale_beat_bug(stale_first_beat_bug)
             .with_faults(handle.clone());
-        let comp = sim.add_component(name, CompKind::UserStatic, Box::new(slave), &[clk, rst]);
-        sim.declare_clocked(comp, clk);
+        sim.add_clocked(name, CompKind::UserStatic, Box::new(slave), clk, &[rst]);
         (port, handle)
     }
 }

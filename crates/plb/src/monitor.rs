@@ -77,8 +77,7 @@ impl PlbMonitor {
             wake,
             fired: false,
         };
-        let comp = sim.add_component(name, CompKind::Vip, Box::new(mon), &[clk, rst]);
-        sim.declare_clocked(comp, clk);
+        sim.add_clocked(name, CompKind::Vip, Box::new(mon), clk, &[rst]);
         stats
     }
 

@@ -6,7 +6,7 @@ use plb::{
     AddressWindow, ArbMode, BfmOp, MemorySlave, PlbBus, PlbBusConfig, SharedMem, TestMaster,
 };
 use proptest::prelude::*;
-use rtlsim::{Clock, CompKind, ResetGen, Simulator};
+use rtlsim::Simulator;
 
 const PERIOD: u64 = 10_000;
 
@@ -53,8 +53,8 @@ proptest! {
         let mut sim = Simulator::new();
         let clk = sim.signal("clk", 1);
         let rst = sim.signal("rst", 1);
-        sim.add_component("clk", CompKind::Vip, Box::new(Clock::new(clk, PERIOD)), &[]);
-        sim.add_component("rst", CompKind::Vip, Box::new(ResetGen::new(rst, 2 * PERIOD)), &[]);
+        sim.add_clock(clk, PERIOD);
+        sim.add_reset(rst, 2 * PERIOD);
         let mem = SharedMem::new(256 * 1024);
         let sport = MemorySlave::instantiate(&mut sim, "mem", clk, rst, mem.clone(), wait_states);
 

@@ -5,7 +5,7 @@ use plb::{
     AddressWindow, ArbMode, BfmOp, BusMode, MemorySlave, PlbBus, PlbBusConfig, PlbMonitor,
     SharedMem, TestMaster,
 };
-use rtlsim::{Clock, CompKind, ResetGen, Simulator};
+use rtlsim::Simulator;
 
 const PERIOD: u64 = 10_000;
 
@@ -22,18 +22,8 @@ fn testbench(
     let mut sim = Simulator::new();
     let clk = sim.signal("clk", 1);
     let rst = sim.signal("rst", 1);
-    sim.add_component(
-        "clkgen",
-        CompKind::Vip,
-        Box::new(Clock::new(clk, PERIOD)),
-        &[],
-    );
-    sim.add_component(
-        "rstgen",
-        CompKind::Vip,
-        Box::new(ResetGen::new(rst, 3 * PERIOD)),
-        &[],
-    );
+    sim.add_clock(clk, PERIOD);
+    sim.add_reset(rst, 3 * PERIOD);
 
     let mem = SharedMem::new(64 * 1024);
     let sport = MemorySlave::instantiate(&mut sim, "mem", clk, rst, mem.clone(), wait_states);
@@ -290,18 +280,8 @@ fn fixed_latency_master_works_on_point_to_point_bus() {
     let mut sim = Simulator::new();
     let clk = sim.signal("clk", 1);
     let rst = sim.signal("rst", 1);
-    sim.add_component(
-        "clkgen",
-        CompKind::Vip,
-        Box::new(Clock::new(clk, PERIOD)),
-        &[],
-    );
-    sim.add_component(
-        "rstgen",
-        CompKind::Vip,
-        Box::new(ResetGen::new(rst, 3 * PERIOD)),
-        &[],
-    );
+    sim.add_clock(clk, PERIOD);
+    sim.add_reset(rst, 3 * PERIOD);
     let mem = SharedMem::new(4096);
     let sport = MemorySlave::instantiate(&mut sim, "mem", clk, rst, mem.clone(), 0);
     let data: Vec<u32> = (0..16).collect();

@@ -524,8 +524,7 @@ impl PpcIss {
             trace_depth: cfg.trace_depth,
             entry: cfg.entry,
         };
-        let comp = sim.add_component(name, CompKind::Vip, Box::new(iss), &[clk, rst]);
-        sim.declare_clocked(comp, clk);
+        sim.add_clocked(name, CompKind::Vip, Box::new(iss), clk, &[rst]);
         stats
     }
 

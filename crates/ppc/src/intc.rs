@@ -93,7 +93,7 @@ impl IntController {
             "interrupt controller needs 3 DCR registers"
         );
         assert!(lines.len() <= 32, "at most 32 interrupt lines");
-        let mut sens = vec![clk, rst];
+        let mut sens = vec![rst];
         sens.extend_from_slice(&lines);
         let mut wake = lines.clone();
         wake.push(rst);
@@ -112,8 +112,7 @@ impl IntController {
             wake,
             bell: Some(bell),
         };
-        let comp = sim.add_component(name, CompKind::UserStatic, Box::new(intc), &sens);
-        sim.declare_clocked(comp, clk);
+        sim.add_clocked(name, CompKind::UserStatic, Box::new(intc), clk, &sens);
     }
 }
 
@@ -190,7 +189,7 @@ impl Component for IntController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtlsim::{Clock, ResetGen, Simulator};
+    use rtlsim::Simulator;
 
     const PERIOD: u64 = 10_000;
 
@@ -205,18 +204,8 @@ mod tests {
         let mut sim = Simulator::new();
         let clk = sim.signal("clk", 1);
         let rst = sim.signal("rst", 1);
-        sim.add_component(
-            "clkgen",
-            CompKind::Vip,
-            Box::new(Clock::new(clk, PERIOD)),
-            &[],
-        );
-        sim.add_component(
-            "rstgen",
-            CompKind::Vip,
-            Box::new(ResetGen::new(rst, 2 * PERIOD)),
-            &[],
-        );
+        sim.add_clock(clk, PERIOD);
+        sim.add_reset(rst, 2 * PERIOD);
         let lines: Vec<SignalId> = (0..4)
             .map(|i| sim.signal_init(format!("l{i}"), 1, 0))
             .collect();

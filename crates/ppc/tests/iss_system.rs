@@ -6,7 +6,7 @@
 use dcr::{DcrChainBuilder, RegFile};
 use plb::{AddressWindow, MasterPort, MemorySlave, PlbBus, PlbBusConfig, SharedMem};
 use ppc::{assemble, intc::reg as intreg, IntController, IssConfig, PpcIss};
-use rtlsim::{Clock, CompKind, ResetGen, SignalId, Simulator};
+use rtlsim::{SignalId, Simulator};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -25,18 +25,8 @@ fn build(src: &str) -> Sys {
     let mut sim = Simulator::new();
     let clk = sim.signal("clk", 1);
     let rst = sim.signal("rst", 1);
-    sim.add_component(
-        "clkgen",
-        CompKind::Vip,
-        Box::new(Clock::new(clk, PERIOD)),
-        &[],
-    );
-    sim.add_component(
-        "rstgen",
-        CompKind::Vip,
-        Box::new(ResetGen::new(rst, 2 * PERIOD)),
-        &[],
-    );
+    sim.add_clock(clk, PERIOD);
+    sim.add_reset(rst, 2 * PERIOD);
 
     let mem = SharedMem::new(1 << 20);
     let sport = MemorySlave::instantiate(&mut sim, "mem", clk, rst, mem.clone(), 1);

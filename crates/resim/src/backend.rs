@@ -354,7 +354,7 @@ mod tests {
     use crate::portal::XSource;
     use crate::simb::{build_simb, SimbKind};
     use engines::EngineParamSignals;
-    use rtlsim::{Clock, CompKind, Ctx, ResetGen};
+    use rtlsim::{CompKind, Ctx};
 
     const PERIOD: u64 = 10_000;
 
@@ -383,13 +383,8 @@ mod tests {
         let mut sim = Simulator::new();
         let clk = sim.signal("clk", 1);
         let rst = sim.signal("rst", 1);
-        sim.add_component("clk", CompKind::Vip, Box::new(Clock::new(clk, PERIOD)), &[]);
-        sim.add_component(
-            "rst",
-            CompKind::Vip,
-            Box::new(ResetGen::new(rst, 2 * PERIOD)),
-            &[],
-        );
+        sim.add_clock(clk, PERIOD);
+        sim.add_reset(rst, 2 * PERIOD);
         let go = sim.signal_init("go", 1, 0);
         let er = sim.signal_init("er", 1, 0);
         let params = EngineParamSignals::alloc(&mut sim, "p");

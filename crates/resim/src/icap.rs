@@ -252,8 +252,7 @@ impl IcapArtifact {
             transfer_rr: None,
             inject_rr: None,
         };
-        let comp = sim.add_component(name, CompKind::Artifact, Box::new(icap), &[clk, rst]);
-        sim.declare_clocked(comp, clk);
+        sim.add_clocked(name, CompKind::Artifact, Box::new(icap), clk, &[rst]);
         (port, stats, faults)
     }
 

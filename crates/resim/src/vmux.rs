@@ -157,13 +157,13 @@ pub fn instantiate_vmux(
         signature,
         bell: Some(bell),
     };
-    let ctl_comp = sim.add_component(
+    sim.add_clocked(
         format!("{name}.ctl"),
         CompKind::Artifact,
         Box::new(ctl),
-        &[clk, rst],
+        clk,
+        &[rst],
     );
-    sim.declare_clocked(ctl_comp, clk);
 
     let mut sens: Vec<SignalId> = vec![signature];
     for (_, e) in &modules {

@@ -6,7 +6,7 @@ use engines::{EngineIf, EngineParamSignals};
 use resim::{
     build_simb, instantiate_region, IcapArtifact, IcapConfig, RrBoundary, SimbKind, XSource,
 };
-use rtlsim::{Clock, CompKind, Ctx, ResetGen, Simulator};
+use rtlsim::{CompKind, Ctx, Simulator};
 
 const PERIOD: u64 = 10_000;
 
@@ -30,13 +30,8 @@ fn two_regions_swap_independently_through_one_icap() {
     let mut sim = Simulator::new();
     let clk = sim.signal("clk", 1);
     let rst = sim.signal("rst", 1);
-    sim.add_component("clk", CompKind::Vip, Box::new(Clock::new(clk, PERIOD)), &[]);
-    sim.add_component(
-        "rst",
-        CompKind::Vip,
-        Box::new(ResetGen::new(rst, 2 * PERIOD)),
-        &[],
-    );
+    sim.add_clock(clk, PERIOD);
+    sim.add_reset(rst, 2 * PERIOD);
     let go = sim.signal_init("go", 1, 0);
     let er = sim.signal_init("er", 1, 0);
     let params = EngineParamSignals::alloc(&mut sim, "p");

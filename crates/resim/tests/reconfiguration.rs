@@ -8,7 +8,7 @@ use resim::{
     build_simb, instantiate_region, instantiate_vmux, IcapArtifact, IcapConfig, RrBoundary,
     SimbKind, VmuxConfig, XSource,
 };
-use rtlsim::{Clock, CompKind, Ctx, ResetGen, SignalId, Simulator};
+use rtlsim::{CompKind, Ctx, SignalId, Simulator};
 
 const PERIOD: u64 = 10_000;
 
@@ -42,18 +42,8 @@ fn tb(cfg: IcapConfig) -> Tb {
     let mut sim = Simulator::new();
     let clk = sim.signal("clk", 1);
     let rst = sim.signal("rst", 1);
-    sim.add_component(
-        "clkgen",
-        CompKind::Vip,
-        Box::new(Clock::new(clk, PERIOD)),
-        &[],
-    );
-    sim.add_component(
-        "rstgen",
-        CompKind::Vip,
-        Box::new(ResetGen::new(rst, 2 * PERIOD)),
-        &[],
-    );
+    sim.add_clock(clk, PERIOD);
+    sim.add_reset(rst, 2 * PERIOD);
     let go = sim.signal_init("go", 1, 0);
     let ereset = sim.signal_init("ereset", 1, 0);
     let params = EngineParamSignals::alloc(&mut sim, "p");
@@ -289,18 +279,8 @@ fn vmux_swaps_instantly_with_no_errors() {
     let mut sim = Simulator::new();
     let clk = sim.signal("clk", 1);
     let rst = sim.signal("rst", 1);
-    sim.add_component(
-        "clkgen",
-        CompKind::Vip,
-        Box::new(Clock::new(clk, PERIOD)),
-        &[],
-    );
-    sim.add_component(
-        "rstgen",
-        CompKind::Vip,
-        Box::new(ResetGen::new(rst, 2 * PERIOD)),
-        &[],
-    );
+    sim.add_clock(clk, PERIOD);
+    sim.add_reset(rst, 2 * PERIOD);
     let go = sim.signal_init("go", 1, 0);
     let ereset = sim.signal_init("ereset", 1, 0);
     let params = EngineParamSignals::alloc(&mut sim, "p");
@@ -339,18 +319,8 @@ fn vmux_uninitialised_signature_selects_nothing() {
     let mut sim = Simulator::new();
     let clk = sim.signal("clk", 1);
     let rst = sim.signal("rst", 1);
-    sim.add_component(
-        "clkgen",
-        CompKind::Vip,
-        Box::new(Clock::new(clk, PERIOD)),
-        &[],
-    );
-    sim.add_component(
-        "rstgen",
-        CompKind::Vip,
-        Box::new(ResetGen::new(rst, 2 * PERIOD)),
-        &[],
-    );
+    sim.add_clock(clk, PERIOD);
+    sim.add_reset(rst, 2 * PERIOD);
     let go = sim.signal_init("go", 1, 0);
     let ereset = sim.signal_init("ereset", 1, 0);
     let params = EngineParamSignals::alloc(&mut sim, "p");

@@ -8,7 +8,7 @@ use plb::{AddressWindow, MemorySlave, PlbBus, PlbBusConfig, SharedMem};
 use resim::{
     build_simb, instantiate_region, IcapArtifact, IcapConfig, RrBoundary, SimbKind, XSource,
 };
-use rtlsim::{Clock, CompKind, Ctx, ResetGen, Simulator};
+use rtlsim::{CompKind, Ctx, Simulator};
 use video::{census_transform, Frame, Scene};
 
 const PERIOD: u64 = 10_000;
@@ -36,13 +36,8 @@ fn gcapture_grestore_round_trip_preserves_module_state() {
     let mut sim = Simulator::new();
     let clk = sim.signal("clk", 1);
     let rst = sim.signal("rst", 1);
-    sim.add_component("clk", CompKind::Vip, Box::new(Clock::new(clk, PERIOD)), &[]);
-    sim.add_component(
-        "rst",
-        CompKind::Vip,
-        Box::new(ResetGen::new(rst, 2 * PERIOD)),
-        &[],
-    );
+    sim.add_clock(clk, PERIOD);
+    sim.add_reset(rst, 2 * PERIOD);
     let mem = SharedMem::new(256 * 1024);
     let sport = MemorySlave::instantiate(&mut sim, "mem", clk, rst, mem.clone(), 0);
 
@@ -177,13 +172,8 @@ fn without_restore_the_swapped_back_module_uses_stale_wires_semantics() {
     let mut sim = Simulator::new();
     let clk = sim.signal("clk", 1);
     let rst = sim.signal("rst", 1);
-    sim.add_component("clk", CompKind::Vip, Box::new(Clock::new(clk, PERIOD)), &[]);
-    sim.add_component(
-        "rst",
-        CompKind::Vip,
-        Box::new(ResetGen::new(rst, 2 * PERIOD)),
-        &[],
-    );
+    sim.add_clock(clk, PERIOD);
+    sim.add_reset(rst, 2 * PERIOD);
     let go = sim.signal_init("go", 1, 0);
     let er = sim.signal_init("er", 1, 0);
     let params = EngineParamSignals::alloc(&mut sim, "p");

@@ -13,11 +13,6 @@
 //! keeps the delta loop as the *only* executor and compiles away the
 //! dispatches that are provably no-ops:
 //!
-//! * **Edge filtering** — a component declared clocked via
-//!   [`crate::Simulator::declare_clocked`] is never dispatched for the
-//!   falling edge of its clock (its eval contract makes those evals
-//!   observable no-ops; every other sensitivity, e.g. reset, dispatches
-//!   normally).
 //! * **Parking** — an idle FSM calls [`crate::Ctx::park_until`] to
 //!   declare itself quiescent until one of its watched signals changes or
 //!   a [`DoorbellId`] rings; parked components are skipped at dispatch.
@@ -33,6 +28,10 @@
 //! entering/leaving a dirty window is a flag flip plus an unpark sweep.
 //! The execution order within a delta remains event order, which is what
 //! pins waveforms bit-identical between modes.
+//!
+//! Clock edges are not the plane's business: a component registered with
+//! [`crate::Simulator::add_clocked`] wakes on its clock's rising edge
+//! only, in both modes, so there is no falling-edge dispatch to filter.
 
 use crate::CompId;
 use std::cell::Cell;
@@ -46,9 +45,9 @@ pub enum ExecMode {
     /// dispatches. The reference semantics the compiled plane is pinned
     /// against.
     EventDriven,
-    /// Compiled steady-state dispatch: edge filtering and parking are
-    /// honoured outside dirty windows. Bit-identical observable
-    /// behaviour, fewer component evaluations. The default.
+    /// Compiled steady-state dispatch: parking is honoured outside dirty
+    /// windows. Bit-identical observable behaviour, fewer component
+    /// evaluations. The default.
     #[default]
     Compiled,
 }
@@ -118,9 +117,6 @@ pub enum DirtyWatch {
 /// the counters of several runs fold with [`CompiledStats::merge`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompiledStats {
-    /// Dispatches skipped because the activation was the wrong clock
-    /// edge.
-    pub skipped_edge: u64,
     /// Dispatches skipped because the component was parked.
     pub skipped_parked: u64,
     /// `park_until` calls honoured.
@@ -142,7 +138,6 @@ pub struct CompiledStats {
 impl CompiledStats {
     /// Add `other`'s counters to these, as if both runs had been one.
     pub fn merge(&mut self, other: &CompiledStats) {
-        self.skipped_edge += other.skipped_edge;
         self.skipped_parked += other.skipped_parked;
         self.parks += other.parks;
         self.signal_wakes += other.signal_wakes;
@@ -168,8 +163,6 @@ pub(crate) mod cflag {
     pub const WATCH_ANY: u8 = WATCH_TRUTHY | WATCH_UNKNOWN;
 }
 
-const NO_CLOCK: u32 = u32::MAX;
-
 /// Dense per-component / per-signal compiled-plane state, embedded in
 /// `SimCore` so both the dispatcher and `Ctx::park_until` reach it.
 #[derive(Default)]
@@ -178,8 +171,6 @@ pub(crate) struct CompiledCore {
     /// Hot gate: true iff `mode.is_compiled()` and no dirty window is
     /// active. Checked once per signal application.
     pub filtering: bool,
-    /// Per component: declared clock signal id, `NO_CLOCK` if generic.
-    pub clock_of: Vec<u32>,
     /// Per component: currently parked.
     pub parked: Vec<bool>,
     /// Per component: wake set already registered (the set is latched
@@ -200,10 +191,9 @@ pub(crate) struct CompiledCore {
 }
 
 impl CompiledCore {
-    /// Give a newly added component its dense slot: no clock, unparked,
-    /// no wake set.
+    /// Give a newly added component its dense slot: unparked, no wake
+    /// set.
     pub fn add_comp(&mut self) {
-        self.clock_of.push(NO_CLOCK);
         self.parked.push(false);
         self.wake_registered.push(false);
     }
@@ -221,8 +211,9 @@ impl CompiledCore {
         self.filtering = self.mode.is_compiled() && self.dirty_count == 0;
     }
 
-    /// Consume raised doorbells, unparking their listeners. Called once
-    /// per delta while filtering; cost is one `Cell` read per doorbell.
+    /// Consume raised doorbells, unparking their listeners. Called before
+    /// each event batch while filtering; cost is one `Cell` read per
+    /// doorbell.
     #[inline]
     pub fn service_doorbells(&mut self) {
         for (flag, listeners) in &self.doorbells {

@@ -20,7 +20,7 @@ pub enum CompKind {
     /// Simulation-only artifact (engine-wrapper mux, extended portal,
     /// error injector, ICAP artifact).
     Artifact,
-    /// Verification IP (video VIPs, ISS, checkers, clock/reset generators).
+    /// Verification IP (video VIPs, ISS, bus monitors, checkers).
     Vip,
 }
 

@@ -12,9 +12,11 @@
 //! * **Event-driven scheduling** with delta cycles and non-blocking update
 //!   semantics ([`Simulator`], [`Component`], [`Ctx`]), so registered and
 //!   combinational processes compose exactly as Verilog `always` blocks.
-//! * **Multiple clock domains** ([`Clock`]) — the case study's
-//!   bug.dpr.6b exists only because the configuration clock is slower
-//!   than the system clock.
+//! * **Kernel clocks and reset** ([`Simulator::add_clock`],
+//!   [`Simulator::add_reset`]): each edge is a scheduled drive, and a
+//!   component registered with [`Simulator::add_clocked`] wakes on its
+//!   clock's rising edge only, HDL's `always @(posedge clk)`. Any number
+//!   of phase-locked domains can run side by side.
 //! * **Waveform tracing** (VCD) and **per-component profiling**
 //!   ([`profile::Profiler`]) used to reproduce the paper's §V simulation
 //!   overhead measurements.
@@ -22,14 +24,15 @@
 //! ## Example
 //!
 //! ```
-//! use rtlsim::{Simulator, Clock, CompKind, Ctx, Lv};
+//! use rtlsim::{Simulator, CompKind, Ctx, Lv};
 //!
 //! let mut sim = Simulator::new();
 //! let clk = sim.signal("clk", 1);
 //! let q = sim.signal_init("q", 8, 0);
-//! sim.add_component("clkgen", CompKind::Vip, Box::new(Clock::new(clk, 10_000)), &[]);
-//! // An 8-bit counter clocked on the rising edge.
-//! sim.add_component(
+//! sim.add_clock(clk, 10_000);
+//! // An 8-bit counter, `always @(posedge clk)`. It is also evaluated once
+//! // at start-up and when `clk` leaves `X`, hence the `rose` check.
+//! sim.add_clocked(
 //!     "counter",
 //!     CompKind::UserStatic,
 //!     Box::new(move |ctx: &mut Ctx<'_>| {
@@ -38,13 +41,13 @@
 //!             ctx.set(q, v);
 //!         }
 //!     }),
-//!     &[clk],
+//!     clk,
+//!     &[],
 //! );
 //! sim.run_until(100_000).unwrap(); // posedges at 5, 15, ..., 95 ns
 //! assert_eq!(sim.peek_u64(q), Some(10));
 //! ```
 
-pub mod clock;
 pub mod compiled;
 pub mod component;
 pub mod logic;
@@ -55,7 +58,6 @@ pub mod sim;
 pub mod trace;
 mod vcd;
 
-pub use clock::{Clock, ResetGen};
 pub use compiled::{CompiledStats, DirtyWatch, DoorbellId, ExecMode};
 pub use component::{CompKind, Component, Ctx};
 pub use logic::Logic;

@@ -80,8 +80,8 @@ pub(crate) struct SignalState {
     pub prev: Lv,
     /// Global step number of the most recent value change.
     pub last_change: u64,
-    /// Components sensitive to any change of this signal.
-    pub sensitive: Vec<CompId>,
+    /// Components woken when this signal changes, in registration order.
+    pub sensitive: Vec<Listener>,
     /// Number of value changes since time 0.
     pub toggles: u64,
     /// Compiled-plane flags (dirty watches, park wake list presence);
@@ -90,6 +90,15 @@ pub(crate) struct SignalState {
     /// `SimCore::step` of the eval phase that last queued a write to
     /// this signal (see [`SimCore::push_write`]).
     pub written_step: u64,
+}
+
+/// One entry of a signal's dispatch list.
+#[derive(Clone, Copy)]
+pub(crate) struct Listener {
+    comp: CompId,
+    /// Wake on the rising edge only (`always @(posedge clk)`): the entry
+    /// is skipped when the signal falls from a driven 1.
+    posedge: bool,
 }
 
 struct CompSlot {
@@ -106,6 +115,9 @@ struct CompSlot {
 enum EventKind {
     Drive(SignalId, Lv),
     Wake(CompId),
+    /// A kernel clock edge `(clock, level, half period)`: drive the
+    /// level, then schedule the opposite edge half a period later.
+    Edge(SignalId, bool, u64),
 }
 
 #[derive(Clone, Copy)]
@@ -305,22 +317,21 @@ pub(crate) struct SimCore {
 }
 
 impl SimCore {
-    pub fn schedule_drive(&mut self, time: u64, sig: SignalId, v: Lv) {
+    fn schedule(&mut self, time: u64, kind: EventKind) {
         self.seq += 1;
         self.sched.push(Event {
             time,
             seq: self.seq,
-            kind: EventKind::Drive(sig, v),
+            kind,
         });
     }
 
+    pub fn schedule_drive(&mut self, time: u64, sig: SignalId, v: Lv) {
+        self.schedule(time, EventKind::Drive(sig, v));
+    }
+
     pub fn schedule_wake(&mut self, time: u64, comp: CompId) {
-        self.seq += 1;
-        self.sched.push(Event {
-            time,
-            seq: self.seq,
-            kind: EventKind::Wake(comp),
-        });
+        self.schedule(time, EventKind::Wake(comp));
     }
 
     pub fn comp_name(&self, c: CompId) -> &Name {
@@ -498,8 +509,37 @@ impl Simulator {
         body: Box<dyn Component>,
         sensitivity: &[SignalId],
     ) -> CompId {
+        let id = self.register(name.as_ref(), kind, body);
+        for &s in sensitivity {
+            self.listen(s, id, false);
+        }
+        id
+    }
+
+    /// Register a clocked component, `always @(posedge clk)`: a change of
+    /// `clk` wakes it unless `clk` fell from a driven 1, so it runs on
+    /// each rise and on the clock's `X`->0 initialisation. Any change of
+    /// the signals in `others` (asynchronous reset, data it samples
+    /// combinationally) wakes it too.
+    pub fn add_clocked(
+        &mut self,
+        name: impl AsRef<str>,
+        kind: CompKind,
+        body: Box<dyn Component>,
+        clk: SignalId,
+        others: &[SignalId],
+    ) -> CompId {
+        let id = self.register(name.as_ref(), kind, body);
+        self.listen(clk, id, true);
+        for &s in others {
+            self.listen(s, id, false);
+        }
+        id
+    }
+
+    fn register(&mut self, name: &str, kind: CompKind, body: Box<dyn Component>) -> CompId {
         let id = CompId(self.comps.len() as u32);
-        let name = self.core.names.intern(name.as_ref());
+        let name = self.core.names.intern(name);
         self.comps.push(CompSlot {
             name,
             kind,
@@ -509,12 +549,44 @@ impl Simulator {
         self.bodies.push(body);
         self.core.comp_names.push((name, kind));
         self.core.compiled.add_comp();
-        for &s in sensitivity {
-            self.core.signals[s.0 as usize].sensitive.push(id);
-        }
         self.profiler.register(id, kind);
         self.uninitialized.push(id);
         id
+    }
+
+    fn listen(&mut self, sig: SignalId, comp: CompId, posedge: bool) {
+        self.core.signals[sig.0 as usize]
+            .sensitive
+            .push(Listener { comp, posedge });
+    }
+
+    /// Drive `sig` as a free-running clock of full period `period_ps`. Its
+    /// initial 0 is queued like a write of an initial eval, so it applies
+    /// at the end of the next run call's first delta. It rises half a
+    /// period after this call and toggles every half period from then on.
+    /// Each edge is a scheduled drive, applied at the top of its time
+    /// point's first delta with every other drive due then. Panics unless
+    /// the period is even and at least 2 ps.
+    pub fn add_clock(&mut self, sig: SignalId, period_ps: u64) {
+        assert!(
+            period_ps >= 2 && period_ps.is_multiple_of(2),
+            "clock period must be even and >= 2 ps"
+        );
+        let half = period_ps / 2;
+        self.core.push_write(sig, Lv::bit(false));
+        self.core
+            .schedule(self.core.now + half, EventKind::Edge(sig, true, half));
+    }
+
+    /// Drive `sig` as an active-high reset: 1 from the end of the next run
+    /// call's first delta, like a clock's initial 0, and 0 from
+    /// `duration_ps` after this call. Panics if `duration_ps` is 0, which
+    /// would schedule the release before the assertion applies.
+    pub fn add_reset(&mut self, sig: SignalId, duration_ps: u64) {
+        assert!(duration_ps > 0, "reset duration must be positive");
+        self.core.push_write(sig, Lv::bit(true));
+        self.core
+            .schedule_drive(self.core.now + duration_ps, sig, Lv::bit(false));
     }
 
     /// Current simulation time in picoseconds.
@@ -698,51 +770,28 @@ impl Simulator {
         self.core.finish_requested
     }
 
-    fn mark_sensitive(
-        signals: &[SignalState],
-        comps: &mut [CompSlot],
-        ready: &mut Vec<CompId>,
-        gen: u64,
-        sig: SignalId,
-    ) {
-        for &c in &signals[sig.0 as usize].sensitive {
-            let slot = &mut comps[c.0 as usize];
-            if slot.queued_gen != gen {
-                slot.queued_gen = gen;
-                ready.push(c);
-            }
-        }
-    }
-
-    /// As [`Simulator::mark_sensitive`], honouring the compiled dispatch
-    /// filter: parked components and wrong-edge activations of declared
-    /// clocked components are provably observable no-ops and are skipped.
-    /// Iteration order over the remaining components is unchanged, which
-    /// keeps the ready queue (and thus the delta schedule) identical to
-    /// event-driven mode restricted to the dispatched set.
-    fn mark_sensitive_filtered(
-        signals: &[SignalState],
-        comps: &mut [CompSlot],
-        ready: &mut Vec<CompId>,
-        gen: u64,
-        sig: SignalId,
-        compiled: &mut CompiledCore,
-        rose: bool,
-    ) {
-        for &c in &signals[sig.0 as usize].sensitive {
-            let idx = c.0 as usize;
-            if compiled.parked[idx] {
-                compiled.stats.skipped_parked += 1;
+    /// Queue the listeners of `sig`, which just changed, in dispatch-list
+    /// order. A posedge entry is skipped when the signal `fell` from a
+    /// driven 1, in every mode. While the compiled filter is on, a parked
+    /// component is skipped too. Skipping never reorders the rest, so the
+    /// ready queue, and thus the delta schedule, is the event-driven one
+    /// restricted to the dispatched set.
+    fn mark_sensitive(&mut self, sig: SignalId, fell: bool) {
+        let cc = &mut self.core.compiled;
+        let (filtering, gen) = (cc.filtering, self.ready_gen);
+        for l in &self.core.signals[sig.0 as usize].sensitive {
+            if l.posedge && fell {
                 continue;
             }
-            if !rose && compiled.clock_of[idx] == sig.0 {
-                compiled.stats.skipped_edge += 1;
+            let idx = l.comp.0 as usize;
+            if filtering && cc.parked[idx] {
+                cc.stats.skipped_parked += 1;
                 continue;
             }
-            let slot = &mut comps[idx];
+            let slot = &mut self.comps[idx];
             if slot.queued_gen != gen {
                 slot.queued_gen = gen;
-                ready.push(c);
+                self.ready.push(l.comp);
             }
         }
     }
@@ -758,7 +807,7 @@ impl Simulator {
         s.last_change = self.core.step;
         s.toggles += 1;
         let cflags = s.cflags;
-        let rose = !s.prev.truthy() && s.cur.truthy();
+        let fell = s.prev.truthy() && !s.cur.truthy();
         if self.tracing {
             if let Some(vcd) = &mut self.vcd {
                 vcd.change(self.core.now, sig, v);
@@ -767,25 +816,7 @@ impl Simulator {
         if cflags != 0 {
             self.signal_compiled_hooks(sig, cflags);
         }
-        if self.core.compiled.filtering {
-            Self::mark_sensitive_filtered(
-                &self.core.signals,
-                &mut self.comps,
-                &mut self.ready,
-                self.ready_gen,
-                sig,
-                &mut self.core.compiled,
-                rose,
-            );
-        } else {
-            Self::mark_sensitive(
-                &self.core.signals,
-                &mut self.comps,
-                &mut self.ready,
-                self.ready_gen,
-                sig,
-            );
-        }
+        self.mark_sensitive(sig, fell);
         true
     }
 
@@ -865,15 +896,25 @@ impl Simulator {
     fn settle_now(&mut self) -> Result<(), KernelError> {
         let mut deltas = 0u32;
         loop {
+            // Doorbells rung since the last batch, by an eval or by the
+            // testbench between run calls, unpark their listeners before
+            // this batch marks anyone.
+            if self.core.compiled.filtering && !self.core.compiled.doorbells.is_empty() {
+                self.core.compiled.service_doorbells();
+            }
             // Pop the batch of events scheduled for exactly `now`.
             let now = self.core.now;
             let mut batch = std::mem::take(&mut self.pop_scratch);
             self.core.sched.pop_at(now, &mut batch);
-            let popped = !batch.is_empty();
             for &ev in batch.iter() {
                 match ev.kind {
                     EventKind::Drive(sig, v) => {
                         self.apply(sig, v);
+                    }
+                    EventKind::Edge(sig, level, half) => {
+                        self.core
+                            .schedule(now + half, EventKind::Edge(sig, !level, half));
+                        self.apply(sig, Lv::bit(level));
                     }
                     EventKind::Wake(c) => {
                         // A self-scheduled wakeup always dispatches and
@@ -889,7 +930,10 @@ impl Simulator {
                 }
             }
             self.pop_scratch = batch;
-            if self.ready.is_empty() && !popped {
+            // A batch that wakes nobody is not a delta. Writes can be
+            // pending with nobody ready only before the first eval: the
+            // initial values of kernel clocks and resets.
+            if self.ready.is_empty() && self.core.pending.is_empty() {
                 return Ok(());
             }
             self.eval_ready();
@@ -905,9 +949,6 @@ impl Simulator {
             pending.clear();
             debug_assert!(self.core.pending.is_empty());
             self.core.pending = pending;
-            if self.core.compiled.filtering && !self.core.compiled.doorbells.is_empty() {
-                self.core.compiled.service_doorbells();
-            }
             deltas += 1;
             if deltas > DELTA_LIMIT {
                 return Err(KernelError::DeltaOverflow {
@@ -1014,15 +1055,6 @@ impl Simulator {
     /// The selected execution mode.
     pub fn exec_mode(&self) -> ExecMode {
         self.core.compiled.mode
-    }
-
-    /// Declare `comp` a clocked (sequential-rank) process: its eval is an
-    /// observable no-op for any activation that is solely `clk` changing
-    /// to other-than-rising. The declaration is a contract; the kernel
-    /// skips exactly those activations in compiled mode. Activations from
-    /// any other sensitivity (reset lines, data inputs) are unaffected.
-    pub fn declare_clocked(&mut self, comp: CompId, clk: SignalId) {
-        self.core.compiled.clock_of[comp.0 as usize] = clk.0;
     }
 
     /// Watch `sig` as a dirty-window trigger: while the condition holds,

@@ -1,34 +1,28 @@
-//! Compiled-plane kernel tests: edge filtering, parking, doorbells and
-//! dirty-window fallback, each checked for bit-identity against an
-//! event-driven reference built the same way.
+//! Compiled-plane kernel tests: parking, doorbells and dirty-window
+//! fallback, each checked for bit-identity against an event-driven
+//! reference built the same way.
 
-use rtlsim::{Clock, CompKind, Ctx, DirtyWatch, ExecMode, Lv, ResetGen, Simulator};
+use rtlsim::{CompKind, Ctx, DirtyWatch, ExecMode, Lv, SignalId, Simulator};
 use std::cell::Cell;
 use std::rc::Rc;
 
 const PERIOD: u64 = 10_000;
 
-/// A counter design with a clocked process, a reset, and a decoder.
-/// Returns (sim, q, dec) with the kernel in `mode`.
-fn counter_design(mode: ExecMode) -> (Simulator, rtlsim::SignalId, rtlsim::SignalId) {
+/// A counter design: a posedge-clocked counter with reset, a decoder on
+/// its output and an idle monitor on every clock edge. With `hints` the
+/// design also makes the compiled plane's declarations: a dirty watch on
+/// reset and a monitor that parks until a doorbell rings. Returns
+/// (sim, q, dec) with the kernel in `mode`.
+fn counter_design(mode: ExecMode, hints: bool) -> (Simulator, SignalId, SignalId) {
     let mut sim = Simulator::new();
     let clk = sim.signal("clk", 1);
     let rst = sim.signal("rst", 1);
     let q = sim.signal_init("q", 8, 0);
     let dec = sim.signal_init("dec", 1, 0);
-    sim.add_component(
-        "clkgen",
-        CompKind::Vip,
-        Box::new(Clock::new(clk, PERIOD)),
-        &[],
-    );
-    sim.add_component(
-        "rstgen",
-        CompKind::Vip,
-        Box::new(ResetGen::new(rst, 2 * PERIOD)),
-        &[],
-    );
-    let counter = sim.add_component(
+    sim.add_clock(clk, PERIOD);
+    sim.add_reset(rst, 2 * PERIOD);
+    sim.set_exec_mode(mode);
+    sim.add_clocked(
         "counter",
         CompKind::UserStatic,
         Box::new(move |ctx: &mut Ctx<'_>| {
@@ -41,7 +35,8 @@ fn counter_design(mode: ExecMode) -> (Simulator, rtlsim::SignalId, rtlsim::Signa
                 ctx.set(q, v);
             }
         }),
-        &[clk, rst],
+        clk,
+        &[rst],
     );
     sim.add_component(
         "decoder",
@@ -52,16 +47,27 @@ fn counter_design(mode: ExecMode) -> (Simulator, rtlsim::SignalId, rtlsim::Signa
         }),
         &[q],
     );
-    sim.set_exec_mode(mode);
-    sim.declare_clocked(counter, clk);
-    sim.watch_dirty(rst, DirtyWatch::TruthyOrUnknown);
+    let bell = hints.then(|| sim.add_doorbell(Rc::new(Cell::new(false))));
+    sim.add_component(
+        "monitor",
+        CompKind::Vip,
+        Box::new(move |ctx: &mut Ctx<'_>| {
+            if let Some(bell) = bell {
+                ctx.park_until(&[], &[bell]);
+            }
+        }),
+        &[clk],
+    );
+    if hints {
+        sim.watch_dirty(rst, DirtyWatch::TruthyOrUnknown);
+    }
     (sim, q, dec)
 }
 
 #[test]
 fn compiled_counter_matches_event_driven_bit_for_bit() {
-    let (mut ev, evq, evd) = counter_design(ExecMode::EventDriven);
-    let (mut co, coq, cod) = counter_design(ExecMode::Compiled);
+    let (mut ev, evq, evd) = counter_design(ExecMode::EventDriven, true);
+    let (mut co, coq, cod) = counter_design(ExecMode::Compiled, true);
     for _ in 0..50 {
         ev.run_for(PERIOD).unwrap();
         co.run_for(PERIOD).unwrap();
@@ -73,12 +79,12 @@ fn compiled_counter_matches_event_driven_bit_for_bit() {
     // The whole point: the compiled mode dispatched fewer evals.
     assert!(
         co.stats().evals < ev.stats().evals,
-        "compiled mode should skip wrong-edge activations: {} vs {}",
+        "compiled mode should skip the parked monitor: {} vs {}",
         co.stats().evals,
         ev.stats().evals
     );
     let cs = co.compiled_stats().expect("compiled mode has stats");
-    assert!(cs.skipped_edge > 0);
+    assert!(cs.skipped_parked > 0);
     assert!(ev.compiled_stats().is_none(), "event-driven mode has none");
     // Reset opens a dirty window that closes when rst deasserts.
     assert_eq!(cs.fallback_entries, 1);
@@ -88,20 +94,15 @@ fn compiled_counter_matches_event_driven_bit_for_bit() {
 }
 
 /// `Simulator::new()` starts in the default mode with its dispatch gate
-/// open: a clocked process is filtered without any mode call.
+/// open: a parked process is skipped without any mode call.
 #[test]
 fn a_bare_simulator_filters_in_the_default_mode() {
     let mut sim = Simulator::new();
     assert_eq!(sim.exec_mode(), ExecMode::Compiled);
     let clk = sim.signal("clk", 1);
     let q = sim.signal_init("q", 8, 0);
-    sim.add_component(
-        "clkgen",
-        CompKind::Vip,
-        Box::new(Clock::new(clk, PERIOD)),
-        &[],
-    );
-    let counter = sim.add_component(
+    sim.add_clock(clk, PERIOD);
+    sim.add_clocked(
         "counter",
         CompKind::UserStatic,
         Box::new(move |ctx: &mut Ctx<'_>| {
@@ -110,13 +111,19 @@ fn a_bare_simulator_filters_in_the_default_mode() {
                 ctx.set(q, v);
             }
         }),
+        clk,
+        &[],
+    );
+    sim.add_component(
+        "idle",
+        CompKind::Vip,
+        Box::new(|ctx: &mut Ctx<'_>| ctx.park_until(&[], &[])),
         &[clk],
     );
-    sim.declare_clocked(counter, clk);
     sim.run_for(10 * PERIOD).unwrap();
     assert_eq!(sim.peek_u64(q), Some(10));
     let cs = sim.compiled_stats().expect("compiled mode has stats");
-    assert!(cs.skipped_edge > 0, "{cs:?}");
+    assert!(cs.skipped_parked > 0, "{cs:?}");
     assert_eq!(cs.fallback_points, 0, "{cs:?}");
 }
 
@@ -131,15 +138,10 @@ fn parked_component_wakes_on_signal_and_doorbell() {
         let clk = sim.signal("clk", 1);
         let go = sim.signal_init("go", 1, 0);
         let out = sim.signal_init("out", 8, 0);
-        sim.add_component(
-            "clkgen",
-            CompKind::Vip,
-            Box::new(Clock::new(clk, PERIOD)),
-            &[],
-        );
+        sim.add_clock(clk, PERIOD);
         sim.set_exec_mode(mode);
         let bell = sim.add_doorbell(flag.clone());
-        let fsm = sim.add_component(
+        sim.add_clocked(
             "fsm",
             CompKind::UserStatic,
             Box::new(move |ctx: &mut Ctx<'_>| {
@@ -153,9 +155,9 @@ fn parked_component_wakes_on_signal_and_doorbell() {
                     ctx.park_until(&[go], &[bell]);
                 }
             }),
-            &[clk],
+            clk,
+            &[],
         );
-        sim.declare_clocked(fsm, clk);
         (sim, go, out)
     };
 
@@ -193,22 +195,17 @@ fn parked_component_wakes_on_signal_and_doorbell() {
 }
 
 /// While a watched dirty signal is truthy, filtering fully suspends:
-/// parked components and wrong-edge filtering both stop applying.
+/// parked components are unparked and dispatched on every edge.
 #[test]
 fn dirty_window_suspends_filtering_and_unparks() {
     let mut sim = Simulator::new();
     let clk = sim.signal("clk", 1);
     let iso = sim.signal_init("isolate", 1, 0);
     let seen = Rc::new(Cell::new(0u64));
-    sim.add_component(
-        "clkgen",
-        CompKind::Vip,
-        Box::new(Clock::new(clk, PERIOD)),
-        &[],
-    );
+    sim.add_clock(clk, PERIOD);
     sim.set_exec_mode(ExecMode::Compiled);
     let seen2 = seen.clone();
-    let watcher = sim.add_component(
+    sim.add_component(
         "watcher",
         CompKind::UserStatic,
         Box::new(move |ctx: &mut Ctx<'_>| {
@@ -218,7 +215,6 @@ fn dirty_window_suspends_filtering_and_unparks() {
         }),
         &[clk],
     );
-    sim.declare_clocked(watcher, clk);
     sim.watch_dirty(iso, DirtyWatch::TruthyOrUnknown);
     sim.run_for(10 * PERIOD).unwrap();
     let while_parked = seen.get();
@@ -246,54 +242,13 @@ fn dirty_window_suspends_filtering_and_unparks() {
     assert!(cs.steady_points > 0 && cs.fallback_points > 0);
 }
 
-/// Event-driven mode must be byte-identical to a kernel with no compiled
-/// declarations at all — the declarations are inert there.
+/// Event-driven mode must be byte-identical to a kernel given none of
+/// the compiled plane's declarations: parking, doorbells and dirty
+/// watches are inert there.
 #[test]
 fn declarations_are_inert_in_event_driven_mode() {
-    let (mut plain, pq, _) = counter_design(ExecMode::EventDriven);
-    let mut bare = Simulator::new();
-    {
-        let clk = bare.signal("clk", 1);
-        let rst = bare.signal("rst", 1);
-        let q = bare.signal_init("q", 8, 0);
-        let dec = bare.signal_init("dec", 1, 0);
-        bare.add_component(
-            "clkgen",
-            CompKind::Vip,
-            Box::new(Clock::new(clk, PERIOD)),
-            &[],
-        );
-        bare.add_component(
-            "rstgen",
-            CompKind::Vip,
-            Box::new(ResetGen::new(rst, 2 * PERIOD)),
-            &[],
-        );
-        bare.add_component(
-            "counter",
-            CompKind::UserStatic,
-            Box::new(move |ctx: &mut Ctx<'_>| {
-                if ctx.is_high(rst) {
-                    ctx.set_u64(q, 0);
-                    return;
-                }
-                if ctx.rose(clk) {
-                    let v = ctx.get(q) + Lv::from_u64(8, 1);
-                    ctx.set(q, v);
-                }
-            }),
-            &[clk, rst],
-        );
-        bare.add_component(
-            "decoder",
-            CompKind::UserStatic,
-            Box::new(move |ctx: &mut Ctx<'_>| {
-                let high = ctx.get_u64(q).is_some_and(|v| v >= 5);
-                ctx.set_bit(dec, high);
-            }),
-            &[q],
-        );
-    }
+    let (mut plain, pq, _) = counter_design(ExecMode::EventDriven, true);
+    let (mut bare, _, _) = counter_design(ExecMode::EventDriven, false);
     plain.run_for(30 * PERIOD).unwrap();
     bare.run_for(30 * PERIOD).unwrap();
     assert_eq!(plain.state_digest(), bare.state_digest());

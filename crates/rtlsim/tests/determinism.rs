@@ -185,12 +185,7 @@ fn identical_runs_are_bit_identical() {
     fn build_and_run() -> (u64, u64, u64, u64, Vec<String>, Option<u64>) {
         let mut sim = Simulator::new();
         let clk = sim.signal("clk", 1);
-        sim.add_component(
-            "clkgen",
-            CompKind::Vip,
-            Box::new(rtlsim::Clock::new(clk, 10_000)),
-            &[],
-        );
+        sim.add_clock(clk, 10_000);
         let q = sim.signal_init("q", 16, 0);
         let mut lcg = 0xDEADBEEFu64;
         sim.add_component(

@@ -1,19 +1,17 @@
 //! Integration tests for the simulation kernel: scheduling semantics,
-//! delta cycles, X propagation, tracing and diagnostics.
+//! delta cycles, X propagation, clocks and reset, the posedge edge rule,
+//! tracing and diagnostics.
 
-use rtlsim::{Clock, CompKind, Ctx, KernelError, Logic, Lv, Severity, Simulator};
+use rtlsim::{CompKind, Ctx, ExecMode, KernelError, Logic, Lv, Severity, SignalId, Simulator};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 const PERIOD: u64 = 10_000; // 10 ns
 
 fn clocked_system() -> (Simulator, rtlsim::SignalId) {
     let mut sim = Simulator::new();
     let clk = sim.signal("clk", 1);
-    sim.add_component(
-        "clkgen",
-        CompKind::Vip,
-        Box::new(Clock::new(clk, PERIOD)),
-        &[],
-    );
+    sim.add_clock(clk, PERIOD);
     (sim, clk)
 }
 
@@ -389,4 +387,211 @@ fn stats_track_activity() {
         stats.events,
         stats.time_points
     );
+}
+
+/// A kernel clock needs no component: it reads 0 before its first rise,
+/// then changes every half period.
+#[test]
+fn clock_toggles_at_half_period() {
+    let mut sim = Simulator::new();
+    let clk = sim.signal("clk", 1);
+    sim.add_clock(clk, 10_000);
+    sim.run_until(4_999).unwrap();
+    assert_eq!(sim.peek_u64(clk), Some(0));
+    sim.run_until(5_000).unwrap();
+    assert_eq!(sim.peek_u64(clk), Some(1));
+    sim.run_until(10_000).unwrap();
+    assert_eq!(sim.peek_u64(clk), Some(0));
+    sim.run_until(100_000).unwrap();
+    // One X->0 initialisation change, then edges at 5 ns intervals.
+    assert_eq!(sim.toggle_count(clk), 1 + 20);
+}
+
+#[test]
+#[should_panic(expected = "period must be even")]
+fn odd_period_rejected() {
+    let mut sim = Simulator::new();
+    let clk = sim.signal("clk", 1);
+    sim.add_clock(clk, 7);
+}
+
+#[test]
+fn reset_pulse_shape() {
+    let mut sim = Simulator::new();
+    let rst = sim.signal("rst", 1);
+    sim.add_reset(rst, 25_000);
+    sim.settle().unwrap();
+    assert_eq!(sim.peek_u64(rst), Some(1));
+    sim.run_until(24_999).unwrap();
+    assert_eq!(sim.peek_u64(rst), Some(1));
+    sim.run_until(25_000).unwrap();
+    assert_eq!(sim.peek_u64(rst), Some(0));
+    sim.run_until(1_000_000).unwrap();
+    assert_eq!(sim.peek_u64(rst), Some(0));
+    assert_eq!(sim.toggle_count(rst), 2);
+}
+
+#[test]
+#[should_panic(expected = "reset duration must be positive")]
+fn zero_reset_duration_rejected() {
+    let mut sim = Simulator::new();
+    let rst = sim.signal("rst", 1);
+    sim.add_reset(rst, 0);
+}
+
+#[test]
+fn two_clock_domains_stay_phase_locked() {
+    let mut sim = Simulator::new();
+    let fast = sim.signal("fast", 1);
+    let slow = sim.signal("slow", 1);
+    sim.add_clock(fast, 10_000);
+    sim.add_clock(slow, 40_000);
+    sim.run_until(400_000).unwrap();
+    // Discount the initial X->0 change on each clock.
+    assert_eq!(sim.toggle_count(fast) - 1, 4 * (sim.toggle_count(slow) - 1));
+}
+
+/// What one eval of a posedge listener saw: time, `clk` rose, `clk`
+/// fell, and which of the listener's other inputs changed.
+type Seen = (u64, bool, bool, Vec<bool>);
+
+type Log = Rc<RefCell<Vec<Seen>>>;
+
+/// A simulator in `mode` with a kernel clock on `clk` and a posedge
+/// listener that logs every eval it gets. `build` adds the rest of the
+/// design and returns the listener's other (any-edge) inputs, which are
+/// returned too.
+fn posedge_listener(
+    mode: ExecMode,
+    build: impl FnOnce(&mut Simulator) -> Vec<SignalId>,
+) -> (Simulator, Vec<SignalId>, Log) {
+    let mut sim = Simulator::new();
+    sim.set_exec_mode(mode);
+    let clk = sim.signal("clk", 1);
+    sim.add_clock(clk, PERIOD);
+    let others = build(&mut sim);
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let sink = log.clone();
+    let inputs = others.clone();
+    sim.add_clocked(
+        "ff",
+        CompKind::UserStatic,
+        Box::new(move |ctx: &mut Ctx<'_>| {
+            let changed = inputs.iter().map(|&s| ctx.changed(s)).collect();
+            let seen = (ctx.now(), ctx.rose(clk), ctx.fell(clk), changed);
+            sink.borrow_mut().push(seen);
+        }),
+        clk,
+        &others,
+    );
+    (sim, others, log)
+}
+
+/// The evals logged at time `t`.
+fn seen_at(log: &Log, t: u64) -> Vec<Seen> {
+    log.borrow().iter().filter(|e| e.0 == t).cloned().collect()
+}
+
+const MODES: [ExecMode; 2] = [ExecMode::EventDriven, ExecMode::Compiled];
+
+/// `always @(posedge clk)`: a falling clock wakes nobody, in both modes.
+#[test]
+fn posedge_listener_is_not_dispatched_when_its_clock_falls() {
+    for mode in MODES {
+        let (mut sim, _, log) = posedge_listener(mode, |_| Vec::new());
+        sim.run_until(10 * PERIOD).unwrap();
+        let log = log.borrow();
+        assert!(log.iter().all(|e| !e.2), "{mode}: dispatched on a fall");
+        // The initial eval, the X->0 initialisation, then one per rise.
+        assert_eq!(log.len(), 2 + 10, "{mode}");
+        assert_eq!(log.iter().filter(|e| e.1).count(), 10, "{mode}");
+        // The falls cost no delta: one per rise, one at t=0.
+        assert_eq!(sim.stats().deltas, 2 + 10, "{mode}");
+    }
+}
+
+/// The X->0 initialisation is not a fall from a driven 1, so it
+/// dispatches posedge listeners, after the initial evals and in the
+/// clock's list order.
+#[test]
+fn clock_initialisation_dispatches_posedge_listeners() {
+    for mode in MODES {
+        let mut sim = Simulator::new();
+        sim.set_exec_mode(mode);
+        let clk = sim.signal("clk", 1);
+        sim.add_clock(clk, PERIOD);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        for name in ["a", "b"] {
+            let sink = log.clone();
+            sim.add_clocked(
+                name,
+                CompKind::UserStatic,
+                Box::new(move |ctx: &mut Ctx<'_>| {
+                    sink.borrow_mut()
+                        .push((name, ctx.changed(clk), ctx.get_u64(clk)));
+                }),
+                clk,
+                &[],
+            );
+        }
+        sim.settle().unwrap();
+        assert_eq!(
+            *log.borrow(),
+            [
+                ("a", false, None),
+                ("b", false, None),
+                ("a", true, Some(0)),
+                ("b", true, Some(0)),
+            ],
+            "{mode}"
+        );
+    }
+}
+
+/// A reset that changes in the same delta as a falling edge dispatches
+/// the posedge listener once, through its reset input.
+#[test]
+fn reset_release_on_a_falling_edge_dispatches_a_posedge_listener() {
+    for mode in MODES {
+        let (mut sim, _, log) = posedge_listener(mode, |sim| {
+            let rst = sim.signal("rst", 1);
+            sim.add_reset(rst, 2 * PERIOD);
+            vec![rst]
+        });
+        sim.run_until(3 * PERIOD).unwrap();
+        assert_eq!(seen_at(&log, PERIOD), [], "{mode}: a bare fall dispatched");
+        let release = (2 * PERIOD, false, true, vec![true]);
+        assert_eq!(seen_at(&log, 2 * PERIOD), [release], "{mode}");
+    }
+}
+
+/// A clock edge applies at the top of its time point's first delta,
+/// together with every drive due then: a listener sees the edge and a
+/// `set_after` drive landing on it in one eval. A testbench poke issued
+/// at a falling edge that woke nobody lands in that edge's delta too.
+#[test]
+fn drives_at_an_edge_time_share_the_edge_delta() {
+    for mode in MODES {
+        let (mut sim, inputs, log) = posedge_listener(mode, |sim| {
+            let d = sim.signal_init("d", 1, 0);
+            let go = sim.signal_init("go", 1, 0);
+            sim.add_component(
+                "stimulus",
+                CompKind::Vip,
+                Box::new(move |ctx: &mut Ctx<'_>| ctx.set_after(d, Lv::bit(true), PERIOD / 2)),
+                &[],
+            );
+            vec![d, go]
+        });
+        let rise = PERIOD / 2;
+        sim.run_until(rise).unwrap();
+        let with_d = (rise, true, false, vec![true, false]);
+        assert_eq!(seen_at(&log, rise), [with_d], "{mode}");
+        sim.run_until(PERIOD).unwrap();
+        assert_eq!(seen_at(&log, PERIOD), [], "{mode}");
+        sim.poke_u64(inputs[1], 1);
+        sim.settle().unwrap();
+        let with_go = (PERIOD, false, true, vec![false, true]);
+        assert_eq!(seen_at(&log, PERIOD), [with_go], "{mode}");
+    }
 }

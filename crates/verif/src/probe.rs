@@ -171,7 +171,7 @@ pub fn probe_high_time(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtlsim::{Clock, Lv};
+    use rtlsim::Lv;
 
     #[test]
     fn measures_pulse_widths() {
@@ -198,7 +198,7 @@ mod tests {
         let mut sim = Simulator::new();
         let clk = sim.signal("clk", 1);
         let s = sim.signal_init("s", 1, 0);
-        sim.add_component("clk", CompKind::Vip, Box::new(Clock::new(clk, 10_000)), &[]);
+        sim.add_clock(clk, 10_000);
         let ht = probe_high_time(&mut sim, "probe", s);
         sim.run_for(500_000).unwrap();
         assert_eq!(ht.borrow().pulses, 0);

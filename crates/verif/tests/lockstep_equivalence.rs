@@ -117,7 +117,7 @@ fn lockstep(cfg: &SystemConfig, max_cycles: u64) -> usize {
     // actually filtered something.
     let cs = co.sim.compiled_stats().expect("compiled mode has stats");
     assert!(
-        cs.skipped_edge + cs.skipped_parked > 0,
+        cs.skipped_parked > 0,
         "compiled run never skipped a dispatch — filtering was inert"
     );
     fe.len()
