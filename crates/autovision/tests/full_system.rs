@@ -85,7 +85,11 @@ fn vmux_never_exercises_the_reconfiguration_machinery() {
     // The IcapCTRL module is instantiated but idle: its DCR status never
     // left the reset state.
     // (Software never programs it under VMUX — the paper's point.)
-    assert_eq!(sys.sim.toggle_count_prefix("icapctrl.plb.req"), 0);
+    assert_eq!(
+        sys.sim
+            .toggle_count_set(&sys.sim.signals_with_prefix("icapctrl.plb.req")),
+        0
+    );
 }
 
 #[test]

@@ -67,7 +67,11 @@ fn vmux_split_pipeline_processes_frames_bit_exactly() {
     let stats = sys.backend_stats();
     assert!(stats.icap.is_none());
     assert_eq!(stats.total_swaps(), 0);
-    assert_eq!(sys.sim.toggle_count_prefix("icapctrl.plb.req"), 0);
+    assert_eq!(
+        sys.sim
+            .toggle_count_set(&sys.sim.signals_with_prefix("icapctrl.plb.req")),
+        0
+    );
 }
 
 #[test]
@@ -93,12 +97,14 @@ fn resim_split_reconfigures_each_region_once_per_frame() {
     // rising and one falling edge per region per frame, nothing more.
     assert_eq!(sys.probes.regions.len(), 2);
     assert_eq!(
-        sys.sim.toggle_count_prefix("isolate"),
+        sys.sim
+            .toggle_count_set(&sys.sim.signals_with_prefix("isolate")),
         2 * n,
         "region A isolation window per frame"
     );
     assert_eq!(
-        sys.sim.toggle_count_prefix("rrb.isolate"),
+        sys.sim
+            .toggle_count_set(&sys.sim.signals_with_prefix("rrb.isolate")),
         2 * n,
         "region B isolation window per frame"
     );

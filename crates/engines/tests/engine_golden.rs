@@ -285,7 +285,9 @@ fn cie_is_busier_than_me_per_cycle() {
         pulse(&mut tc, s);
     }
     let cie_cycles = run_engine(&mut tc, 100_000);
-    let cie_toggles = tc.sim.toggle_count_prefix("cie.dp.");
+    let cie_toggles = tc
+        .sim
+        .toggle_count_set(&tc.sim.signals_with_prefix("cie.dp."));
 
     let mut tm = tb("me", w, h);
     tm.mem.load_words(PREV, &c0.to_words());
@@ -302,7 +304,9 @@ fn cie_is_busier_than_me_per_cycle() {
         pulse(&mut tm, s);
     }
     let me_cycles = run_engine(&mut tm, 400_000);
-    let me_toggles = tm.sim.toggle_count_prefix("me.dp.");
+    let me_toggles = tm
+        .sim
+        .toggle_count_set(&tm.sim.signals_with_prefix("me.dp."));
 
     let cie_rate = cie_toggles as f64 / cie_cycles as f64;
     let me_rate = me_toggles as f64 / me_cycles as f64;

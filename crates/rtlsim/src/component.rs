@@ -60,12 +60,6 @@ impl Ctx<'_> {
         self.core.now
     }
 
-    /// The id of the component being evaluated.
-    #[inline]
-    pub fn me(&self) -> CompId {
-        self.me
-    }
-
     /// Read a signal's current value.
     #[inline]
     pub fn get(&self, s: SignalId) -> Lv {
@@ -82,13 +76,6 @@ impl Ctx<'_> {
     #[inline]
     pub fn is_high(&self, s: SignalId) -> bool {
         self.get(s).truthy()
-    }
-
-    /// True if the signal is all known zeros.
-    #[inline]
-    pub fn is_low(&self, s: SignalId) -> bool {
-        let v = self.get(s);
-        v.is_known() && v.val_plane() == 0
     }
 
     /// Schedule a non-blocking write: the value becomes visible at the end

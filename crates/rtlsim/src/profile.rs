@@ -149,23 +149,6 @@ impl Profiler {
         ((mean - floor).max(0.0)) * e.evals as f64
     }
 
-    /// Total estimated eval time across all components.
-    pub fn total(&self) -> Duration {
-        let floor = self.floor_secs();
-        Duration::from_secs_f64(
-            self.entries
-                .iter()
-                .map(|e| self.estimate_secs(e, floor))
-                .sum(),
-        )
-    }
-
-    /// Estimated time attributed to one component.
-    pub fn component_time(&self, id: CompId) -> Duration {
-        let floor = self.floor_secs();
-        Duration::from_secs_f64(self.estimate_secs(&self.entries[id.0 as usize], floor))
-    }
-
     /// Fraction of total eval time spent in components of `kind`.
     pub fn fraction_of_kind(&self, kind: CompKind) -> f64 {
         let floor = self.floor_secs();

@@ -1,33 +1,23 @@
-//! The discrete-event simulation core: signal arena, two-level event
-//! scheduler (near-term timing wheel + far-horizon heap), allocation-free
-//! delta-cycle loop, message log and statistics.
+//! The discrete-event simulation core: signal arena, event queue,
+//! allocation-free delta-cycle loop, message log and statistics.
 //!
-//! # Scheduler
+//! # Event queue
 //!
-//! Events live in one of two structures depending on how far ahead they
-//! are scheduled:
-//!
-//! * A **timing wheel** of `WHEEL_SLOTS` dense slots, each covering
-//!   2^`TICK_SHIFT` ps. The wheel spans ~105 clock periods of the
-//!   AutoVision system clock, so in steady state essentially every event
-//!   (clock edges, register updates, bus handshakes) is an O(1) push into
-//!   a slot `Vec` plus one bit set in an occupancy bitmap.
-//! * A **far-horizon `BinaryHeap`** for the rare event beyond the wheel
-//!   window (watchdog deadlines, long reset delays). Events migrate
-//!   lazily from the heap into the wheel as time advances.
-//!
-//! Determinism is preserved exactly: every event carries the global
-//! sequence number it was scheduled with, and the batch extracted at one
-//! timestamp is sorted by that sequence before it is applied, so
-//! same-timestamp ordering is identical to the old single-heap kernel
-//! (pinned by `tests/determinism.rs`).
+//! Pending events live in one `BinaryHeap`, ordered by `(time, seq)`:
+//! `seq` is the global sequence number each event was scheduled with.
+//! The earliest time pops first, and the events due at one time point
+//! pop in the order they were scheduled, so they need no sort (pinned
+//! by `tests/determinism.rs`). The queue is small. Kernel clock edges,
+//! reset releases and testbench pokes are its steady traffic, plus
+//! whatever components schedule through [`Ctx::set_after`] and
+//! [`Ctx::wake_after`]. Each clock keeps exactly one edge pending.
 //!
 //! # Delta loop
 //!
-//! The loop allocates nothing per delta: the popped-event batch, the
-//! ready queue and the non-blocking-write list are all reusable buffers,
-//! and ready-queue membership is tracked with a generation stamp instead
-//! of a drained `bool` flag.
+//! The loop allocates nothing per delta: the ready queue and the
+//! non-blocking-write list are reusable buffers, and ready-queue
+//! membership is tracked with a generation stamp instead of a drained
+//! `bool` flag.
 
 use crate::compiled::{cflag, CompiledCore, CompiledStats, DirtyWatch, DoorbellId, ExecMode};
 use crate::component::{CompKind, Component, Ctx};
@@ -144,164 +134,18 @@ impl Ord for Event {
     }
 }
 
-/// Number of slots in the near-term timing wheel. Power of two.
-const WHEEL_SLOTS: usize = 1024;
-const WHEEL_MASK: usize = WHEEL_SLOTS - 1;
-/// log2 of the time span (ps) covered by one wheel slot.
-const TICK_SHIFT: u32 = 10;
-/// Words in the slot-occupancy bitmap.
-const OCC_WORDS: usize = WHEEL_SLOTS / 64;
-
-/// Two-level event scheduler: dense timing wheel for the near term, heap
-/// for the far horizon.
-///
-/// Invariants (checked in debug builds):
-/// * No event is ever scheduled in the past, so every pending event's
-///   tick is ≥ `self.tick` — slots behind the cursor are empty.
-/// * Within the wheel window of `WHEEL_SLOTS` ticks, each tick maps to a
-///   unique slot, so all events in one slot share a tick.
-/// * Far-heap events all lie beyond the window, so whenever the wheel is
-///   non-empty its minimum precedes the heap's minimum.
-struct Scheduler {
-    slots: Box<[Vec<Event>]>,
-    /// One bit per slot: set iff the slot is non-empty.
-    occ: [u64; OCC_WORDS],
-    /// Wheel cursor: current time >> [`TICK_SHIFT`].
-    tick: u64,
-    /// Events currently in the wheel.
-    len: usize,
-    /// Events beyond the wheel window, migrated in lazily by `advance`.
-    far: BinaryHeap<Reverse<Event>>,
-}
-
-impl Scheduler {
-    fn new() -> Scheduler {
-        Scheduler {
-            slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            occ: [0; OCC_WORDS],
-            tick: 0,
-            len: 0,
-            far: BinaryHeap::new(),
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, ev: Event) {
-        let t = ev.time >> TICK_SHIFT;
-        debug_assert!(t >= self.tick, "event scheduled in the past");
-        if t < self.tick + WHEEL_SLOTS as u64 {
-            self.push_wheel(ev, t);
-        } else {
-            self.far.push(Reverse(ev));
-        }
-    }
-
-    #[inline]
-    fn push_wheel(&mut self, ev: Event, tick: u64) {
-        let idx = (tick as usize) & WHEEL_MASK;
-        self.slots[idx].push(ev);
-        self.occ[idx / 64] |= 1u64 << (idx % 64);
-        self.len += 1;
-    }
-
-    /// Move the cursor forward to `now`'s tick and migrate far-heap
-    /// events that fall inside the new wheel window.
-    fn advance(&mut self, now: u64) {
-        let new_tick = now >> TICK_SHIFT;
-        if new_tick <= self.tick {
-            return;
-        }
-        self.tick = new_tick;
-        let horizon = new_tick + WHEEL_SLOTS as u64;
-        while self
-            .far
-            .peek()
-            .is_some_and(|Reverse(ev)| (ev.time >> TICK_SHIFT) < horizon)
-        {
-            let Reverse(ev) = self.far.pop().expect("peeked event is still queued");
-            let tick = ev.time >> TICK_SHIFT;
-            self.push_wheel(ev, tick);
-        }
-    }
-
-    /// Extract every event scheduled for exactly `now` into `out`, in
-    /// the order it was scheduled (sequence order).
-    fn pop_at(&mut self, now: u64, out: &mut Vec<Event>) {
-        self.advance(now);
-        out.clear();
-        let idx = ((now >> TICK_SHIFT) as usize) & WHEEL_MASK;
-        if self.occ[idx / 64] & (1u64 << (idx % 64)) == 0 {
-            return;
-        }
-        let slot = &mut self.slots[idx];
-        let mut i = 0;
-        while i < slot.len() {
-            if slot[i].time == now {
-                out.push(slot.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        self.len -= out.len();
-        if slot.is_empty() {
-            self.occ[idx / 64] &= !(1u64 << (idx % 64));
-        }
-        // swap_remove scrambles order, and heap→wheel migration can
-        // interleave batches; the global sequence number restores the
-        // exact scheduling order at this timestamp.
-        out.sort_unstable_by_key(|e| e.seq);
-    }
-
-    /// Total pending events (wheel + far horizon) — the occupancy the
-    /// kernel samples into the trace as a counter track.
-    fn pending_events(&self) -> usize {
-        self.len + self.far.len()
-    }
-
-    /// Time of the earliest pending event, if any.
-    fn next_time(&self) -> Option<u64> {
-        if self.len > 0 {
-            let idx = self
-                .first_occupied((self.tick as usize) & WHEEL_MASK)
-                .expect("wheel count positive but occupancy bitmap empty");
-            return self.slots[idx].iter().map(|e| e.time).min();
-        }
-        self.far.peek().map(|r| r.0.time)
-    }
-
-    /// First non-empty slot at or circularly after `start` (ascending
-    /// tick order, since the window maps ticks to slots injectively).
-    fn first_occupied(&self, start: usize) -> Option<usize> {
-        let sw = start / 64;
-        let sb = start % 64;
-        let w = self.occ[sw] & (!0u64 << sb);
-        if w != 0 {
-            return Some(sw * 64 + w.trailing_zeros() as usize);
-        }
-        for off in 1..OCC_WORDS {
-            let wi = (sw + off) & (OCC_WORDS - 1);
-            let w = self.occ[wi];
-            if w != 0 {
-                return Some(wi * 64 + w.trailing_zeros() as usize);
-            }
-        }
-        let w = self.occ[sw] & !(!0u64 << sb);
-        if w != 0 {
-            return Some(sw * 64 + w.trailing_zeros() as usize);
-        }
-        None
-    }
-}
-
 /// Mutable kernel state shared with evaluation contexts.
 pub(crate) struct SimCore {
     pub now: u64,
     /// Monotonic counter incremented once per delta application phase;
     /// used for edge detection.
     pub step: u64,
+    /// Global scheduling sequence number: it breaks ties between events
+    /// due at one time, and [`SimStats::events`] reads it.
     seq: u64,
     pub signals: Vec<SignalState>,
-    sched: Scheduler,
+    /// Pending events, earliest `(time, seq)` on top.
+    queue: BinaryHeap<Reverse<Event>>,
     /// Non-blocking writes accumulated during the current delta; only
     /// [`SimCore::push_write`] appends to it.
     pending: Vec<(SignalId, Lv)>,
@@ -318,12 +162,13 @@ pub(crate) struct SimCore {
 
 impl SimCore {
     fn schedule(&mut self, time: u64, kind: EventKind) {
+        debug_assert!(time >= self.now, "event scheduled in the past");
         self.seq += 1;
-        self.sched.push(Event {
+        self.queue.push(Reverse(Event {
             time,
             seq: self.seq,
             kind,
-        });
+        }));
     }
 
     pub fn schedule_drive(&mut self, time: u64, sig: SignalId, v: Lv) {
@@ -396,7 +241,8 @@ pub struct SimStats {
     pub time_points: u64,
     /// Total signal value changes.
     pub toggles: u64,
-    /// Total events scheduled (drives + wakeups).
+    /// Total events scheduled: kernel clock edges, drives (reset
+    /// releases, pokes, `set_after`) and wakeups.
     pub events: u64,
 }
 
@@ -416,8 +262,6 @@ pub struct Simulator {
     /// Reusable ready queue; membership tracked by `ready_gen` stamps.
     ready: Vec<CompId>,
     ready_gen: u64,
-    /// Reusable buffer for the event batch popped at one timestamp.
-    pop_scratch: Vec<Event>,
     profiler: Profiler,
     /// Mirror of the profiler's enabled flag, checked on the hot path.
     profiling: bool,
@@ -444,7 +288,7 @@ impl Simulator {
                 step: 1,
                 seq: 0,
                 signals: Vec::new(),
-                sched: Scheduler::new(),
+                queue: BinaryHeap::new(),
                 pending: Vec::new(),
                 messages: Vec::new(),
                 finish_requested: false,
@@ -457,7 +301,6 @@ impl Simulator {
             bodies: Vec::new(),
             ready: Vec::new(),
             ready_gen: 1,
-            pop_scratch: Vec::new(),
             profiler: Profiler::new(),
             profiling: false,
             vcd: None,
@@ -631,18 +474,6 @@ impl Simulator {
     /// this quantity).
     pub fn toggle_count(&self, s: SignalId) -> u64 {
         self.core.signals[s.0 as usize].toggles
-    }
-
-    /// Sum of toggle counts over all signals whose hierarchical name
-    /// starts with `prefix`.
-    ///
-    /// Legacy stringly lookup: it re-scans every signal name on each
-    /// call. Resolve once with [`Simulator::signals_with_prefix`] (or
-    /// `verif`'s typed `ActivityProbe`) and read through the handles
-    /// instead.
-    #[doc(hidden)]
-    pub fn toggle_count_prefix(&self, prefix: &str) -> u64 {
-        self.toggle_count_set(&self.signals_with_prefix(prefix))
     }
 
     /// Resolve the set of signals whose hierarchical name starts with
@@ -902,11 +733,15 @@ impl Simulator {
             if self.core.compiled.filtering && !self.core.compiled.doorbells.is_empty() {
                 self.core.compiled.service_doorbells();
             }
-            // Pop the batch of events scheduled for exactly `now`.
+            // Apply the events due at `now`, in scheduling order. None of
+            // them schedules another event for `now`: an edge's successor
+            // is half a period (>= 1 ps) later.
             let now = self.core.now;
-            let mut batch = std::mem::take(&mut self.pop_scratch);
-            self.core.sched.pop_at(now, &mut batch);
-            for &ev in batch.iter() {
+            while let Some(&Reverse(ev)) = self.core.queue.peek() {
+                if ev.time != now {
+                    break;
+                }
+                self.core.queue.pop();
                 match ev.kind {
                     EventKind::Drive(sig, v) => {
                         self.apply(sig, v);
@@ -929,7 +764,6 @@ impl Simulator {
                     }
                 }
             }
-            self.pop_scratch = batch;
             // A batch that wakes nobody is not a delta. Writes can be
             // pending with nobody ready only before the first eval: the
             // initial values of kernel clocks and resets.
@@ -974,8 +808,11 @@ impl Simulator {
     /// Run until `deadline` ps (inclusive of events at the deadline) or
     /// until a component calls `finish`. On return the current time is
     /// `deadline` (unless finished early), so testbench pokes issued
-    /// between run calls land when wall-of-code order suggests.
+    /// between run calls land when wall-of-code order suggests. Time
+    /// never moves backwards: a deadline before the current time is
+    /// clamped to it, so the call only settles the current time point.
     pub fn run_until(&mut self, deadline: u64) -> Result<(), KernelError> {
+        let deadline = deadline.max(self.core.now);
         self.init_components();
         let compiled_mode = self.core.compiled.mode.is_compiled();
         loop {
@@ -983,23 +820,19 @@ impl Simulator {
             if self.core.finish_requested {
                 return Ok(());
             }
-            let next = match self.core.sched.next_time() {
-                Some(t) => t,
+            let next = match self.core.queue.peek() {
+                Some(Reverse(ev)) => ev.time,
                 None => {
-                    let t = self.core.now.max(deadline);
-                    self.core.now = t;
-                    self.core.sched.advance(t);
+                    self.core.now = deadline;
                     return Ok(());
                 }
             };
             debug_assert!(next > self.core.now, "settle_now left same-time events");
             if next > deadline {
                 self.core.now = deadline;
-                self.core.sched.advance(deadline);
                 return Ok(());
             }
             self.core.now = next;
-            self.core.sched.advance(next);
             self.core.step += 1;
             self.stats.time_points += 1;
             if compiled_mode {
@@ -1014,7 +847,7 @@ impl Simulator {
             // identical runs sample at identical points).
             if self.core.trace.enabled && self.stats.time_points.is_multiple_of(SCHED_SAMPLE_PERIOD)
             {
-                let occ = self.core.sched.pending_events() as u64;
+                let occ = self.core.queue.len() as u64;
                 self.core.trace.push(
                     next,
                     TraceKind::Counter,
@@ -1158,71 +991,3 @@ impl fmt::Display for KernelError {
 }
 
 impl std::error::Error for KernelError {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ev(time: u64, seq: u64) -> Event {
-        Event {
-            time,
-            seq,
-            kind: EventKind::Wake(CompId(0)),
-        }
-    }
-
-    #[test]
-    fn wheel_orders_same_timestamp_by_sequence() {
-        let mut s = Scheduler::new();
-        for seq in [3u64, 1, 2] {
-            s.push(ev(500, seq));
-        }
-        let mut out = Vec::new();
-        s.pop_at(500, &mut out);
-        let seqs: Vec<u64> = out.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, [1, 2, 3]);
-        assert_eq!(s.next_time(), None);
-    }
-
-    #[test]
-    fn far_events_migrate_into_the_wheel() {
-        let mut s = Scheduler::new();
-        let far_time = (WHEEL_SLOTS as u64 + 10) << TICK_SHIFT;
-        s.push(ev(far_time, 1));
-        assert_eq!(s.len, 0, "beyond the window goes to the heap");
-        assert_eq!(s.next_time(), Some(far_time));
-        s.advance(far_time - 100);
-        assert_eq!(s.len, 1, "migrated once within the window");
-        let mut out = Vec::new();
-        s.pop_at(far_time, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(s.next_time(), None);
-    }
-
-    #[test]
-    fn next_time_scans_across_bitmap_words_and_wraps() {
-        let mut s = Scheduler::new();
-        // Advance so the cursor sits mid-wheel, then schedule an event
-        // whose slot index wraps below the cursor.
-        let base = (WHEEL_SLOTS as u64 / 2) << TICK_SHIFT;
-        s.advance(base);
-        let wrapped = ((WHEEL_SLOTS as u64 / 2) + WHEEL_SLOTS as u64 - 3) << TICK_SHIFT;
-        s.push(ev(wrapped, 1));
-        assert_eq!(s.next_time(), Some(wrapped));
-        let near = base + 2048;
-        s.push(ev(near, 2));
-        assert_eq!(s.next_time(), Some(near));
-    }
-
-    #[test]
-    fn pop_at_leaves_later_events_in_the_same_slot() {
-        let mut s = Scheduler::new();
-        // Same tick (0), two different times within it.
-        s.push(ev(100, 1));
-        s.push(ev(900, 2));
-        let mut out = Vec::new();
-        s.pop_at(100, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(s.next_time(), Some(900));
-    }
-}

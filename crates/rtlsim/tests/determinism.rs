@@ -1,16 +1,82 @@
-//! Determinism guarantees of the two-level scheduler.
+//! Determinism guarantees of the event queue.
 //!
-//! The timing-wheel rewrite must preserve the old single-heap kernel's
-//! ordering contract bit-for-bit: events at the same timestamp apply in
-//! the order they were scheduled (FIFO by global sequence number), even
-//! when some of them migrate from the far-horizon heap into the wheel,
-//! and the delta-limit oscillation detector still fires at
-//! [`DELTA_LIMIT`]. Table/VCD byte-identity across the rewrite rests on
-//! these properties.
+//! Events apply in `(time, sequence)` order: earliest first, and events
+//! due at one time point in the order they were scheduled (FIFO by
+//! global sequence number), however far ahead each was scheduled and
+//! however the run is cut into `run_until` calls. The delta-limit
+//! oscillation detector fires at [`DELTA_LIMIT`]. Table and VCD byte
+//! identity rest on these properties.
 
+use proptest::prelude::*;
 use rtlsim::{CompKind, Ctx, KernelError, Lv, Simulator, DELTA_LIMIT};
 use std::cell::RefCell;
 use std::rc::Rc;
+
+/// Grid step of the queue property's delays and clock edges.
+const GRID: u64 = 50_000;
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64 })]
+
+    /// One driver schedules `set_after(s_e, 1, delays[e])` for every
+    /// event `e` in its initial eval, and each `s_e` has its own
+    /// listener logging `(now, e)` on the rise. Delays sit on a coarse
+    /// grid up to 3.2 µs, so many events share a time point, next to a
+    /// kernel clock whose edges fall on the same grid. Whatever
+    /// `run_until` chunks the run is cut into, each call ends at its
+    /// deadline and the log is the events sorted by `(delay, e)`.
+    #[test]
+    fn events_apply_in_time_then_scheduling_order(
+        steps in prop::collection::vec(0u64..=64, 1..=48),
+        half_steps in 1u64..=4,
+        cuts in prop::collection::vec(1u64..=800_000, 0..=12),
+    ) {
+        let delays: Vec<u64> = steps.iter().map(|k| k * GRID).collect();
+        let mut sim = Simulator::new();
+        let clk = sim.signal("clk", 1);
+        sim.add_clock(clk, 2 * half_steps * GRID);
+        let log: Rc<RefCell<Vec<(u64, usize)>>> = Rc::new(RefCell::new(Vec::new()));
+        let sigs: Vec<_> = (0..delays.len())
+            .map(|e| sim.signal_init(format!("s{e}"), 1, 0))
+            .collect();
+        for (e, &s) in sigs.iter().enumerate() {
+            let sink = log.clone();
+            sim.add_component(
+                format!("l{e}"),
+                CompKind::Vip,
+                Box::new(move |ctx: &mut Ctx<'_>| {
+                    if ctx.rose(s) {
+                        sink.borrow_mut().push((ctx.now(), e));
+                    }
+                }),
+                &[s],
+            );
+        }
+        let schedule: Vec<_> = sigs.iter().copied().zip(delays.iter().copied()).collect();
+        sim.add_component(
+            "driver",
+            CompKind::Vip,
+            Box::new(move |ctx: &mut Ctx<'_>| {
+                for &(s, d) in &schedule {
+                    ctx.set_after(s, Lv::bit(true), d);
+                }
+            }),
+            &[],
+        );
+        let mut deadline = 0;
+        for cut in cuts {
+            deadline += cut;
+            sim.run_until(deadline).unwrap();
+            prop_assert_eq!(sim.now(), deadline);
+        }
+        let end = deadline.max(64 * GRID);
+        sim.run_until(end).unwrap();
+        prop_assert_eq!(sim.now(), end);
+        let mut want: Vec<(u64, usize)> = delays.iter().copied().zip(0..).collect();
+        want.sort_unstable();
+        prop_assert_eq!(log.borrow().clone(), want);
+    }
+}
 
 /// Register components that log their id when woken; wake them all at
 /// one timestamp in a scrambled registration order and check the batch
@@ -46,8 +112,7 @@ fn same_timestamp_wakes_apply_in_scheduling_order() {
     assert_eq!(got, (0..n).collect::<Vec<_>>());
 }
 
-/// Same-timestamp drives to one signal: the last scheduled write wins,
-/// exactly as with the old heap kernel.
+/// Same-timestamp drives to one signal: the last scheduled write wins.
 #[test]
 fn same_timestamp_drives_apply_last_writer_wins() {
     let mut sim = Simulator::new();
@@ -79,16 +144,13 @@ fn same_timestamp_drives_apply_last_writer_wins() {
     assert_eq!(changes.borrow().clone(), vec![13]);
 }
 
-/// Far-horizon events (scheduled beyond the wheel window, through the
-/// heap) and near events scheduled later directly into the wheel land
-/// in one batch at the same timestamp — and still apply in global
-/// scheduling order.
+/// A wake scheduled 10 µs ahead and a wake scheduled later from close
+/// range meet at one instant, and still apply in global scheduling
+/// order: the far one first.
 #[test]
-fn heap_migration_preserves_same_timestamp_fifo() {
+fn far_and_near_wakes_at_one_instant_apply_in_scheduling_order() {
     let mut sim = Simulator::new();
     let log: Rc<RefCell<Vec<&'static str>>> = Rc::new(RefCell::new(Vec::new()));
-    // The wheel spans ~1 µs; 10 µs is safely beyond it, so this wake
-    // enters the far heap first.
     let t_meet = 10_000_000u64;
     {
         let log = log.clone();
@@ -109,8 +171,8 @@ fn heap_migration_preserves_same_timestamp_fifo() {
     }
     {
         // This component re-arms a short wake chain and schedules its
-        // final wake for the same instant from close range — the event
-        // goes straight into the wheel with a *later* sequence number.
+        // final wake for the same instant from close range, with a
+        // *later* sequence number.
         let log = log.clone();
         let mut stage = 0u32;
         sim.add_component(
@@ -131,7 +193,7 @@ fn heap_migration_preserves_same_timestamp_fifo() {
     assert_eq!(
         log.borrow().clone(),
         vec!["far_first", "near_second"],
-        "heap-migrated event must keep its earlier sequence number"
+        "the far wake must keep its earlier sequence number"
     );
 }
 
