@@ -63,11 +63,11 @@ fn main() {
     );
     let st = &report.stats;
     println!(
-        "executor: {} scenarios in {:.2} s ({:.1}/s), {} steals, artifact cache {}/{} hits",
+        "executor: {} scenarios in {:.2} s ({:.1}/s), {} workers, artifact cache {}/{} hits",
         st.scenarios,
         st.wall_s,
         st.scenarios_per_sec(),
-        st.steals(),
+        st.workers.len(),
         st.artifact_hits,
         st.artifact_hits + st.artifact_misses
     );

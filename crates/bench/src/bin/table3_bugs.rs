@@ -42,11 +42,11 @@ fn main() {
     }
     let s = &report.stats;
     println!(
-        "\nexecutor: {} scenarios in {:.2} s ({:.1}/s), {} steals, artifact cache {}/{} hits",
+        "\nexecutor: {} scenarios in {:.2} s ({:.1}/s), {} workers, artifact cache {}/{} hits",
         s.scenarios,
         s.wall_s,
         s.scenarios_per_sec(),
-        s.steals(),
+        s.workers.len(),
         s.artifact_hits,
         s.artifact_hits + s.artifact_misses
     );

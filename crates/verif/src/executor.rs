@@ -1,30 +1,28 @@
-//! The campaign execution plane: a work-stealing scenario pool behind
+//! The campaign execution plane: one claim-cursor scenario pool behind
 //! one unified [`Scenario`] / [`Campaign`] API.
 //!
-//! The matrix (`Table III`) and the recovery campaign used to hand-roll
-//! their own `i % threads` round-robin fan-outs, so one slow scenario —
-//! a hung run burning its whole cycle budget — stalled its shard while
-//! other workers sat idle. This module replaces both with a single
-//! executor:
+//! Every campaign hands the pool a short list of coarse jobs (6–47
+//! scenarios, each building and running a whole system) on a few
+//! worker threads, so the pool is one mutex and one condvar:
 //!
-//! * **per-worker deques + a global injector** — workers drain their own
-//!   deque front-to-back, refill from the injector in chunks, and when
-//!   both run dry steal a chunk from the front of the fullest peer;
+//! * **one claim cursor** — a worker claims the lowest unclaimed index,
+//!   runs it outside the lock, and stores the result; scenarios start
+//!   in submission order and no worker sits idle while one is left;
 //! * **deterministic aggregation** — results are keyed by scenario
 //!   index and delivered in submission order, so the report is
-//!   byte-identical for any thread count or steal schedule (each
-//!   scenario builds its own single-threaded simulator; nothing leaks
-//!   between runs);
+//!   byte-identical for any thread count (each scenario builds its own
+//!   single-threaded simulator; nothing leaks between runs);
 //! * **bounded in-flight memory** — a scenario *budget* caps how far
-//!   past the oldest incomplete scenario the pool may run, which bounds
-//!   the reorder buffer a streaming consumer needs to `O(budget)` rows;
+//!   past the oldest undelivered scenario the cursor may claim, which
+//!   bounds the reorder buffer a streaming consumer needs to
+//!   `O(budget)` rows;
 //! * **shared setup artifacts** — one [`ArtifactCache`] serves every
 //!   worker, so N scenarios stop re-deriving identical SimB word
 //!   streams, software images and golden predictions;
 //! * **panic isolation** — a scenario that panics becomes a
 //!   [`ScenarioOutcome::Failed`] row; the pool keeps draining instead of
 //!   aborting the whole campaign;
-//! * **observability** — per-worker counters (steals, refills, idle
+//! * **observability** — per-worker counters (executed, admission-window
 //!   waits, busy/idle time, a log₂ run-time histogram) plus optional
 //!   per-scenario spans, foldable into an [`obs::MetricsRegistry`].
 //!
@@ -41,10 +39,9 @@ use crate::recovery::{self, RunClass};
 use autovision::{ArtifactCache, AvSystem, Bug, RecoveryPolicy, RunOutcome, SystemConfig};
 use obs::{Histogram, MetricsRegistry};
 use rtlsim::CompiledStats;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 // ---------------------------------------------------------------------
 // Scenario and per-run context
@@ -261,7 +258,7 @@ pub struct CampaignRow {
 #[derive(Debug)]
 pub struct CampaignReport {
     /// One row per scenario, in submission order. Byte-identical for
-    /// any thread count or steal schedule.
+    /// any thread count and scenario budget.
     pub rows: Vec<CampaignRow>,
     /// Wall-clock/scheduling statistics of the run that produced the
     /// rows. Excluded from [`CampaignReport::digest`].
@@ -271,7 +268,7 @@ pub struct CampaignReport {
 impl CampaignReport {
     /// A deterministic, line-per-row rendering of the report's rows —
     /// the thing the determinism suite compares byte-for-byte across
-    /// thread counts and steal schedules.
+    /// thread counts and scenario budgets.
     pub fn digest(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("campaign rows: {}\n", self.rows.len()));
@@ -343,30 +340,16 @@ impl CampaignReport {
 // Pool options and statistics
 // ---------------------------------------------------------------------
 
-/// How scenarios are placed and balanced across workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Schedule {
-    /// The default: scenarios enter a global injector; workers refill
-    /// their deque in chunks and steal from peers when idle.
-    WorkStealing,
-    /// Every scenario is preloaded onto worker 0's deque, so all other
-    /// workers must steal everything they run. A pathological schedule
-    /// kept for the determinism suite.
-    ForceSteal,
-}
-
 /// Executor tuning knobs (the scenario list and base configuration live
 /// on [`Campaign`]).
 #[derive(Debug, Clone, Copy)]
 pub struct PoolOptions {
     /// Worker threads (minimum 1).
     pub threads: usize,
-    /// Scenario budget: the pool never runs a scenario more than this
-    /// many positions past the oldest incomplete one, bounding the
+    /// Scenario budget: the pool never claims a scenario this many or
+    /// more positions past the oldest undelivered one, bounding the
     /// reorder buffer. `0` means `4 × threads`.
     pub scenario_budget: usize,
-    /// Placement/balancing policy.
-    pub schedule: Schedule,
     /// Record one span per scenario into [`ExecutorStats::spans`].
     pub spans: bool,
 }
@@ -376,7 +359,6 @@ impl Default for PoolOptions {
         PoolOptions {
             threads: 1,
             scenario_budget: 0,
-            schedule: Schedule::WorkStealing,
             spans: false,
         }
     }
@@ -387,17 +369,12 @@ impl Default for PoolOptions {
 pub struct WorkerStats {
     /// Scenarios this worker executed.
     pub executed: u64,
-    /// Successful steal operations (chunks taken from a peer).
-    pub steals: u64,
-    /// Scenarios acquired by stealing (including rescue singles).
-    pub stolen: u64,
-    /// Injector refills.
-    pub refills: u64,
-    /// Idle waits (no admissible work anywhere at that moment).
+    /// Waits for the admission window (the next index was unclaimed
+    /// but a full budget past the oldest undelivered one).
     pub idle_waits: u64,
     /// Nanoseconds spent executing scenarios.
     pub busy_ns: u64,
-    /// Nanoseconds spent idle-waiting.
+    /// Nanoseconds spent waiting for the admission window.
     pub idle_ns: u64,
     /// log₂ histogram of per-scenario run times, in nanoseconds.
     pub run_ns: Histogram,
@@ -410,7 +387,8 @@ pub struct ScenarioSpan {
     pub index: usize,
     /// Worker that ran it.
     pub worker: usize,
-    /// Start offset, ns.
+    /// Start offset, ns, stamped when the index was claimed; spans
+    /// sorted by index start in non-decreasing order.
     pub start_ns: u64,
     /// Duration, ns.
     pub dur_ns: u64,
@@ -446,14 +424,11 @@ pub struct ExecutorStats {
 }
 
 impl ExecutorStats {
-    /// Total successful steals across workers.
+    /// Always 0: every worker claims from one cursor, and no job moves
+    /// between workers. Kept only for the benchmark's `executor.steals`
+    /// row.
     pub fn steals(&self) -> u64 {
-        self.workers.iter().map(|w| w.steals).sum()
-    }
-
-    /// Total injector refills across workers.
-    pub fn refills(&self) -> u64 {
-        self.workers.iter().map(|w| w.refills).sum()
+        0
     }
 
     /// Total idle nanoseconds across workers.
@@ -480,26 +455,23 @@ impl ExecutorStats {
     }
 
     /// Fold the statistics into a metrics registry under `campaign.*`
-    /// and `compiled.*`. Every `compiled.*` key is written (zeros for an
-    /// event-driven campaign), so in a long-lived registry they are the
-    /// last campaign's.
+    /// and `compiled.*`. The key set is the same for every campaign
+    /// (worker counters are summed, zeros for an event-driven
+    /// campaign's `compiled.*`), so in a long-lived registry every
+    /// counter and gauge is the last campaign's. The `campaign.run_ns`
+    /// histogram is the exception: it adds up across campaigns.
     pub fn record(&self, reg: &mut MetricsRegistry) {
+        let sum = |f: fn(&WorkerStats) -> u64| self.workers.iter().map(f).sum::<u64>();
         reg.counter("campaign.scenarios", self.scenarios as u64);
-        reg.counter("campaign.steals", self.steals());
-        reg.counter("campaign.refills", self.refills());
+        reg.counter("campaign.workers", self.workers.len() as u64);
+        reg.counter("campaign.busy_ns", sum(|w| w.busy_ns));
+        reg.counter("campaign.idle_ns", self.idle_ns());
+        reg.counter("campaign.idle_waits", sum(|w| w.idle_waits));
         reg.counter("campaign.max_reorder_depth", self.max_reorder_depth as u64);
         reg.counter("campaign.artifact_cache.hits", self.artifact_hits);
         reg.counter("campaign.artifact_cache.misses", self.artifact_misses);
         reg.gauge("campaign.wall_s", self.wall_s);
         reg.gauge("campaign.scenarios_per_sec", self.scenarios_per_sec());
-        for (i, w) in self.workers.iter().enumerate() {
-            reg.counter(&format!("campaign.worker{i}.executed"), w.executed);
-            reg.counter(&format!("campaign.worker{i}.steals"), w.steals);
-            reg.counter(&format!("campaign.worker{i}.stolen"), w.stolen);
-            reg.counter(&format!("campaign.worker{i}.idle_waits"), w.idle_waits);
-            reg.counter(&format!("campaign.worker{i}.busy_ns"), w.busy_ns);
-            reg.counter(&format!("campaign.worker{i}.idle_ns"), w.idle_ns);
-        }
         reg.merge_histogram("campaign.run_ns", &self.run_ns_histogram());
         reg.counter("compiled.plans", self.compiled_plans);
         obs::record_compiled_stats(reg, &self.compiled);
@@ -507,172 +479,47 @@ impl ExecutorStats {
 }
 
 // ---------------------------------------------------------------------
-// The work-stealing pool
+// The claim-cursor pool
 // ---------------------------------------------------------------------
 
-struct Reorder<R, S: FnMut(usize, R)> {
-    slots: Vec<Option<R>>,
+/// The pool's whole shared state, behind its one mutex.
+struct Cursor<R, S> {
+    /// The lowest unclaimed index.
     next: usize,
+    /// Every index below this one has reached the sink.
+    delivered: usize,
+    /// Finished results waiting for an earlier index, by index.
+    slots: Vec<Option<R>>,
+    /// Results held in `slots` now, and the most ever held.
     buffered: usize,
     max_depth: usize,
     sink: S,
 }
 
-struct Shared<R, S: FnMut(usize, R)> {
-    injector: Mutex<VecDeque<usize>>,
-    deques: Vec<Mutex<VecDeque<usize>>>,
-    /// Mirrors `Reorder::next` for lock-free admission checks.
-    prefix: AtomicUsize,
-    completed: AtomicUsize,
-    reorder: Mutex<Reorder<R, S>>,
-    /// Workers with no admissible work park here instead of spin-
-    /// yielding (spinning would starve the busy workers of CPU on
-    /// oversubscribed hosts). Notified on every completion.
-    park: Mutex<()>,
-    wake: Condvar,
-    jobs: usize,
-    budget: usize,
-}
-
-impl<R, S: FnMut(usize, R)> Shared<R, S> {
-    fn window_end(&self) -> usize {
-        self.prefix
-            .load(Ordering::Acquire)
-            .saturating_add(self.budget)
-    }
-
-    fn complete(&self, index: usize, result: R) {
-        let mut ro = self.reorder.lock().expect("reorder lock poisoned");
-        ro.slots[index] = Some(result);
-        ro.buffered += 1;
-        if ro.buffered > ro.max_depth {
-            ro.max_depth = ro.buffered;
+impl<R, S: FnMut(usize, R)> Cursor<R, S> {
+    /// Store `index`'s result and release the in-order prefix to the
+    /// sink. Returns whether the prefix moved.
+    fn complete(&mut self, index: usize, result: R) -> bool {
+        self.slots[index] = Some(result);
+        self.buffered += 1;
+        self.max_depth = self.max_depth.max(self.buffered);
+        let from = self.delivered;
+        while let Some(r) = self.slots.get_mut(self.delivered).and_then(Option::take) {
+            (self.sink)(self.delivered, r);
+            self.delivered += 1;
+            self.buffered -= 1;
         }
-        while ro.next < self.jobs {
-            let i = ro.next;
-            let Some(v) = ro.slots[i].take() else {
-                break;
-            };
-            (ro.sink)(i, v);
-            ro.next += 1;
-            ro.buffered -= 1;
-        }
-        self.prefix.store(ro.next, Ordering::Release);
-        drop(ro);
-        self.completed.fetch_add(1, Ordering::AcqRel);
-        // Lock-then-notify so a worker that checked the counters and is
-        // about to wait cannot miss this wakeup.
-        drop(self.park.lock().expect("park lock poisoned"));
-        self.wake.notify_all();
-    }
-
-    /// Pop this worker's own front job if it is inside the admission
-    /// window.
-    fn pop_local(&self, w: usize) -> Option<usize> {
-        let mut d = self.deques[w].lock().expect("deque lock poisoned");
-        match d.front() {
-            Some(&f) if f < self.window_end() => d.pop_front(),
-            _ => None,
-        }
-    }
-
-    fn local_is_empty(&self, w: usize) -> bool {
-        self.deques[w]
-            .lock()
-            .expect("deque lock poisoned")
-            .is_empty()
-    }
-
-    /// Move a chunk from the injector onto worker `w`'s (empty) deque.
-    fn refill(&self, w: usize) -> bool {
-        let grabbed: Vec<usize> = {
-            let mut inj = self.injector.lock().expect("injector lock poisoned");
-            if inj.is_empty() {
-                return false;
-            }
-            let n = chunk_of(inj.len());
-            inj.drain(..n).collect()
-        };
-        let mut d = self.deques[w].lock().expect("deque lock poisoned");
-        d.extend(grabbed);
-        true
-    }
-
-    /// Steal a chunk from the front of the fullest peer onto worker
-    /// `w`'s (empty) deque. Returns how many jobs moved.
-    fn steal(&self, w: usize) -> usize {
-        // Pick the fullest victim without holding two locks at once.
-        let mut victim = None;
-        let mut best = 0usize;
-        for (v, dq) in self.deques.iter().enumerate() {
-            if v == w {
-                continue;
-            }
-            let len = dq.lock().expect("deque lock poisoned").len();
-            if len > best {
-                best = len;
-                victim = Some(v);
-            }
-        }
-        let Some(v) = victim else { return 0 };
-        let grabbed: Vec<usize> = {
-            let mut dq = self.deques[v].lock().expect("deque lock poisoned");
-            if dq.is_empty() {
-                return 0;
-            }
-            let n = chunk_of(dq.len());
-            dq.drain(..n).collect()
-        };
-        let n = grabbed.len();
-        let mut d = self.deques[w].lock().expect("deque lock poisoned");
-        d.extend(grabbed);
-        n
-    }
-
-    /// Pop the globally smallest queued job if admissible — the rescue
-    /// path that keeps the admission window live when every worker's
-    /// own front is blocked. Deques only ever grow while empty, so each
-    /// front is that deque's minimum.
-    fn rescue(&self) -> Option<usize> {
-        let window = self.window_end();
-        // Injector front first (it holds the globally un-dealt tail).
-        {
-            let mut inj = self.injector.lock().expect("injector lock poisoned");
-            if let Some(&f) = inj.front() {
-                if f < window {
-                    return inj.pop_front();
-                }
-            }
-        }
-        let mut best: Option<(usize, usize)> = None; // (front, deque)
-        for (v, dq) in self.deques.iter().enumerate() {
-            if let Some(&f) = dq.lock().expect("deque lock poisoned").front() {
-                if best.map(|(b, _)| f < b).unwrap_or(true) {
-                    best = Some((f, v));
-                }
-            }
-        }
-        let (f, v) = best?;
-        if f >= window {
-            return None;
-        }
-        let mut dq = self.deques[v].lock().expect("deque lock poisoned");
-        // Re-check under the lock; the front may have moved.
-        match dq.front() {
-            Some(&g) if g == f => dq.pop_front(),
-            _ => None,
-        }
+        self.delivered > from
     }
 }
 
-/// Jobs moved per injector refill or steal: half the source, capped at
-/// 8.
-fn chunk_of(len: usize) -> usize {
-    len.div_ceil(2).clamp(1, 8)
-}
-
+/// One worker: claim the lowest unclaimed index once it is inside the
+/// admission window, run it outside the lock, complete it; return when
+/// nothing is left to claim.
 fn worker_loop<R, S, F>(
-    shared: &Shared<R, S>,
+    cursor: &Mutex<Cursor<R, S>>,
+    moved: &Condvar,
+    budget: usize,
     w: usize,
     run: &F,
     record_spans: bool,
@@ -684,66 +531,39 @@ where
 {
     let mut stats = WorkerStats::default();
     let mut spans = Vec::new();
-    loop {
-        let mut acquired = shared.pop_local(w);
-        if acquired.is_none() && shared.local_is_empty(w) {
-            if shared.refill(w) {
-                stats.refills += 1;
-                acquired = shared.pop_local(w);
-            } else {
-                let n = shared.steal(w);
-                if n > 0 {
-                    stats.steals += 1;
-                    stats.stolen += n as u64;
-                    acquired = shared.pop_local(w);
-                }
-            }
+    let mut c = cursor.lock().expect("pool lock poisoned");
+    while c.next < c.slots.len() {
+        // `delivered <= next` always, and the subtraction (unlike
+        // `delivered + budget`) cannot overflow for any budget.
+        if c.next - c.delivered >= budget {
+            // The index that holds the window back is running on
+            // another worker; its completion moves the prefix.
+            stats.idle_waits += 1;
+            let t = Instant::now();
+            c = moved.wait(c).expect("pool lock poisoned");
+            stats.idle_ns += t.elapsed().as_nanos() as u64;
+            continue;
         }
-        if acquired.is_none() {
-            // Own front blocked by the admission window (or someone
-            // stole the refill): run the globally smallest queued job.
-            if let Some(j) = shared.rescue() {
-                stats.stolen += 1;
-                acquired = Some(j);
-            }
+        let j = c.next;
+        c.next += 1;
+        let start = Instant::now();
+        drop(c);
+        let r = run(j);
+        let dur = start.elapsed().as_nanos() as u64;
+        stats.executed += 1;
+        stats.busy_ns += dur;
+        stats.run_ns.observe(dur);
+        if record_spans {
+            spans.push(ScenarioSpan {
+                index: j,
+                worker: w,
+                start_ns: start.duration_since(t0).as_nanos() as u64,
+                dur_ns: dur,
+            });
         }
-        match acquired {
-            Some(j) => {
-                let start = Instant::now();
-                let r = run(j);
-                let dur = start.elapsed();
-                stats.executed += 1;
-                stats.busy_ns += dur.as_nanos() as u64;
-                stats.run_ns.observe(dur.as_nanos() as u64);
-                if record_spans {
-                    spans.push(ScenarioSpan {
-                        index: j,
-                        worker: w,
-                        start_ns: start.duration_since(t0).as_nanos() as u64,
-                        dur_ns: dur.as_nanos() as u64,
-                    });
-                }
-                shared.complete(j, r);
-            }
-            None => {
-                stats.idle_waits += 1;
-                let t = Instant::now();
-                let guard = shared.park.lock().expect("park lock poisoned");
-                if shared.completed.load(Ordering::Acquire) >= shared.jobs {
-                    break;
-                }
-                // Admissibility only changes when a job completes, so a
-                // completion notify is the wake signal; the timeout
-                // bounds the cost of any lost race with a steal.
-                let _ = shared
-                    .wake
-                    .wait_timeout(guard, Duration::from_millis(2))
-                    .expect("park lock poisoned");
-                stats.idle_ns += t.elapsed().as_nanos() as u64;
-                if shared.completed.load(Ordering::Acquire) >= shared.jobs {
-                    break;
-                }
-            }
+        c = cursor.lock().expect("pool lock poisoned");
+        if c.complete(j, r) {
+            moved.notify_all();
         }
     }
     (stats, spans)
@@ -752,8 +572,9 @@ where
 /// Run `jobs` indexed jobs through the pool, delivering `(index,
 /// result)` pairs to `sink` in strict submission order, and return the
 /// run's statistics. The scheduling layer under [`Campaign`]; exposed
-/// so schedule-independence can be property-tested with synthetic
-/// workloads.
+/// so thread-count independence can be property-tested with synthetic
+/// workloads. `run` must not panic ([`run_scenario`] catches scenario
+/// panics); the sink runs under the pool lock.
 pub fn execute_streaming<R, F, S>(jobs: usize, opts: &PoolOptions, run: F, sink: S) -> ExecutorStats
 where
     R: Send,
@@ -766,36 +587,21 @@ where
     } else {
         opts.scenario_budget
     };
-    let mut injector = VecDeque::new();
-    let mut deques: Vec<VecDeque<usize>> = (0..threads).map(|_| VecDeque::new()).collect();
-    match opts.schedule {
-        Schedule::WorkStealing => injector.extend(0..jobs),
-        Schedule::ForceSteal => deques[0].extend(0..jobs),
-    }
-    let shared = Shared {
-        injector: Mutex::new(injector),
-        deques: deques.into_iter().map(Mutex::new).collect(),
-        prefix: AtomicUsize::new(0),
-        completed: AtomicUsize::new(0),
-        reorder: Mutex::new(Reorder {
-            slots: (0..jobs).map(|_| None).collect(),
-            next: 0,
-            buffered: 0,
-            max_depth: 0,
-            sink,
-        }),
-        park: Mutex::new(()),
-        wake: Condvar::new(),
-        jobs,
-        budget,
-    };
+    let cursor = Mutex::new(Cursor {
+        next: 0,
+        delivered: 0,
+        slots: (0..jobs).map(|_| None).collect(),
+        buffered: 0,
+        max_depth: 0,
+        sink,
+    });
+    let moved = Condvar::new();
     let t0 = Instant::now();
     let per_worker: Vec<(WorkerStats, Vec<ScenarioSpan>)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|w| {
-                let shared = &shared;
-                let run = &run;
-                s.spawn(move || worker_loop(shared, w, run, opts.spans, t0))
+                let (cursor, moved, run) = (&cursor, &moved, &run);
+                s.spawn(move || worker_loop(cursor, moved, budget, w, run, opts.spans, t0))
             })
             .collect();
         handles
@@ -804,8 +610,8 @@ where
             .collect()
     });
     let wall_s = t0.elapsed().as_secs_f64();
-    let ro = shared.reorder.into_inner().expect("reorder lock poisoned");
-    debug_assert_eq!(ro.next, jobs, "pool finished with undelivered rows");
+    let c = cursor.into_inner().expect("pool lock poisoned");
+    debug_assert_eq!(c.delivered, jobs, "pool finished with undelivered rows");
     let mut workers = Vec::with_capacity(threads);
     let mut spans = Vec::new();
     for (ws, sp) in per_worker {
@@ -817,7 +623,7 @@ where
         wall_s,
         scenarios: jobs,
         workers,
-        max_reorder_depth: ro.max_depth,
+        max_reorder_depth: c.max_depth,
         spans,
         ..Default::default()
     }
@@ -850,8 +656,6 @@ pub struct CampaignOptions {
     pub budget_cycles: u64,
     /// Scenario budget; see [`PoolOptions::scenario_budget`].
     pub scenario_budget: usize,
-    /// Placement/balancing policy.
-    pub schedule: Schedule,
     /// Record per-scenario spans into the report's stats.
     pub spans: bool,
 }
@@ -865,7 +669,6 @@ impl Default for CampaignOptions {
             seed: 0xFA_17,
             budget_cycles: 400_000,
             scenario_budget: 0,
-            schedule: Schedule::WorkStealing,
             spans: false,
         }
     }
@@ -922,12 +725,6 @@ impl CampaignBuilder {
     /// Scenario budget (bounded in-flight window).
     pub fn scenario_budget(mut self, scenario_budget: usize) -> Self {
         self.opts.scenario_budget = scenario_budget;
-        self
-    }
-
-    /// Placement/balancing policy.
-    pub fn schedule(mut self, schedule: Schedule) -> Self {
-        self.opts.schedule = schedule;
         self
     }
 
@@ -1002,7 +799,7 @@ impl CampaignBuilder {
 }
 
 /// A fully planned scenario campaign: a scenario list over one base
-/// configuration, executed by the work-stealing pool.
+/// configuration, executed by the claim-cursor pool.
 #[derive(Debug, Clone)]
 pub struct Campaign {
     base: SystemConfig,
@@ -1076,7 +873,6 @@ impl Campaign {
         let pool = PoolOptions {
             threads: self.opts.threads,
             scenario_budget: self.opts.scenario_budget,
-            schedule: self.opts.schedule,
             spans: self.opts.spans,
         };
         let ctx = ScenarioCtx::new(&self.base, self.opts.budget_cycles, artifacts);
@@ -1146,41 +942,72 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
 
-    fn opts(threads: usize, schedule: Schedule) -> PoolOptions {
+    fn opts(threads: usize) -> PoolOptions {
         PoolOptions {
             threads,
-            schedule,
             ..Default::default()
         }
     }
 
     #[test]
     fn pool_delivers_results_in_submission_order() {
-        for schedule in [Schedule::WorkStealing, Schedule::ForceSteal] {
-            for threads in [1, 2, 4] {
-                let (out, stats) = execute(37, &opts(threads, schedule), |i| i * 10);
-                assert_eq!(out, (0..37).map(|i| i * 10).collect::<Vec<_>>());
-                assert_eq!(stats.scenarios, 37);
-                assert_eq!(
-                    stats.workers.iter().map(|w| w.executed).sum::<u64>(),
-                    37,
-                    "{schedule:?} @ {threads}"
-                );
-            }
+        for threads in [1, 2, 4] {
+            let (out, stats) = execute(37, &opts(threads), |i| i * 10);
+            assert_eq!(out, (0..37).map(|i| i * 10).collect::<Vec<_>>());
+            assert_eq!(stats.scenarios, 37);
+            assert_eq!(stats.workers.len(), threads);
+            assert_eq!(
+                stats.workers.iter().map(|w| w.executed).sum::<u64>(),
+                37,
+                "{threads} threads"
+            );
         }
     }
 
     #[test]
-    fn force_steal_makes_other_workers_steal() {
-        let (out, stats) = execute(64, &opts(4, Schedule::ForceSteal), |i| i);
-        assert_eq!(out.len(), 64);
+    fn scenarios_start_in_submission_order() {
+        let o = PoolOptions {
+            threads: 3,
+            scenario_budget: 64,
+            spans: true,
+        };
+        // Job 0 is slow, so the other workers race ahead past it.
+        let (_, stats) = execute(24, &o, |i| {
+            if i == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+            }
+            i
+        });
+        let starts: Vec<u64> = stats.spans.iter().map(|s| s.start_ns).collect();
         assert!(
-            stats.steals() > 0 || stats.workers[0].executed == 64,
-            "either someone stole or worker 0 ran everything: {stats:?}"
+            starts.windows(2).all(|w| w[0] <= w[1]),
+            "spans sorted by index start out of order: {:?}",
+            stats.spans
         );
-        // With 64 jobs and any real interleaving the thieves get work.
-        let others: u64 = stats.workers[1..].iter().map(|w| w.executed).sum();
-        assert_eq!(stats.workers[0].executed + others, 64);
+    }
+
+    #[test]
+    fn record_writes_one_key_set_for_any_worker_count() {
+        // A long-lived registry (the daemon's) sees a 3-worker campaign,
+        // then a 1-worker one: no key of the first may outlive it.
+        let mut reg = MetricsRegistry::new();
+        for threads in [3, 1] {
+            let (_, stats) = execute(6, &opts(threads), |i| i);
+            stats.record(&mut reg);
+        }
+        let snap = reg.snapshot_json();
+        let per_worker = snap
+            .split("\"campaign.worker")
+            .skip(1)
+            .any(|rest| rest.starts_with(|c: char| c.is_ascii_digit()));
+        assert!(!per_worker, "per-worker keys in {snap}");
+        assert_eq!(reg.get_counter("campaign.workers"), 1);
+        assert_eq!(reg.get_counter("campaign.scenarios"), 6);
+        assert_eq!(
+            reg.get_histogram("campaign.run_ns").map(|h| h.count),
+            Some(12),
+            "the run-time histogram adds up across campaigns"
+        );
     }
 
     #[test]
@@ -1221,7 +1048,7 @@ mod tests {
 
     #[test]
     fn zero_jobs_is_a_no_op() {
-        let (out, stats) = execute(0, &opts(2, Schedule::WorkStealing), |i| i);
+        let (out, stats) = execute(0, &opts(2), |i| i);
         assert!(out.is_empty());
         assert_eq!(stats.scenarios, 0);
     }

@@ -23,10 +23,10 @@
 //!
 //! The fuzzer runs in *rounds*: each round derives a batch of schedules
 //! from the corpus with a seeded [`StdRng`], executes the batch as
-//! [`Scenario::Fuzz`] rows through the work-stealing [`Campaign`] pool
-//! (inheriting panic isolation and index-ordered delivery), and only
-//! then folds results into the coverage map, corpus and failure set —
-//! in submission order. Mutation randomness never interleaves with
+//! [`Scenario::Fuzz`] rows through the [`Campaign`] pool (inheriting
+//! panic isolation and index-ordered delivery), and only then folds
+//! results into the coverage map, corpus and failure set — in
+//! submission order. Mutation randomness never interleaves with
 //! execution, so the same seed yields bit-identical schedules, corpus
 //! evolution and shrunk reproducers for any thread count.
 //!

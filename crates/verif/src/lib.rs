@@ -6,7 +6,7 @@
 //! * [`detect`] — run one configured system and classify the outcome
 //!   with automated oracles (checker errors, golden-model scoreboard,
 //!   poison tracking, hang detection);
-//! * [`executor`] — the campaign execution plane: a work-stealing
+//! * [`executor`] — the campaign execution plane: one claim-cursor
 //!   scenario pool behind the unified [`Scenario`] / [`Campaign`] API,
 //!   with deterministic aggregation, shared setup artifacts, panic
 //!   isolation and per-worker scheduling metrics;
@@ -44,7 +44,7 @@ pub use detect::{run_experiment, Evidence, Verdict};
 pub use executor::{
     execute, execute_streaming, run_scenario, Campaign, CampaignBuilder, CampaignOptions,
     CampaignReport, CampaignRow, ExecutorStats, PoolOptions, RecoveryRow, RecoverySpec, Scenario,
-    ScenarioCtx, ScenarioOutcome, ScenarioSpan, Schedule, WorkerStats,
+    ScenarioCtx, ScenarioOutcome, ScenarioSpan, WorkerStats,
 };
 pub use fuzz::{
     coverage_of, failure_signature, replay, run_fuzz, shrink, FuzzFailure, FuzzOptions, FuzzReport,

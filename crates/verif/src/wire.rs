@@ -715,7 +715,7 @@ pub fn report_from_json(doc: &str) -> Result<WireReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::Schedule;
+    use crate::executor::{execute, PoolOptions};
 
     fn mixed_submission() -> CampaignSubmission {
         CampaignSubmission {
@@ -914,7 +914,6 @@ mod tests {
     fn report_roundtrip_is_byte_identical_including_failures() {
         let report = Campaign::builder()
             .threads(2)
-            .schedule(Schedule::WorkStealing)
             .scenario(Scenario::Clean)
             .scenario(Scenario::Recovery(RecoverySpec {
                 // A non-transient fault panics the runner: exercises the
@@ -931,6 +930,30 @@ mod tests {
         assert_eq!(parsed.rows.len(), 2);
         assert_eq!(parsed.to_json(), doc, "re-render must be byte-identical");
         assert!(matches!(parsed.rows[1].outcome, WireOutcome::Failed { .. }));
+    }
+
+    #[test]
+    fn unbounded_scenario_budget_runs_to_completion() {
+        // The admission window must not overflow at the largest budget
+        // the decoder accepts.
+        let pool = PoolOptions {
+            threads: 2,
+            scenario_budget: usize::MAX,
+            ..Default::default()
+        };
+        let (out, stats) = execute(16, &pool, |i| i);
+        assert_eq!(out, (0..16).collect::<Vec<_>>());
+        assert_eq!(stats.workers.len(), 2);
+        let sub = CampaignSubmission::from_json(&submit_doc(&format!(
+            "\"threads\": 2, \"scenario_budget\": {}, \"recovery_runs\": 3, ",
+            usize::MAX
+        )))
+        .expect("an unbounded budget parses");
+        assert_eq!(sub.scenario_budget, usize::MAX);
+        let report = sub.to_campaign().run();
+        assert_eq!(report.rows.len(), 3);
+        assert!(report.failures().is_empty(), "{}", report.digest());
+        assert_eq!(report.stats.workers.len(), 2);
     }
 
     #[test]

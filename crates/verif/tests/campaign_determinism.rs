@@ -2,24 +2,22 @@
 //!
 //! The contract under test: a [`verif::CampaignReport`]'s rows are a
 //! pure function of the scenario list — byte-identical for any worker
-//! count and any steal schedule, with the reorder buffer never growing
-//! past the scenario budget, and a panicking scenario degrading into a
-//! typed failed row instead of aborting the pool.
+//! count, with the reorder buffer never growing past the scenario
+//! budget, and a panicking scenario degrading into a typed failed row
+//! instead of aborting the pool.
 
 use autovision::Bug;
 use proptest::prelude::*;
 use verif::{
     execute, Campaign, CampaignReport, PoolOptions, RecoverySpec, Scenario, ScenarioOutcome,
-    Schedule,
 };
 
 /// A small mixed workload touching every scenario family: clean and
 /// bugged matrix rows, the split pipeline, and seeded recovery runs
 /// with the recovery policy on and off.
-fn mixed_campaign(threads: usize, schedule: Schedule) -> CampaignReport {
+fn mixed_campaign(threads: usize) -> CampaignReport {
     Campaign::builder()
         .threads(threads)
-        .schedule(schedule)
         .scenario_budget(3)
         .scenario(Scenario::Clean)
         .scenario(Scenario::Bug(Bug::Hw1MemBurstWrap))
@@ -32,11 +30,11 @@ fn mixed_campaign(threads: usize, schedule: Schedule) -> CampaignReport {
 
 #[test]
 fn report_is_byte_identical_for_any_worker_count() {
-    let baseline = mixed_campaign(1, Schedule::WorkStealing);
+    let baseline = mixed_campaign(1);
     assert_eq!(baseline.rows.len(), 9);
     assert!(baseline.failures().is_empty(), "{}", baseline.digest());
     for threads in [2, 4, 8] {
-        let got = mixed_campaign(threads, Schedule::WorkStealing);
+        let got = mixed_campaign(threads);
         assert!(got.failures().is_empty(), "{}", got.digest());
         assert_eq!(
             baseline.digest(),
@@ -49,20 +47,6 @@ fn report_is_byte_identical_for_any_worker_count() {
             got.stats.max_reorder_depth
         );
     }
-}
-
-#[test]
-fn report_is_byte_identical_under_a_forced_steal_schedule() {
-    // Every scenario starts on worker 0's deque; workers 1..3 must
-    // steal everything they execute.
-    let baseline = mixed_campaign(1, Schedule::WorkStealing);
-    let forced = mixed_campaign(4, Schedule::ForceSteal);
-    assert!(forced.failures().is_empty(), "{}", forced.digest());
-    assert_eq!(
-        baseline.digest(),
-        forced.digest(),
-        "forced-steal schedule changed the report"
-    );
 }
 
 #[test]
@@ -109,19 +93,17 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48 })]
 
     /// Aggregation order equals submission order for any per-scenario
-    /// delay pattern, worker count, schedule and admission budget — and
-    /// the reorder buffer honours the budget throughout.
+    /// delay pattern, worker count and admission budget — and the
+    /// reorder buffer honours the budget throughout.
     #[test]
     fn aggregation_order_is_submission_order_under_random_delays(
         delays in prop::collection::vec(0u64..3, 1..40),
         threads in 1usize..6,
         budget in 1usize..6,
-        schedule in prop::sample::select(vec![Schedule::WorkStealing, Schedule::ForceSteal]),
     ) {
         let opts = PoolOptions {
             threads,
             scenario_budget: budget,
-            schedule,
             ..Default::default()
         };
         let n = delays.len();

@@ -3,9 +3,9 @@
 //!
 //! Architecture: each accepted connection gets its own handler thread.
 //! A `campaign_submit/v1` runs its campaign *on the submitting
-//! connection's thread* (the work-stealing pool inside the campaign
-//! supplies the parallelism), streaming `campaign_row/v1` frames as the
-//! executor delivers rows in submission order. Admission control is a
+//! connection's thread* (the campaign's claim-cursor pool supplies the
+//! parallelism), streaming `campaign_row/v1` frames as the executor
+//! delivers rows in submission order. Admission control is a
 //! counting gate: at most `max_campaigns` submissions run concurrently;
 //! up to `max_queued` more block in line; beyond that submissions are
 //! rejected with `error/v1` so a flooded daemon degrades loudly instead
@@ -222,7 +222,8 @@ impl Server {
     }
 
     /// The one-lined `obs_metrics/v1` snapshot: service counters, the
-    /// last campaign's executor and compiled-plane stats, and cache
+    /// last campaign's executor and compiled-plane stats (the
+    /// `campaign.run_ns` histogram adds up across campaigns), and cache
     /// totals.
     pub fn metrics_snapshot(&self) -> String {
         let mut reg = self.metrics.lock().expect("metrics lock poisoned");
