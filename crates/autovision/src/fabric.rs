@@ -286,21 +286,20 @@ pub struct RegionIsolation {
 }
 
 /// Copies the bus responses of the isolated port back to the region
-/// boundary (inputs into the region need no isolation).
+/// boundary (inputs into the region need no isolation). The first eval
+/// copies all of them, later ones only those that changed (see
+/// [`Ctx::route`]).
 struct ReverseRelay {
     from: MasterPort,
     to: MasterPort,
+    driven: bool,
 }
 
 impl Component for ReverseRelay {
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set(self.to.gnt, ctx.get(self.from.gnt));
-        ctx.set(self.to.addr_ack, ctx.get(self.from.addr_ack));
-        ctx.set(self.to.wready, ctx.get(self.from.wready));
-        ctx.set(self.to.rvalid, ctx.get(self.from.rvalid));
-        ctx.set(self.to.rdata, ctx.get(self.from.rdata));
-        ctx.set(self.to.complete, ctx.get(self.from.complete));
-        ctx.set(self.to.err, ctx.get(self.from.err));
+        let all = !self.driven;
+        self.driven = true;
+        ctx.route(&self.from.bus_driven(), &self.to.bus_driven(), all, |v| v);
     }
 }
 
@@ -337,20 +336,13 @@ pub fn region_isolation(
     let rev = ReverseRelay {
         from: port,
         to: boundary.plb,
+        driven: false,
     };
     sim.add_component(
         &*names.relay,
         CompKind::UserStatic,
         Box::new(rev),
-        &[
-            port.gnt,
-            port.addr_ack,
-            port.wready,
-            port.rvalid,
-            port.rdata,
-            port.complete,
-            port.err,
-        ],
+        &port.bus_driven(),
     );
     RegionIsolation {
         isolate,

@@ -84,17 +84,18 @@ fn main() {
     );
     println!("\ntop components by eval time:");
     for r in rows.iter().take(10) {
+        let kind = format!("{:?}", r.kind);
         println!(
-            "  {:<28} {:?}  {:>8.3} s  ({:>5.2}%)  {} evals",
+            "  {:<28} {:<10}  {:>8.3} s  ({:>5.2}%)  {} evals",
             r.name,
-            r.kind,
+            kind,
             r.time.as_secs_f64(),
             100.0 * r.fraction,
             r.evals
         );
     }
     println!(
-        "\nshape check: artifacts small ({}%), mux dominates artifacts ({})",
+        "\nshape check: artifacts under 20% ({}), mux dominates artifacts ({})",
         100.0 * (mux + other) < 20.0,
         mux > other
     );

@@ -26,9 +26,14 @@ pub struct IsoPair {
 /// wherever the data bit is not already 0).
 pub struct Isolation {
     isolate: SignalId,
-    pairs: Vec<IsoPair>,
+    /// Region-side inputs, pairwise with `to`.
+    from: Vec<SignalId>,
+    /// Static-side outputs.
+    to: Vec<SignalId>,
     /// Trace lane for isolation-window spans (the region id).
     trace_track: u32,
+    /// The gate value of the previous eval; `None` before the first.
+    gate: Option<Logic>,
 }
 
 impl Isolation {
@@ -47,8 +52,10 @@ impl Isolation {
         sens.extend(pairs.iter().map(|p| p.from));
         let iso = Isolation {
             isolate,
-            pairs,
+            from: pairs.iter().map(|p| p.from).collect(),
+            to: pairs.iter().map(|p| p.to).collect(),
             trace_track,
+            gate: None,
         };
         sim.add_component(name, CompKind::UserStatic, Box::new(iso), &sens);
     }
@@ -64,20 +71,19 @@ impl Component for Isolation {
         } else if ctx.fell(self.isolate) {
             ctx.trace_end(TraceCat::Isolation, "window", self.trace_track, 0);
         }
-        let gate = !ctx.get(self.isolate); // 1 = pass, 0 = clamp, X = X
-        let g = gate.get(0);
-        for i in 0..self.pairs.len() {
-            let p = self.pairs[i];
-            let v = ctx.get(p.from);
-            let out = match g {
-                Logic::One => v,
-                Logic::Zero => Lv::zeros(v.width()),
-                // X/Z on the control: every non-zero bit is unknown —
-                // exactly what a real AND gate does.
-                _ => v & Lv::xes(v.width()),
-            };
-            ctx.set(p.to, out);
-        }
+        // The gate: 1 = pass, 0 = clamp, X = X. A new gate value
+        // re-drives every output; under a steady gate only the inputs
+        // that changed are routed (see `Ctx::route`).
+        let g = (!ctx.get(self.isolate)).get(0);
+        let all = self.gate != Some(g);
+        self.gate = Some(g);
+        ctx.route(&self.from, &self.to, all, |v| match g {
+            Logic::One => v,
+            Logic::Zero => Lv::zeros(v.width()),
+            // X/Z on the control: every non-zero bit is unknown —
+            // exactly what a real AND gate does.
+            _ => v & Lv::xes(v.width()),
+        });
     }
 }
 

@@ -8,7 +8,7 @@
 //! travels across the bus exactly as it would in a 4-state HDL simulation.
 
 use crate::port::{MasterPort, SlavePort};
-use rtlsim::{CompKind, Component, Ctx, SignalId, Simulator};
+use rtlsim::{CompKind, Component, Ctx, Lv, SignalId, Simulator};
 
 /// Arbitration policy among requesting masters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,26 +207,35 @@ struct Relay {
     /// transaction-start strobe must come from the master's `req` rather
     /// than from the (constant) steering state.
     p2p: bool,
+    /// The `(owner, slave, errm)` steering of the previous eval; `None`
+    /// before the first.
+    steering: Option<(u64, u64, u64)>,
 }
 
 impl Component for Relay {
+    /// Re-drives both ports of every master and slave when the steering
+    /// changes; otherwise only the granted pair's changed inputs are
+    /// routed across (see [`Ctx::route`]), since everything else is a
+    /// constant of the steering.
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
-        let owner = ctx.get(self.owner).to_u64_lossy();
-        let slave = ctx.get(self.slave).to_u64_lossy();
-        let errm = ctx.get(self.errm).to_u64_lossy();
+        let steering = (
+            ctx.get(self.owner).to_u64_lossy(),
+            ctx.get(self.slave).to_u64_lossy(),
+            ctx.get(self.errm).to_u64_lossy(),
+        );
+        let all = self.steering != Some(steering);
+        self.steering = Some(steering);
+        let (owner, slave, errm) = steering;
         let granted = owner != NONE && (slave as usize) < self.slaves.len();
         for (mi, m) in self.masters.iter().enumerate() {
             let mine = granted && owner == mi as u64;
             if mine {
                 let s = &self.slaves[slave as usize];
-                ctx.set_bit(m.gnt, true);
-                ctx.set(m.addr_ack, ctx.get(s.aready));
-                ctx.set(m.wready, ctx.get(s.wready));
-                ctx.set(m.rvalid, ctx.get(s.rvalid));
-                ctx.set(m.rdata, ctx.get(s.rdata));
-                ctx.set(m.complete, ctx.get(s.complete));
-                ctx.set(m.err, ctx.get(s.err));
-            } else {
+                if all {
+                    ctx.set_bit(m.gnt, true);
+                }
+                ctx.route(&s.slave_driven(), &m.bus_driven()[1..], all, |v| v);
+            } else if all {
                 ctx.set_bit(m.gnt, false);
                 ctx.set_bit(m.addr_ack, false);
                 ctx.set_bit(m.wready, false);
@@ -241,22 +250,17 @@ impl Component for Relay {
             let mine = granted && slave == si as u64;
             if mine {
                 let m = &self.masters[owner as usize];
-                let sel = if self.p2p { ctx.is_high(m.req) } else { true };
-                ctx.set_bit(s.sel, sel);
-                ctx.set(s.a_rnw, ctx.get(m.rnw));
-                ctx.set(s.a_addr, ctx.get(m.addr));
-                ctx.set(s.a_size, ctx.get(m.size));
-                ctx.set(s.wvalid, ctx.get(m.wvalid));
-                ctx.set(s.wdata, ctx.get(m.wdata));
-                ctx.set(s.rready, ctx.get(m.rready));
-            } else {
-                ctx.set_bit(s.sel, false);
-                ctx.set_bit(s.a_rnw, false);
-                ctx.set_u64(s.a_addr, 0);
-                ctx.set_u64(s.a_size, 0);
-                ctx.set_bit(s.wvalid, false);
-                ctx.set_u64(s.wdata, 0);
-                ctx.set_bit(s.rready, false);
+                if self.p2p {
+                    ctx.route(&[m.req], &[s.sel], all, |v| Lv::bit(v.truthy()));
+                } else if all {
+                    ctx.set_bit(s.sel, true);
+                }
+                let (from, to) = (m.master_driven(), s.bus_driven());
+                ctx.route(&from[1..], &to[1..], all, |v| v);
+            } else if all {
+                for t in s.bus_driven() {
+                    ctx.set_u64(t, 0);
+                }
             }
         }
     }
@@ -328,14 +332,16 @@ impl PlbBus {
             slave,
             errm,
             p2p,
+            steering: None,
         };
-        // Sensitivity: steering state plus every endpoint-driven signal.
+        // Sensitivity: steering state plus every endpoint-driven signal,
+        // which covers every input the relay routes.
         let mut sens: Vec<SignalId> = vec![owner, slave, errm];
         for m in &masters {
             sens.extend_from_slice(&m.master_driven());
         }
         for (s, _) in &slaves {
-            sens.extend_from_slice(&[s.aready, s.wready, s.rvalid, s.rdata, s.complete, s.err]);
+            sens.extend_from_slice(&s.slave_driven());
         }
         sim.add_component(
             format!("{name}.relay"),

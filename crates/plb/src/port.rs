@@ -67,8 +67,8 @@ impl MasterPort {
         }
     }
 
-    /// The master-driven signals, in a stable order (used for isolation
-    /// clamping and error injection at a region boundary).
+    /// The master-driven signals, in field order (used for isolation
+    /// clamping, error injection and routing at a region boundary).
     pub fn master_driven(&self) -> [SignalId; 7] {
         [
             self.req,
@@ -81,8 +81,8 @@ impl MasterPort {
         ]
     }
 
-    /// The bus-driven signals, in a stable order.
-    pub fn bus_driven(&self) -> [SignalId; 8] {
+    /// The bus-driven signals, in field order.
+    pub fn bus_driven(&self) -> [SignalId; 7] {
         [
             self.gnt,
             self.addr_ack,
@@ -91,7 +91,6 @@ impl MasterPort {
             self.rdata,
             self.complete,
             self.err,
-            self.gnt, // padding slot kept for width symmetry
         ]
     }
 }
@@ -148,5 +147,30 @@ impl SlavePort {
             complete: sim.signal_init(format!("{prefix}.complete"), 1, 0),
             err: sim.signal_init(format!("{prefix}.err"), 1, 0),
         }
+    }
+
+    /// The bus-driven signals, in field order.
+    pub fn bus_driven(&self) -> [SignalId; 7] {
+        [
+            self.sel,
+            self.a_rnw,
+            self.a_addr,
+            self.a_size,
+            self.wvalid,
+            self.wdata,
+            self.rready,
+        ]
+    }
+
+    /// The slave-driven signals, in field order.
+    pub fn slave_driven(&self) -> [SignalId; 6] {
+        [
+            self.aready,
+            self.wready,
+            self.rvalid,
+            self.rdata,
+            self.complete,
+            self.err,
+        ]
     }
 }

@@ -201,7 +201,6 @@ impl ReconfigBackend for ResimBackend {
             let stats = instantiate_region_with(
                 sim,
                 &r.name,
-                clk,
                 rst,
                 r.rr_id,
                 icap,

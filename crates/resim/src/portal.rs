@@ -203,6 +203,11 @@ struct RrMux {
     capture: SignalId,
     restore: SignalId,
     source: Box<dyn ErrorSource>,
+    /// The `(inject, active, capture, restore)` steering of the previous
+    /// eval, as computed from the inputs; `None` before the first. It is
+    /// compared by value: `inject` reads `swap_rr`, which does not wake
+    /// the mux.
+    steering: Option<(bool, u64, bool, bool)>,
 }
 
 impl Component for RrMux {
@@ -213,77 +218,82 @@ impl Component for RrMux {
                 && ctx.get(self.swap_rr).to_u64_lossy() as u8 == self.rr_id
         };
         let active = ctx.get(self.active).to_u64_lossy();
+        let cap = ctx.is_high(self.capture);
+        let res = ctx.is_high(self.restore);
+        let steering = (inject, active, cap, res);
+        // While injecting, every eval draws fresh error values, so it
+        // re-drives everything.
+        let all = inject || self.steering != Some(steering);
+        self.steering = Some(steering);
         let b = self.boundary;
-        // Module selection: the configured module, unless its
-        // configuration frames are mid-rewrite. State-capture/restore
-        // strobes reach only the configured module.
-        let cap = ctx.get(self.capture);
-        let res = ctx.get(self.restore);
-        for (i, m) in self.modules.iter().enumerate() {
-            let mine = !inject && active == i as u64;
-            ctx.set_bit(m.sel, mine);
-            ctx.set_bit(m.capture, mine && cap.truthy());
-            ctx.set_bit(m.restore, mine && res.truthy());
-        }
         let sel = if !inject && (active as usize) < self.modules.len() {
             Some(self.modules[active as usize])
         } else {
             None
         };
-        // Quiesce bus responses into every non-selected module so a
-        // freshly swapped-out engine never sees a stale grant.
-        for m in &self.modules {
-            if sel.map(|s| s.plb.gnt) == Some(m.plb.gnt) {
-                continue;
+        if all {
+            // Module selection: the configured module, unless its
+            // configuration frames are mid-rewrite. State-capture/restore
+            // strobes reach only the configured module.
+            for (i, m) in self.modules.iter().enumerate() {
+                let mine = !inject && active == i as u64;
+                ctx.set_bit(m.sel, mine);
+                ctx.set_bit(m.capture, mine && cap);
+                ctx.set_bit(m.restore, mine && res);
             }
-            ctx.set_bit(m.plb.gnt, false);
-            ctx.set_bit(m.plb.addr_ack, false);
-            ctx.set_bit(m.plb.wready, false);
-            ctx.set_bit(m.plb.rvalid, false);
-            ctx.set_u64(m.plb.rdata, 0);
-            ctx.set_bit(m.plb.complete, false);
-            ctx.set_bit(m.plb.err, false);
-        }
-        match sel {
-            Some(m) if !inject => {
-                ctx.set(b.busy, ctx.get(m.busy));
-                ctx.set(b.done, ctx.get(m.done));
-                // Forward the module's master-driven signals out...
-                let from = m.plb.master_driven();
-                let to = b.plb.master_driven();
-                for (f, t) in from.iter().zip(to.iter()) {
-                    ctx.set(*t, ctx.get(*f));
-                }
-                // ...and the boundary's bus responses back in.
-                ctx.set(m.plb.gnt, ctx.get(b.plb.gnt));
-                ctx.set(m.plb.addr_ack, ctx.get(b.plb.addr_ack));
-                ctx.set(m.plb.wready, ctx.get(b.plb.wready));
-                ctx.set(m.plb.rvalid, ctx.get(b.plb.rvalid));
-                ctx.set(m.plb.rdata, ctx.get(b.plb.rdata));
-                ctx.set(m.plb.complete, ctx.get(b.plb.complete));
-                ctx.set(m.plb.err, ctx.get(b.plb.err));
-            }
-            _ => {
-                // No configured module, or frames being rewritten: the
-                // error source decides what the static region sees.
-                let (bv, dv) = if inject {
-                    (self.source.value(1), self.source.value(1))
-                } else {
-                    (Lv::zeros(1), Lv::zeros(1))
-                };
-                ctx.set(b.busy, bv);
-                ctx.set(b.done, dv);
-                for t in b.plb.master_driven() {
-                    let w = 32; // widths coerced by Ctx::set
-                    let v = if inject {
-                        self.source.value(w)
-                    } else {
-                        Lv::zeros(w)
-                    };
-                    ctx.set(t, v);
+            for m in &self.modules {
+                if sel.map(|s| s.plb.gnt) != Some(m.plb.gnt) {
+                    quiesce(ctx, m);
                 }
             }
         }
+        if inject {
+            // Frames being rewritten: the error source decides what the
+            // static region sees.
+            let (bv, dv) = (self.source.value(1), self.source.value(1));
+            ctx.set(b.busy, bv);
+            ctx.set(b.done, dv);
+            for t in b.plb.master_driven() {
+                let v = self.source.value(32); // widths coerced by Ctx::set
+                ctx.set(t, v);
+            }
+        } else {
+            connect(ctx, sel.as_ref(), &b, all);
+        }
+    }
+}
+
+/// Quiesce the bus responses into a module that is not selected, so a
+/// freshly swapped-out engine never sees a stale grant. Shared by both
+/// region muxes, as is [`connect`].
+pub(crate) fn quiesce(ctx: &mut Ctx<'_>, m: &EngineIf) {
+    for s in m.plb.bus_driven() {
+        ctx.set_u64(s, 0);
+    }
+}
+
+/// Connect the selected module to the region boundary: its busy, done
+/// and master-driven bus signals go out, and the boundary's bus
+/// responses come back in. With no module selected the boundary idles at
+/// zero. `all` re-drives everything; otherwise only the inputs that
+/// changed are forwarded, which is exact because both muxes wake on
+/// every routed input, never park, and pass `all` whenever their
+/// steering changed (see [`Ctx::route`]).
+pub(crate) fn connect(ctx: &mut Ctx<'_>, sel: Option<&EngineIf>, b: &RrBoundary, all: bool) {
+    match sel {
+        Some(m) => {
+            ctx.route(&[m.busy, m.done], &[b.busy, b.done], all, |v| v);
+            ctx.route(&m.plb.master_driven(), &b.plb.master_driven(), all, |v| v);
+            ctx.route(&b.plb.bus_driven(), &m.plb.bus_driven(), all, |v| v);
+        }
+        None if all => {
+            ctx.set_bit(b.busy, false);
+            ctx.set_bit(b.done, false);
+            for t in b.plb.master_driven() {
+                ctx.set_u64(t, 0);
+            }
+        }
+        None => {}
     }
 }
 
@@ -296,7 +306,6 @@ impl Component for RrMux {
 pub fn instantiate_region(
     sim: &mut Simulator,
     name: &str,
-    clk: SignalId,
     rst: SignalId,
     rr_id: u8,
     icap: IcapPort,
@@ -308,7 +317,6 @@ pub fn instantiate_region(
     instantiate_region_with(
         sim,
         name,
-        clk,
         rst,
         rr_id,
         icap,
@@ -325,8 +333,6 @@ pub fn instantiate_region(
 pub fn instantiate_region_with(
     sim: &mut Simulator,
     name: &str,
-    // Kept for interface stability: earlier revisions clocked the portal.
-    _clk: SignalId,
     rst: SignalId,
     rr_id: u8,
     icap: IcapPort,
@@ -382,15 +388,7 @@ pub fn instantiate_region_with(
         sens.push(e.done);
         sens.extend_from_slice(&e.plb.master_driven());
     }
-    sens.extend_from_slice(&[
-        boundary.plb.gnt,
-        boundary.plb.addr_ack,
-        boundary.plb.wready,
-        boundary.plb.rvalid,
-        boundary.plb.rdata,
-        boundary.plb.complete,
-        boundary.plb.err,
-    ]);
+    sens.extend_from_slice(&boundary.plb.bus_driven());
     let mux = RrMux {
         rr_id,
         modules: ifs,
@@ -402,6 +400,7 @@ pub fn instantiate_region_with(
         capture: icap.capture_strobe,
         restore: icap.restore_strobe,
         source,
+        steering: None,
     };
     sim.add_component(
         format!("{name}.mux"),

@@ -15,7 +15,7 @@
 //! selected and the system hangs — in a way the real hardware never
 //! would.
 
-use crate::portal::RrBoundary;
+use crate::portal::{connect, quiesce, RrBoundary};
 use dcr::RegFile;
 use engines::EngineIf;
 use rtlsim::{CompKind, Component, Ctx, DoorbellId, SignalId, Simulator};
@@ -79,53 +79,30 @@ struct VmuxMux {
     modules: Vec<(u32, EngineIf)>,
     boundary: RrBoundary,
     signature: SignalId,
+    /// The signature of the previous eval; `None` before the first.
+    steering: Option<u32>,
 }
 
 impl Component for VmuxMux {
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
         let sig = ctx.get(self.signature).to_u64_lossy() as u32;
-        let b = self.boundary;
+        let all = self.steering != Some(sig);
+        self.steering = Some(sig);
         let mut selected: Option<EngineIf> = None;
         for (id, m) in &self.modules {
             let sel = *id == sig;
-            ctx.set_bit(m.sel, sel);
+            if all {
+                ctx.set_bit(m.sel, sel);
+            }
             if sel {
                 selected = Some(*m);
-            } else {
-                ctx.set_bit(m.plb.gnt, false);
-                ctx.set_bit(m.plb.addr_ack, false);
-                ctx.set_bit(m.plb.wready, false);
-                ctx.set_bit(m.plb.rvalid, false);
-                ctx.set_u64(m.plb.rdata, 0);
-                ctx.set_bit(m.plb.complete, false);
-                ctx.set_bit(m.plb.err, false);
+            } else if all {
+                quiesce(ctx, m);
             }
         }
-        match selected {
-            Some(m) => {
-                ctx.set(b.busy, ctx.get(m.busy));
-                ctx.set(b.done, ctx.get(m.done));
-                for (f, t) in m.plb.master_driven().iter().zip(b.plb.master_driven()) {
-                    ctx.set(t, ctx.get(*f));
-                }
-                ctx.set(m.plb.gnt, ctx.get(b.plb.gnt));
-                ctx.set(m.plb.addr_ack, ctx.get(b.plb.addr_ack));
-                ctx.set(m.plb.wready, ctx.get(b.plb.wready));
-                ctx.set(m.plb.rvalid, ctx.get(b.plb.rvalid));
-                ctx.set(m.plb.rdata, ctx.get(b.plb.rdata));
-                ctx.set(m.plb.complete, ctx.get(b.plb.complete));
-                ctx.set(m.plb.err, ctx.get(b.plb.err));
-            }
-            None => {
-                // Nothing selected: the wrapper outputs idle zeros —
-                // note: NO erroneous values, unlike real reconfiguration.
-                ctx.set_bit(b.busy, false);
-                ctx.set_bit(b.done, false);
-                for t in b.plb.master_driven() {
-                    ctx.set_u64(t, 0);
-                }
-            }
-        }
+        // Nothing selected: the wrapper outputs idle zeros — note: NO
+        // erroneous values, unlike real reconfiguration.
+        connect(ctx, selected.as_ref(), &self.boundary, all);
     }
 }
 
@@ -171,19 +148,12 @@ pub fn instantiate_vmux(
         sens.push(e.done);
         sens.extend_from_slice(&e.plb.master_driven());
     }
-    sens.extend_from_slice(&[
-        boundary.plb.gnt,
-        boundary.plb.addr_ack,
-        boundary.plb.wready,
-        boundary.plb.rvalid,
-        boundary.plb.rdata,
-        boundary.plb.complete,
-        boundary.plb.err,
-    ]);
+    sens.extend_from_slice(&boundary.plb.bus_driven());
     let mux = VmuxMux {
         modules,
         boundary,
         signature,
+        steering: None,
     };
     sim.add_component(
         format!("{name}.mux"),

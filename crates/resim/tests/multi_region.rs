@@ -51,7 +51,6 @@ fn two_regions_swap_independently_through_one_icap() {
         let p = instantiate_region(
             &mut sim,
             &format!("region{rr}"),
-            clk,
             rst,
             rr,
             icap,

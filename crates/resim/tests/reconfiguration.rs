@@ -56,7 +56,6 @@ fn tb(cfg: IcapConfig) -> Tb {
     let portal_stats = instantiate_region(
         &mut sim,
         "rr0",
-        clk,
         rst,
         0x01,
         icap,

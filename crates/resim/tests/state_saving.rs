@@ -55,7 +55,6 @@ fn gcapture_grestore_round_trip_preserves_module_state() {
     let portal = instantiate_region(
         &mut sim,
         "rr0",
-        clk,
         rst,
         1,
         icap,
@@ -198,7 +197,6 @@ fn without_restore_the_swapped_back_module_uses_stale_wires_semantics() {
     let portal = instantiate_region(
         &mut sim,
         "rr0",
-        clk,
         rst,
         1,
         icap,

@@ -135,6 +135,46 @@ impl Ctx<'_> {
         self.core.signals[s.0 as usize].last_change == self.core.step
     }
 
+    /// Drive each `to[i]` with `map(from[i])`: every pair when `all`, and
+    /// otherwise only the pairs whose `from` changed in the delta that
+    /// triggered this eval. Port-copy components (bus relays, region
+    /// muxes, isolation) route through it, so they pay per changed input
+    /// rather than per port.
+    ///
+    /// Skipping is exact under one invariant, which every caller keeps.
+    /// The caller never parks, lists every `from` in its sensitivity
+    /// list and is the only driver of each `to`. It passes `all` on its
+    /// first eval and whenever `map` or the pairing differs from its
+    /// previous eval, that is, when its steering changed. Then every
+    /// change of a `from` wakes the caller in the very next delta, where
+    /// [`Ctx::changed`] reports it, so a skipped `to` still holds what
+    /// the caller last drove into it: `map` of the unchanged `from`.
+    /// Debug builds assert exactly that for every skipped pair.
+    #[inline]
+    pub fn route(&mut self, from: &[SignalId], to: &[SignalId], all: bool, map: impl Fn(Lv) -> Lv) {
+        debug_assert_eq!(from.len(), to.len());
+        for (&f, &t) in from.iter().zip(to) {
+            if all || self.changed(f) {
+                let v = map(self.get(f));
+                self.set(t, v);
+            } else {
+                debug_assert!(
+                    {
+                        let w = self.core.signals[t.0 as usize].width;
+                        self.get(t).eq_case(&map(self.get(f)).resize(w))
+                    },
+                    "{} no longer holds its value routed from {}, which did not change",
+                    self.core
+                        .names
+                        .resolve(self.core.signals[t.0 as usize].name),
+                    self.core
+                        .names
+                        .resolve(self.core.signals[f.0 as usize].name),
+                );
+            }
+        }
+    }
+
     /// Record a diagnostic message attributed to this component. The
     /// component name is an interned handle, so this never copies it.
     pub fn report(&mut self, severity: Severity, text: impl Into<String>) {

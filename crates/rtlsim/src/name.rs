@@ -54,9 +54,10 @@ impl Borrow<str> for Name {
     }
 }
 
+/// Honours width, alignment and precision, like `str`'s `Display`.
 impl fmt::Display for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.pad(&self.0)
     }
 }
 
@@ -141,5 +142,15 @@ mod tests {
         assert_eq!(format!("{n}"), "testbench");
         assert_eq!(String::from(n.clone()), "testbench");
         assert_eq!(&n[..4], "test");
+    }
+
+    #[test]
+    fn name_display_pads_like_a_str() {
+        let mut arena = NameArena::new();
+        let id = arena.intern("mux");
+        let n = arena.resolve(id).clone();
+        assert_eq!(format!("{n:<6}|"), "mux   |");
+        assert_eq!(format!("{n:>6}|"), "   mux|");
+        assert_eq!(format!("{n:.2}|"), "mu|");
     }
 }

@@ -71,7 +71,11 @@ pub(crate) struct SignalState {
     /// Global step number of the most recent value change.
     pub last_change: u64,
     /// Components woken when this signal changes, in registration order.
-    pub sensitive: Vec<Listener>,
+    pub sensitive: Vec<CompId>,
+    /// The any-edge entries of `sensitive`, in the same order: the
+    /// components woken when this signal falls from a driven 1, which
+    /// wakes no posedge listener.
+    pub on_fall: Vec<CompId>,
     /// Number of value changes since time 0.
     pub toggles: u64,
     /// Compiled-plane flags (dirty watches, park wake list presence);
@@ -80,15 +84,6 @@ pub(crate) struct SignalState {
     /// `SimCore::step` of the eval phase that last queued a write to
     /// this signal (see [`SimCore::push_write`]).
     pub written_step: u64,
-}
-
-/// One entry of a signal's dispatch list.
-#[derive(Clone, Copy)]
-pub(crate) struct Listener {
-    comp: CompId,
-    /// Wake on the rising edge only (`always @(posedge clk)`): the entry
-    /// is skipped when the signal falls from a driven 1.
-    posedge: bool,
 }
 
 struct CompSlot {
@@ -326,6 +321,7 @@ impl Simulator {
             prev: Lv::xes(width),
             last_change: 0,
             sensitive: Vec::new(),
+            on_fall: Vec::new(),
             toggles: 0,
             cflags: 0,
             written_step: 0,
@@ -398,9 +394,11 @@ impl Simulator {
     }
 
     fn listen(&mut self, sig: SignalId, comp: CompId, posedge: bool) {
-        self.core.signals[sig.0 as usize]
-            .sensitive
-            .push(Listener { comp, posedge });
+        let s = &mut self.core.signals[sig.0 as usize];
+        s.sensitive.push(comp);
+        if !posedge {
+            s.on_fall.push(comp);
+        }
     }
 
     /// Drive `sig` as a free-running clock of full period `period_ps`. Its
@@ -601,20 +599,20 @@ impl Simulator {
         self.core.finish_requested
     }
 
-    /// Queue the listeners of `sig`, which just changed, in dispatch-list
-    /// order. A posedge entry is skipped when the signal `fell` from a
-    /// driven 1, in every mode. While the compiled filter is on, a parked
-    /// component is skipped too. Skipping never reorders the rest, so the
-    /// ready queue, and thus the delta schedule, is the event-driven one
-    /// restricted to the dispatched set.
+    /// Queue the listeners of `sig`, which just changed, in registration
+    /// order. When the signal `fell` from a driven 1 the walk covers the
+    /// fall list, which leaves out the posedge entries, in every mode.
+    /// While the compiled filter is on, a parked component is skipped
+    /// too. Both lists keep registration order and skipping never
+    /// reorders the rest, so the ready queue, and thus the delta
+    /// schedule, is the event-driven one restricted to the dispatched set.
     fn mark_sensitive(&mut self, sig: SignalId, fell: bool) {
         let cc = &mut self.core.compiled;
         let (filtering, gen) = (cc.filtering, self.ready_gen);
-        for l in &self.core.signals[sig.0 as usize].sensitive {
-            if l.posedge && fell {
-                continue;
-            }
-            let idx = l.comp.0 as usize;
+        let s = &self.core.signals[sig.0 as usize];
+        let list = if fell { &s.on_fall } else { &s.sensitive };
+        for &comp in list {
+            let idx = comp.0 as usize;
             if filtering && cc.parked[idx] {
                 cc.stats.skipped_parked += 1;
                 continue;
@@ -622,7 +620,7 @@ impl Simulator {
             let slot = &mut self.comps[idx];
             if slot.queued_gen != gen {
                 slot.queued_gen = gen;
-                self.ready.push(l.comp);
+                self.ready.push(comp);
             }
         }
     }

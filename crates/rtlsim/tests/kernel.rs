@@ -628,3 +628,39 @@ fn drives_at_an_edge_time_share_the_edge_delta() {
         assert_eq!(seen_at(&log, PERIOD), [with_go], "{mode}");
     }
 }
+
+/// Posedge and any-edge listeners mixed on one signal dispatch in
+/// registration order. A rise, `X`->1 included, wakes all four; a fall
+/// from a driven 1, 1->`X` included, wakes only the any-edge two.
+#[test]
+fn mixed_edge_listeners_dispatch_in_registration_order() {
+    for mode in MODES {
+        let mut sim = Simulator::new();
+        sim.set_exec_mode(mode);
+        let s = sim.signal("s", 1);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        for (name, posedge) in [("a", true), ("b", false), ("c", true), ("d", false)] {
+            let sink = log.clone();
+            let body = Box::new(move |_: &mut Ctx<'_>| sink.borrow_mut().push(name));
+            if posedge {
+                sim.add_clocked(name, CompKind::UserStatic, body, s, &[]);
+            } else {
+                sim.add_component(name, CompKind::UserStatic, body, &[s]);
+            }
+        }
+        sim.settle().unwrap();
+        assert_eq!(*log.borrow(), ["a", "b", "c", "d"], "{mode}: initial evals");
+        let steps = [
+            ("X->1", Lv::bit(true), &["a", "b", "c", "d"][..]),
+            ("1->0", Lv::bit(false), &["b", "d"][..]),
+            ("0->1", Lv::bit(true), &["a", "b", "c", "d"][..]),
+            ("1->X", Lv::xes(1), &["b", "d"][..]),
+        ];
+        for (edge, v, want) in steps {
+            log.borrow_mut().clear();
+            sim.poke(s, v);
+            sim.settle().unwrap();
+            assert_eq!(*log.borrow(), want, "{mode}: {edge}");
+        }
+    }
+}
