@@ -27,7 +27,7 @@ use resim::{
     build_simb, build_simb_integrity, BackendStats, IcapConfig, IcapFaultHandle, ReconfigBackend,
     RegionPlan, ResimBackend, RrBoundary, SimbKind, VmuxBackend, VmuxConfig, VmuxRegion, XSource,
 };
-use rtlsim::{DirtyWatch, ExecMode, KernelError, SignalId, Simulator, PS_PER_NS};
+use rtlsim::{ExecMode, KernelError, SignalId, Simulator, PS_PER_NS};
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
@@ -1093,24 +1093,7 @@ impl AvSystem {
             cfg.arbitration,
         );
 
-        // ----- execution mode -----
-        // Dirty windows: the kernel suspends compiled-mode filtering
-        // (falling back to full event-driven dispatch) while reset is
-        // asserted, while any region is isolated or mid-swap, and while
-        // the region boundary handshake carries X — exactly the unsteady
-        // windows where the paper's methods disagree cycle-by-cycle.
         sim.set_exec_mode(cfg.exec_mode);
-        sim.watch_dirty(cr.rst, DirtyWatch::TruthyOrUnknown);
-        for iso in &isolations {
-            sim.watch_dirty(iso.isolate, DirtyWatch::TruthyOrUnknown);
-        }
-        for &w in &handles.dirty_watches {
-            sim.watch_dirty(w, DirtyWatch::TruthyOrUnknown);
-        }
-        for b in &boundaries {
-            sim.watch_dirty(b.busy, DirtyWatch::Unknown);
-            sim.watch_dirty(b.done, DirtyWatch::Unknown);
-        }
 
         let probes = SystemProbes {
             cie_busy: clusters

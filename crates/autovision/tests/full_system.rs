@@ -138,7 +138,7 @@ fn kernel_counters_are_exact_in_both_exec_modes() {
     // scheduling semantics changed.
     for (mode, evals, deltas, steady_evals) in [
         (ExecMode::EventDriven, 111_683, 11_096, 2_000_000),
-        (ExecMode::Compiled, 49_616, 10_443, 0),
+        (ExecMode::Compiled, 28_315, 10_443, 0),
     ] {
         let mut sys = AvSystem::build(SystemConfig {
             n_frames: 1,

@@ -117,7 +117,7 @@ impl ObsArgs {
     pub fn export(&self, sim: &Simulator, metrics: &MetricsRegistry) {
         if let Some(path) = &self.trace_out {
             let events = sim.trace_events();
-            let trace = obs::perfetto::export_with_fallback(&events, sim.fallback_windows());
+            let trace = obs::perfetto::export(&events);
             std::fs::write(path, trace).expect("write trace artifact");
             println!(
                 "wrote {} trace events ({} dropped) to {}",

@@ -39,26 +39,14 @@ pub fn record_sim_stats(reg: &mut MetricsRegistry, stats: &SimStats) {
 }
 
 /// Fold compiled-plane statistics into the registry under `compiled.*`:
-/// the dispatch filter's work avoidance (parked skips, parks, wakes) and
-/// the steady-state vs dirty-window fallback split. Every key is written,
-/// so a registry that outlives one run never shows an earlier run's
-/// value; `compiled.fallback_share` is 0 when no time point ran.
+/// the dispatch filter's work avoidance (parked skips, parks, wakes).
+/// Every key is written, so a registry that outlives one run never shows
+/// an earlier run's value.
 pub fn record_compiled_stats(reg: &mut MetricsRegistry, stats: &CompiledStats) {
     reg.counter("compiled.skipped_parked", stats.skipped_parked);
     reg.counter("compiled.parks", stats.parks);
     reg.counter("compiled.signal_wakes", stats.signal_wakes);
     reg.counter("compiled.doorbell_rings", stats.doorbell_rings);
-    reg.counter("compiled.fallback_entries", stats.fallback_entries);
-    reg.counter("compiled.fallback_exits", stats.fallback_exits);
-    reg.counter("compiled.steady_points", stats.steady_points);
-    reg.counter("compiled.fallback_points", stats.fallback_points);
-    let total = stats.steady_points + stats.fallback_points;
-    let share = if total > 0 {
-        stats.fallback_points as f64 / total as f64
-    } else {
-        0.0
-    };
-    reg.gauge("compiled.fallback_share", share);
 }
 
 fn kind_label(kind: CompKind) -> &'static str {

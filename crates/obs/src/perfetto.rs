@@ -46,16 +46,6 @@ fn thread_name(cat: TraceCat, track: u32) -> String {
 
 /// Serialize a trace-event stream as a Chrome-trace JSON object.
 pub fn export(events: &[TraceEvent]) -> String {
-    export_with_fallback(events, &[])
-}
-
-/// [`export`] plus the compiled plane's dirty-window fallback intervals
-/// (`Simulator::fallback_windows`) rendered as spans on a dedicated
-/// "exec fallback" row. Each `(entry_ps, exit_ps)` pair becomes one
-/// `fallback` span; an open window (`exit_ps == u64::MAX`) is drawn
-/// from its entry to the last trace event. With no windows the output
-/// is byte-identical to [`export`].
-pub fn export_with_fallback(events: &[TraceEvent], windows: &[(u64, u64)]) -> String {
     // Stable tid assignment: ordered by (category, track), independent
     // of event order.
     let mut tids: BTreeMap<(u8, u32), u32> = BTreeMap::new();
@@ -118,32 +108,6 @@ pub fn export_with_fallback(events: &[TraceEvent], windows: &[(u64, u64)]) -> St
             ),
         };
         lines.push(line);
-    }
-
-    if !windows.is_empty() {
-        let tid = tids.len() as u32 + 1;
-        lines.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{PID},\"tid\":{tid},\
-             \"args\":{{\"name\":\"exec fallback\"}}}}"
-        ));
-        let horizon = events.iter().map(|e| e.time_ps).max().unwrap_or(0);
-        for &(entry, exit) in windows {
-            let end = if exit == u64::MAX {
-                horizon.max(entry)
-            } else {
-                exit
-            };
-            lines.push(format!(
-                "{{\"name\":\"fallback\",\"cat\":\"kernel\",\"ph\":\"B\",\"ts\":{},\
-                 \"pid\":{PID},\"tid\":{tid},\"args\":{{\"arg\":0}}}}",
-                json::ps_as_us(entry)
-            ));
-            lines.push(format!(
-                "{{\"ph\":\"E\",\"ts\":{},\"pid\":{PID},\"tid\":{tid},\
-                 \"args\":{{\"arg\":0}}}}",
-                json::ps_as_us(end)
-            ));
-        }
     }
 
     format!(
@@ -211,25 +175,5 @@ mod tests {
                 .to_string()
         };
         assert_eq!(tid_of(&ta), tid_of(&tb));
-    }
-
-    #[test]
-    fn fallback_windows_render_on_their_own_row() {
-        let evs = [
-            ev(1, 1_000_000, TraceKind::Begin, TraceCat::Simb, 1),
-            ev(2, 9_000_000, TraceKind::End, TraceCat::Simb, 1),
-        ];
-        // No windows: byte-identical to the plain export.
-        assert_eq!(export(&evs), export_with_fallback(&evs, &[]));
-        // One closed window plus one still open at the end of the run.
-        let out = export_with_fallback(&evs, &[(2_000_000, 4_000_000), (8_000_000, u64::MAX)]);
-        assert!(out.contains("\"name\":\"exec fallback\""));
-        assert!(out.contains("\"name\":\"fallback\""));
-        assert!(out.contains("\"ts\":2.000000"));
-        // The open window clamps to the last trace event, not u64::MAX.
-        assert!(out.contains("\"ts\":9.000000"));
-        assert!(!out.contains("18446744073709"));
-        assert_eq!(out.matches("\"ph\":\"B\"").count(), 3);
-        assert_eq!(out.matches("\"ph\":\"E\"").count(), 3);
     }
 }

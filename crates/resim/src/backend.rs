@@ -56,11 +56,6 @@ pub struct BackendHandles {
     /// High while the SimB payload streams and region outputs carry the
     /// error source (ReSim only).
     pub inject: Option<SignalId>,
-    /// Signals that mark method-specific unsteady windows (transfer in
-    /// flight, X injection). A compiled-mode system registers each with
-    /// `Simulator::watch_dirty` so activation filtering falls back to
-    /// full event-driven dispatch while any is truthy or unknown.
-    pub dirty_watches: Vec<SignalId>,
 }
 
 /// Swap-machinery counters of one reconfigurable region, snapshotted by
@@ -217,7 +212,6 @@ impl ReconfigBackend for ResimBackend {
             icap_faults: Some(icap_faults),
             reconfiguring: Some(icap.reconfiguring),
             inject: Some(icap.inject),
-            dirty_watches: vec![icap.reconfiguring, icap.inject],
         }
     }
 
@@ -327,7 +321,6 @@ impl ReconfigBackend for VmuxBackend {
             icap_faults: None,
             reconfiguring: None,
             inject: None,
-            dirty_watches: Vec::new(),
         }
     }
 

@@ -1,5 +1,5 @@
-//! The compiled-simulation plane: the steady-state dispatch filter
-//! behind [`ExecMode`].
+//! The compiled-simulation plane: the dispatch filter behind
+//! [`ExecMode`].
 //!
 //! # What "compiled" means here
 //!
@@ -11,29 +11,27 @@
 //! VCD sink and toggle counters, so a schedule that re-orders evaluation
 //! would change the waveform byte stream. Instead, the compiled plane
 //! keeps the delta loop as the *only* executor and compiles away the
-//! dispatches that are provably no-ops:
+//! dispatches that are provably no-ops, by **parking**: an idle FSM
+//! calls [`crate::Ctx::park_until`] to declare itself quiescent until
+//! one of its watched signals changes, a [`DoorbellId`] rings or a
+//! self-scheduled wakeup fires, and a parked component is skipped at
+//! dispatch.
 //!
-//! * **Parking** — an idle FSM calls [`crate::Ctx::park_until`] to
-//!   declare itself quiescent until one of its watched signals changes or
-//!   a [`DoorbellId`] rings; parked components are skipped at dispatch.
-//! * **Dirty-window fallback** — while any watched boundary condition
-//!   holds (region isolation asserted, a SimB transfer in flight, `X` on
-//!   a watched signal), filtering is suspended and every component is
-//!   unparked: the kernel degenerates to full event-driven delta
-//!   semantics for the duration of the window.
-//!
-//! Because the compiled plane only ever *removes* no-op dispatches, the
-//! state handoff in both directions is trivially clean: there is no
-//! second state copy, the event queue and signal arena are shared, and
-//! entering/leaving a dirty window is a flag flip plus an unpark sweep.
-//! The execution order within a delta remains event order, which is what
-//! pins waveforms bit-identical between modes.
+//! Each delta opens with one batch of value changes, and the kernel
+//! **unparks before it marks**: before any listener of the batch is
+//! queued, every component the batch wakes is unparked. No later
+//! signal of a batch wakes a component that an earlier one skipped, so
+//! the ready queue is the event-driven one with the parked components
+//! left out. The execution order within a delta remains
+//! event order, which is what pins waveforms bit-identical between
+//! modes, reconfiguration windows included. There is no second state
+//! copy: the event queue and signal arena are shared.
 //!
 //! Clock edges are not the plane's business: a component registered with
 //! [`crate::Simulator::add_clocked`] wakes on its clock's rising edge
 //! only, in both modes, so there is no falling-edge dispatch to filter.
 
-use crate::CompId;
+use crate::{CompId, SignalId};
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -45,9 +43,8 @@ pub enum ExecMode {
     /// dispatches. The reference semantics the compiled plane is pinned
     /// against.
     EventDriven,
-    /// Compiled steady-state dispatch: parking is honoured outside dirty
-    /// windows. Bit-identical observable behaviour, fewer component
-    /// evaluations. The default.
+    /// Compiled dispatch: parked components are skipped. Bit-identical
+    /// observable behaviour, fewer component evaluations. The default.
     #[default]
     Compiled,
 }
@@ -99,20 +96,6 @@ impl std::fmt::Display for ExecMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DoorbellId(pub(crate) u32);
 
-/// What makes a watched signal "dirty" (see
-/// [`crate::Simulator::watch_dirty`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DirtyWatch {
-    /// Dirty while the signal has any driven-1 bit (isolation asserted,
-    /// transfer in flight).
-    Truthy,
-    /// Dirty while the signal carries `X`/`Z` bits (corruption escaping a
-    /// boundary).
-    Unknown,
-    /// Dirty in either case (reset, ICAP handshake wires).
-    TruthyOrUnknown,
-}
-
 /// Dispatch counters of the compiled plane. Every field is additive, so
 /// the counters of several runs fold with [`CompiledStats::merge`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -125,14 +108,6 @@ pub struct CompiledStats {
     pub signal_wakes: u64,
     /// Doorbell rings consumed (each may wake several listeners).
     pub doorbell_rings: u64,
-    /// Transitions into the dirty-window fallback.
-    pub fallback_entries: u64,
-    /// Transitions back to filtered steady-state dispatch.
-    pub fallback_exits: u64,
-    /// Time points executed with filtering active.
-    pub steady_points: u64,
-    /// Time points executed in fallback.
-    pub fallback_points: u64,
 }
 
 impl CompiledStats {
@@ -142,25 +117,7 @@ impl CompiledStats {
         self.parks += other.parks;
         self.signal_wakes += other.signal_wakes;
         self.doorbell_rings += other.doorbell_rings;
-        self.fallback_entries += other.fallback_entries;
-        self.fallback_exits += other.fallback_exits;
-        self.steady_points += other.steady_points;
-        self.fallback_points += other.fallback_points;
     }
-}
-
-/// Per-signal compiled-plane flags, packed next to the signal's hot
-/// state (`SignalState.cflags`).
-pub(crate) mod cflag {
-    /// Signal is dirty-watched for truthiness.
-    pub const WATCH_TRUTHY: u8 = 1 << 0;
-    /// Signal is dirty-watched for unknown bits.
-    pub const WATCH_UNKNOWN: u8 = 1 << 1;
-    /// Signal currently holds its dirty condition.
-    pub const DIRTY_NOW: u8 = 1 << 2;
-    /// Signal has a (possibly empty) park wake list.
-    pub const HAS_WAKERS: u8 = 1 << 3;
-    pub const WATCH_ANY: u8 = WATCH_TRUTHY | WATCH_UNKNOWN;
 }
 
 /// Dense per-component / per-signal compiled-plane state, embedded in
@@ -168,9 +125,6 @@ pub(crate) mod cflag {
 #[derive(Default)]
 pub(crate) struct CompiledCore {
     pub mode: ExecMode,
-    /// Hot gate: true iff `mode.is_compiled()` and no dirty window is
-    /// active. Checked once per signal application.
-    pub filtering: bool,
     /// Per component: currently parked.
     pub parked: Vec<bool>,
     /// Per component: wake set already registered (the set is latched
@@ -180,13 +134,6 @@ pub(crate) struct CompiledCore {
     pub wakers: Vec<Vec<CompId>>,
     /// Registered doorbells and their parked listeners.
     pub doorbells: Vec<(Rc<Cell<bool>>, Vec<CompId>)>,
-    /// Number of signals currently dirty; filtering is suspended while
-    /// non-zero.
-    pub dirty_count: u32,
-    /// Closed and open fallback windows as `(entry_ps, exit_ps)`; an open
-    /// window has `exit_ps == u64::MAX`. Kept out of the structured trace
-    /// so the TraceBuf stream stays bit-identical between modes.
-    pub windows: Vec<(u64, u64)>,
     pub stats: CompiledStats,
 }
 
@@ -198,21 +145,28 @@ impl CompiledCore {
         self.wake_registered.push(false);
     }
 
-    /// Clear every parked flag (dirty-window entry / full flush).
+    /// Clear every parked flag (a switch to event-driven mode).
     pub fn unpark_all(&mut self) {
         for p in &mut self.parked {
             *p = false;
         }
     }
 
-    /// Recompute the hot filtering gate from mode/dirty state.
+    /// Unpark the components whose wake set holds `sig`, which the
+    /// coming batch changes.
     #[inline]
-    pub fn refresh_gate(&mut self) {
-        self.filtering = self.mode.is_compiled() && self.dirty_count == 0;
+    pub fn wake(&mut self, sig: SignalId) {
+        for &c in &self.wakers[sig.0 as usize] {
+            let parked = &mut self.parked[c.0 as usize];
+            if *parked {
+                *parked = false;
+                self.stats.signal_wakes += 1;
+            }
+        }
     }
 
     /// Consume raised doorbells, unparking their listeners. Called before
-    /// each event batch while filtering; cost is one `Cell` read per
+    /// each batch in compiled mode; cost is one `Cell` read per
     /// doorbell.
     #[inline]
     pub fn service_doorbells(&mut self) {

@@ -205,10 +205,16 @@ impl Ctx<'_> {
         self.core.finish_requested = true;
     }
 
-    /// Declare this component quiescent: in compiled execution modes it
-    /// is skipped at dispatch until one of `signals` changes value, one
-    /// of `doorbells` rings, a self-scheduled wakeup fires, or a
-    /// dirty-window fallback begins. No-op in event-driven mode.
+    /// Declare this component quiescent: in compiled mode it is skipped
+    /// at dispatch until one of three wake conditions occurs:
+    /// * one of `signals` changes value;
+    /// * one of `doorbells` rings;
+    /// * a wakeup it scheduled with [`Ctx::wake_after`] fires.
+    ///
+    /// The kernel unparks before it marks, so the batch of changes that
+    /// wakes the component dispatches it just as event-driven dispatch
+    /// would, at the same place in the ready queue. No-op in event-driven
+    /// mode.
     ///
     /// **Contract**: until one of those wake conditions occurs, every
     /// eval of this component must be an observable no-op — no signal

@@ -58,7 +58,7 @@ pub mod sim;
 pub mod trace;
 mod vcd;
 
-pub use compiled::{CompiledStats, DirtyWatch, DoorbellId, ExecMode};
+pub use compiled::{CompiledStats, DoorbellId, ExecMode};
 pub use component::{CompKind, Component, Ctx};
 pub use logic::Logic;
 pub use lv::Lv;

@@ -18,8 +18,14 @@
 //! non-blocking-write list are reusable buffers, and ready-queue
 //! membership is tracked with a generation stamp instead of a drained
 //! `bool` flag.
+//!
+//! Each delta opens with one batch of value changes: the events due now
+//! on the first delta of a time point, then the writes of the previous
+//! eval phase (plus any events that phase scheduled for now). In
+//! compiled mode a batch unparks every component it wakes before it
+//! marks anyone (`Simulator::unpark_batch`).
 
-use crate::compiled::{cflag, CompiledCore, CompiledStats, DirtyWatch, DoorbellId, ExecMode};
+use crate::compiled::{CompiledCore, CompiledStats, DoorbellId, ExecMode};
 use crate::component::{CompKind, Component, Ctx};
 use crate::lv::Lv;
 use crate::name::{Name, NameArena, NameId};
@@ -78,9 +84,9 @@ pub(crate) struct SignalState {
     pub on_fall: Vec<CompId>,
     /// Number of value changes since time 0.
     pub toggles: u64,
-    /// Compiled-plane flags (dirty watches, park wake list presence);
-    /// see [`crate::compiled::cflag`]. Zero for ordinary signals.
-    pub cflags: u8,
+    /// True once a parked component listed this signal in its wake set
+    /// (see `CompiledCore::wakers`).
+    pub has_wakers: bool,
     /// `SimCore::step` of the eval phase that last queued a write to
     /// this signal (see [`SimCore::push_write`]).
     pub written_step: u64,
@@ -214,7 +220,7 @@ impl SimCore {
             cc.wake_registered[idx] = true;
             for &s in signals {
                 cc.wakers[s.0 as usize].push(comp);
-                self.signals[s.0 as usize].cflags |= cflag::HAS_WAKERS;
+                self.signals[s.0 as usize].has_wakers = true;
             }
             for &d in doorbells {
                 cc.doorbells[d.0 as usize].1.push(comp);
@@ -257,6 +263,9 @@ pub struct Simulator {
     /// Reusable ready queue; membership tracked by `ready_gen` stamps.
     ready: Vec<CompId>,
     ready_gen: u64,
+    /// Events due now, popped from the queue in scheduling order and not
+    /// yet applied (see [`Simulator::take_due`]).
+    due: Vec<EventKind>,
     profiler: Profiler,
     /// Mirror of the profiler's enabled flag, checked on the hot path.
     profiling: bool,
@@ -277,7 +286,7 @@ impl Default for Simulator {
 impl Simulator {
     /// Create an empty simulator at time 0, in [`ExecMode::default`].
     pub fn new() -> Simulator {
-        let mut sim = Simulator {
+        Simulator {
             core: SimCore {
                 now: 0,
                 step: 1,
@@ -296,17 +305,14 @@ impl Simulator {
             bodies: Vec::new(),
             ready: Vec::new(),
             ready_gen: 1,
+            due: Vec::new(),
             profiler: Profiler::new(),
             profiling: false,
             vcd: None,
             tracing: false,
             stats: SimStats::default(),
             uninitialized: Vec::new(),
-        };
-        // Open the dispatch gate the default mode implies, so a bare
-        // simulator filters exactly like one given the mode explicitly.
-        sim.core.compiled.refresh_gate();
-        sim
+        }
     }
 
     /// Declare a new signal. Initial value is all-`X` (uninitialised), as
@@ -323,7 +329,7 @@ impl Simulator {
             sensitive: Vec::new(),
             on_fall: Vec::new(),
             toggles: 0,
-            cflags: 0,
+            has_wakers: false,
             written_step: 0,
         });
         self.core.compiled.wakers.push(Vec::new());
@@ -602,18 +608,19 @@ impl Simulator {
     /// Queue the listeners of `sig`, which just changed, in registration
     /// order. When the signal `fell` from a driven 1 the walk covers the
     /// fall list, which leaves out the posedge entries, in every mode.
-    /// While the compiled filter is on, a parked component is skipped
-    /// too. Both lists keep registration order and skipping never
-    /// reorders the rest, so the ready queue, and thus the delta
-    /// schedule, is the event-driven one restricted to the dispatched set.
+    /// In compiled mode a parked component is skipped too. Both lists
+    /// keep registration order, skipping never reorders the rest, and the
+    /// batch unparked everyone it wakes before its first mark, so the
+    /// ready queue, and thus the delta schedule, is the event-driven one
+    /// restricted to the dispatched set.
     fn mark_sensitive(&mut self, sig: SignalId, fell: bool) {
         let cc = &mut self.core.compiled;
-        let (filtering, gen) = (cc.filtering, self.ready_gen);
+        let (compiled, gen) = (cc.mode.is_compiled(), self.ready_gen);
         let s = &self.core.signals[sig.0 as usize];
         let list = if fell { &s.on_fall } else { &s.sensitive };
         for &comp in list {
             let idx = comp.0 as usize;
-            if filtering && cc.parked[idx] {
+            if compiled && cc.parked[idx] {
                 cc.stats.skipped_parked += 1;
                 continue;
             }
@@ -625,74 +632,104 @@ impl Simulator {
         }
     }
 
-    /// Apply a value to a signal; returns true if it changed.
-    fn apply(&mut self, sig: SignalId, v: Lv) -> bool {
+    /// Apply a value to a signal and queue its listeners if it changed.
+    fn apply(&mut self, sig: SignalId, v: Lv) {
         let s = &mut self.core.signals[sig.0 as usize];
         if s.cur.eq_case(&v) {
-            return false;
+            return;
         }
         s.prev = s.cur;
         s.cur = v;
         s.last_change = self.core.step;
         s.toggles += 1;
-        let cflags = s.cflags;
         let fell = s.prev.truthy() && !s.cur.truthy();
         if self.tracing {
             if let Some(vcd) = &mut self.vcd {
                 vcd.change(self.core.now, sig, v);
             }
         }
-        if cflags != 0 {
-            self.signal_compiled_hooks(sig, cflags);
-        }
         self.mark_sensitive(sig, fell);
-        true
     }
 
-    /// Cold path of [`Simulator::apply`] for signals carrying compiled
-    /// flags: wake parked listeners and track dirty-window membership.
-    /// Runs in every mode so park/dirty state stays consistent even while
-    /// filtering is suspended.
-    fn signal_compiled_hooks(&mut self, sig: SignalId, cflags: u8) {
-        let cc = &mut self.core.compiled;
-        if cflags & cflag::HAS_WAKERS != 0 {
-            for &c in &cc.wakers[sig.0 as usize] {
-                if cc.parked[c.0 as usize] {
-                    cc.parked[c.0 as usize] = false;
-                    cc.stats.signal_wakes += 1;
+    /// Pop the events due now onto `due`, in scheduling order.
+    fn take_due(&mut self) {
+        let now = self.core.now;
+        while let Some(&Reverse(ev)) = self.core.queue.peek() {
+            if ev.time != now {
+                break;
+            }
+            self.core.queue.pop();
+            self.due.push(ev.kind);
+        }
+    }
+
+    /// Apply the events on `due`, in order, and empty it. An edge
+    /// schedules its successor half a period (>= 1 ps) later.
+    fn apply_due(&mut self) {
+        let now = self.core.now;
+        let mut due = std::mem::take(&mut self.due);
+        for &ev in &due {
+            match ev {
+                EventKind::Drive(sig, v) => self.apply(sig, v),
+                EventKind::Edge(sig, level, half) => {
+                    self.core
+                        .schedule(now + half, EventKind::Edge(sig, !level, half));
+                    self.apply(sig, Lv::bit(level));
+                }
+                EventKind::Wake(c) => {
+                    // A self-scheduled wakeup always dispatches: the
+                    // component asked for it.
+                    let gen = self.ready_gen;
+                    let slot = &mut self.comps[c.0 as usize];
+                    if slot.queued_gen != gen {
+                        slot.queued_gen = gen;
+                        self.ready.push(c);
+                    }
                 }
             }
         }
-        if cflags & cflag::WATCH_ANY != 0 {
-            let s = &mut self.core.signals[sig.0 as usize];
-            let dirty = (cflags & cflag::WATCH_TRUTHY != 0 && s.cur.truthy())
-                || (cflags & cflag::WATCH_UNKNOWN != 0 && s.cur.has_unknown());
-            let was = cflags & cflag::DIRTY_NOW != 0;
-            if dirty != was {
-                // Window bookkeeping lives outside the structured trace
-                // sink: the TraceBuf stream is pinned bit-identical
-                // between execution modes, so fallback spans are logged
-                // separately and exported by the observability layer.
-                if dirty {
-                    s.cflags |= cflag::DIRTY_NOW;
-                    cc.dirty_count += 1;
-                    if cc.dirty_count == 1 && cc.mode.is_compiled() {
-                        cc.stats.fallback_entries += 1;
-                        cc.unpark_all();
-                        cc.refresh_gate();
-                        cc.windows.push((self.core.now, u64::MAX));
-                    }
-                } else {
-                    s.cflags &= !cflag::DIRTY_NOW;
-                    cc.dirty_count -= 1;
-                    if cc.dirty_count == 0 && cc.mode.is_compiled() {
-                        cc.stats.fallback_exits += 1;
-                        cc.refresh_gate();
-                        if let Some(w) = cc.windows.last_mut() {
-                            w.1 = self.core.now;
-                        }
-                    }
+        due.clear();
+        self.due = due;
+    }
+
+    /// In compiled mode, unpark every component the coming batch wakes,
+    /// before the batch marks anyone: the listeners of rung doorbells,
+    /// the targets of due wakeups, and the wakers of every signal the
+    /// batch changes. The batch is the writes in `pending`, then the
+    /// events on `due`. A signal in `pending` always changes, since
+    /// [`SimCore::push_write`] drops a first write equal to the current
+    /// value. A due drive that differs from its signal's value before the
+    /// batch means the signal changes in the batch, at that drive or at an
+    /// earlier one.
+    ///
+    /// So when [`Simulator::mark_sensitive`] skips a parked component,
+    /// nothing later in the batch wakes it: a component that one signal
+    /// of a batch skipped and a later one woke would otherwise be queued
+    /// at the later signal's place, not where event-driven dispatch
+    /// queues it.
+    fn unpark_batch(&mut self, pending: &[(SignalId, Lv)]) {
+        let (signals, cc) = (&self.core.signals, &mut self.core.compiled);
+        if !cc.mode.is_compiled() {
+            return;
+        }
+        cc.service_doorbells();
+        for &ev in &self.due {
+            let (sig, v) = match ev {
+                EventKind::Drive(sig, v) => (sig, v),
+                EventKind::Edge(sig, level, _) => (sig, Lv::bit(level)),
+                EventKind::Wake(c) => {
+                    cc.parked[c.0 as usize] = false;
+                    continue;
                 }
+            };
+            let s = &signals[sig.0 as usize];
+            if s.has_wakers && !s.cur.eq_case(&v) {
+                cc.wake(sig);
+            }
+        }
+        for &(sig, _) in pending {
+            if signals[sig.0 as usize].has_wakers {
+                cc.wake(sig);
             }
         }
     }
@@ -724,44 +761,12 @@ impl Simulator {
     /// Execute all deltas at the current time until quiescent.
     fn settle_now(&mut self) -> Result<(), KernelError> {
         let mut deltas = 0u32;
+        // The first batch: the events due now. Doorbells rung since the
+        // last batch, by the testbench between run calls, count too.
+        self.take_due();
+        self.unpark_batch(&[]);
         loop {
-            // Doorbells rung since the last batch, by an eval or by the
-            // testbench between run calls, unpark their listeners before
-            // this batch marks anyone.
-            if self.core.compiled.filtering && !self.core.compiled.doorbells.is_empty() {
-                self.core.compiled.service_doorbells();
-            }
-            // Apply the events due at `now`, in scheduling order. None of
-            // them schedules another event for `now`: an edge's successor
-            // is half a period (>= 1 ps) later.
-            let now = self.core.now;
-            while let Some(&Reverse(ev)) = self.core.queue.peek() {
-                if ev.time != now {
-                    break;
-                }
-                self.core.queue.pop();
-                match ev.kind {
-                    EventKind::Drive(sig, v) => {
-                        self.apply(sig, v);
-                    }
-                    EventKind::Edge(sig, level, half) => {
-                        self.core
-                            .schedule(now + half, EventKind::Edge(sig, !level, half));
-                        self.apply(sig, Lv::bit(level));
-                    }
-                    EventKind::Wake(c) => {
-                        // A self-scheduled wakeup always dispatches and
-                        // always unparks: the component asked for it.
-                        self.core.compiled.parked[c.0 as usize] = false;
-                        let gen = self.ready_gen;
-                        let slot = &mut self.comps[c.0 as usize];
-                        if slot.queued_gen != gen {
-                            slot.queued_gen = gen;
-                            self.ready.push(c);
-                        }
-                    }
-                }
-            }
+            self.apply_due();
             // A batch that wakes nobody is not a delta. Writes can be
             // pending with nobody ready only before the first eval: the
             // initial values of kernel clocks and resets.
@@ -769,12 +774,15 @@ impl Simulator {
                 return Ok(());
             }
             self.eval_ready();
-            // Apply non-blocking writes; they constitute the next delta.
-            // Nothing pushes to `core.pending` while they apply, so the
-            // buffer can be taken and handed back without reallocating.
+            // The next batch: this phase's non-blocking writes, then any
+            // events it scheduled for now. Nothing pushes to
+            // `core.pending` while the writes apply, so the buffer can be
+            // taken and handed back without reallocating.
             let mut pending = std::mem::take(&mut self.core.pending);
             self.core.step += 1;
             self.stats.deltas += 1;
+            self.take_due();
+            self.unpark_batch(&pending);
             for &(sig, v) in pending.iter() {
                 self.apply(sig, v);
             }
@@ -782,6 +790,8 @@ impl Simulator {
             debug_assert!(self.core.pending.is_empty());
             self.core.pending = pending;
             deltas += 1;
+            // An early return leaves the batch's events on `due`; the
+            // next call applies them first.
             if deltas > DELTA_LIMIT {
                 return Err(KernelError::DeltaOverflow {
                     time_ps: self.core.now,
@@ -812,7 +822,6 @@ impl Simulator {
     pub fn run_until(&mut self, deadline: u64) -> Result<(), KernelError> {
         let deadline = deadline.max(self.core.now);
         self.init_components();
-        let compiled_mode = self.core.compiled.mode.is_compiled();
         loop {
             self.settle_now()?;
             if self.core.finish_requested {
@@ -833,13 +842,6 @@ impl Simulator {
             self.core.now = next;
             self.core.step += 1;
             self.stats.time_points += 1;
-            if compiled_mode {
-                if self.core.compiled.filtering {
-                    self.core.compiled.stats.steady_points += 1;
-                } else {
-                    self.core.compiled.stats.fallback_points += 1;
-                }
-            }
             // Sample scheduler occupancy into the trace on a coarse,
             // deterministic cadence (a simulation-derived counter, so
             // identical runs sample at identical points).
@@ -880,37 +882,11 @@ impl Simulator {
         if !mode.is_compiled() {
             self.core.compiled.unpark_all();
         }
-        self.core.compiled.refresh_gate();
     }
 
     /// The selected execution mode.
     pub fn exec_mode(&self) -> ExecMode {
         self.core.compiled.mode
-    }
-
-    /// Watch `sig` as a dirty-window trigger: while the condition holds,
-    /// compiled dispatch falls back to full event-driven semantics (and
-    /// every parked component is woken). The current value is inspected
-    /// immediately, so watching a signal that is already dirty (e.g. a
-    /// reset line that is high, or still `X`) opens a window at once.
-    pub fn watch_dirty(&mut self, sig: SignalId, cond: DirtyWatch) {
-        let s = &mut self.core.signals[sig.0 as usize];
-        match cond {
-            DirtyWatch::Truthy => s.cflags |= cflag::WATCH_TRUTHY,
-            DirtyWatch::Unknown => s.cflags |= cflag::WATCH_UNKNOWN,
-            DirtyWatch::TruthyOrUnknown => s.cflags |= cflag::WATCH_ANY,
-        }
-        let dirty = (s.cflags & cflag::WATCH_TRUTHY != 0 && s.cur.truthy())
-            || (s.cflags & cflag::WATCH_UNKNOWN != 0 && s.cur.has_unknown());
-        if dirty && s.cflags & cflag::DIRTY_NOW == 0 {
-            s.cflags |= cflag::DIRTY_NOW;
-            self.core.compiled.dirty_count += 1;
-            if self.core.compiled.dirty_count == 1 && self.core.compiled.mode.is_compiled() {
-                self.core.compiled.stats.fallback_entries += 1;
-                self.core.compiled.windows.push((self.core.now, u64::MAX));
-            }
-            self.core.compiled.refresh_gate();
-        }
     }
 
     /// Register a doorbell: a shared flag an out-of-band state owner (a
@@ -927,12 +903,6 @@ impl Simulator {
     pub fn compiled_stats(&self) -> Option<CompiledStats> {
         let cc = &self.core.compiled;
         cc.mode.is_compiled().then_some(cc.stats)
-    }
-
-    /// Dirty-window fallback intervals as `(entry_ps, exit_ps)` pairs; an
-    /// open window reads as `exit_ps == u64::MAX`.
-    pub fn fallback_windows(&self) -> &[(u64, u64)] {
-        &self.core.compiled.windows
     }
 
     /// Order-sensitive FNV-1a digest over every signal's current value

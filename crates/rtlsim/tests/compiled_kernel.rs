@@ -1,18 +1,17 @@
-//! Compiled-plane kernel tests: parking, doorbells and dirty-window
-//! fallback, each checked for bit-identity against an event-driven
-//! reference built the same way.
+//! Compiled-plane kernel tests: parking, doorbells and the dispatch
+//! order of a batch that wakes a parked component, each checked against
+//! an event-driven reference built the same way.
 
-use rtlsim::{CompKind, Ctx, DirtyWatch, ExecMode, Lv, SignalId, Simulator};
-use std::cell::Cell;
+use rtlsim::{CompKind, Ctx, ExecMode, Lv, SignalId, Simulator};
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 const PERIOD: u64 = 10_000;
 
 /// A counter design: a posedge-clocked counter with reset, a decoder on
 /// its output and an idle monitor on every clock edge. With `hints` the
-/// design also makes the compiled plane's declarations: a dirty watch on
-/// reset and a monitor that parks until a doorbell rings. Returns
-/// (sim, q, dec) with the kernel in `mode`.
+/// monitor makes the compiled plane's declaration: it parks until a
+/// doorbell rings. Returns (sim, q, dec) with the kernel in `mode`.
 fn counter_design(mode: ExecMode, hints: bool) -> (Simulator, SignalId, SignalId) {
     let mut sim = Simulator::new();
     let clk = sim.signal("clk", 1);
@@ -58,9 +57,6 @@ fn counter_design(mode: ExecMode, hints: bool) -> (Simulator, SignalId, SignalId
         }),
         &[clk],
     );
-    if hints {
-        sim.watch_dirty(rst, DirtyWatch::TruthyOrUnknown);
-    }
     (sim, q, dec)
 }
 
@@ -86,15 +82,10 @@ fn compiled_counter_matches_event_driven_bit_for_bit() {
     let cs = co.compiled_stats().expect("compiled mode has stats");
     assert!(cs.skipped_parked > 0);
     assert!(ev.compiled_stats().is_none(), "event-driven mode has none");
-    // Reset opens a dirty window that closes when rst deasserts.
-    assert_eq!(cs.fallback_entries, 1);
-    assert_eq!(cs.fallback_exits, 1);
-    assert_eq!(co.fallback_windows().len(), 1);
-    assert!(co.fallback_windows()[0].1 < u64::MAX);
 }
 
-/// `Simulator::new()` starts in the default mode with its dispatch gate
-/// open: a parked process is skipped without any mode call.
+/// `Simulator::new()` starts in the default mode: a parked process is
+/// skipped without any mode call.
 #[test]
 fn a_bare_simulator_filters_in_the_default_mode() {
     let mut sim = Simulator::new();
@@ -124,7 +115,6 @@ fn a_bare_simulator_filters_in_the_default_mode() {
     assert_eq!(sim.peek_u64(q), Some(10));
     let cs = sim.compiled_stats().expect("compiled mode has stats");
     assert!(cs.skipped_parked > 0, "{cs:?}");
-    assert_eq!(cs.fallback_points, 0, "{cs:?}");
 }
 
 /// An idle FSM that parks until its `go` input changes, plus a doorbell
@@ -194,57 +184,94 @@ fn parked_component_wakes_on_signal_and_doorbell() {
     assert!(cs.skipped_parked > 0);
 }
 
-/// While a watched dirty signal is truthy, filtering fully suspends:
-/// parked components are unparked and dispatched on every edge.
-#[test]
-fn dirty_window_suspends_filtering_and_unparks() {
+/// How the batch of [`late_wake_order`] changes `a`, then `b`.
+#[derive(Debug, Clone, Copy)]
+enum Batch {
+    /// Two writes of one eval.
+    Writes,
+    /// Two testbench pokes at one time.
+    Pokes,
+    /// A write of one eval, then a drive it schedules with zero delay,
+    /// which applies right after the write.
+    WriteThenDrive,
+}
+
+/// The dispatch order of one batch that changes `a`, then `b`. P is
+/// registered first, listens to both and parks until `b` changes; Q
+/// listens to `a`.
+fn late_wake_order(mode: ExecMode, batch: Batch) -> Vec<&'static str> {
     let mut sim = Simulator::new();
-    let clk = sim.signal("clk", 1);
-    let iso = sim.signal_init("isolate", 1, 0);
-    let seen = Rc::new(Cell::new(0u64));
-    sim.add_clock(clk, PERIOD);
-    sim.set_exec_mode(ExecMode::Compiled);
-    let seen2 = seen.clone();
+    sim.set_exec_mode(mode);
+    let a = sim.signal_init("a", 1, 0);
+    let b = sim.signal_init("b", 1, 0);
+    let go = sim.signal_init("go", 1, 0);
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let p_log = log.clone();
     sim.add_component(
-        "watcher",
+        "p",
         CompKind::UserStatic,
         Box::new(move |ctx: &mut Ctx<'_>| {
-            seen2.set(seen2.get() + 1);
-            // Parks forever: only a dirty window (or iso change) revives it.
-            ctx.park_until(&[], &[]);
+            p_log.borrow_mut().push("P");
+            ctx.park_until(&[b], &[]);
         }),
-        &[clk],
+        &[a, b],
     );
-    sim.watch_dirty(iso, DirtyWatch::TruthyOrUnknown);
-    sim.run_for(10 * PERIOD).unwrap();
-    let while_parked = seen.get();
-    assert!(while_parked <= 2, "park ignored: {while_parked}");
-    // Open the window: every posedge AND negedge now dispatches.
-    sim.poke_u64(iso, 1);
-    sim.run_for(10 * PERIOD).unwrap();
-    let in_window = seen.get() - while_parked;
-    assert!(
-        in_window >= 19,
-        "fallback did not dispatch fully: {in_window}"
+    let q_log = log.clone();
+    sim.add_component(
+        "q",
+        CompKind::UserStatic,
+        Box::new(move |_: &mut Ctx<'_>| q_log.borrow_mut().push("Q")),
+        &[a],
     );
-    // Close it: the component re-parks on its first steady eval.
-    sim.poke_u64(iso, 0);
-    sim.run_for(10 * PERIOD).unwrap();
-    let after = seen.get();
-    sim.run_for(10 * PERIOD).unwrap();
-    assert!(
-        seen.get() <= after + 1,
-        "did not re-park after window close"
+    sim.add_component(
+        "driver",
+        CompKind::Vip,
+        Box::new(move |ctx: &mut Ctx<'_>| {
+            if ctx.is_high(go) {
+                ctx.set_bit(a, true);
+                match batch {
+                    Batch::Writes => ctx.set_bit(b, true),
+                    _ => ctx.set_after(b, Lv::bit(true), 0),
+                }
+            }
+        }),
+        &[go],
     );
-    let cs = sim.compiled_stats().unwrap();
-    assert_eq!(cs.fallback_entries, 1);
-    assert_eq!(cs.fallback_exits, 1);
-    assert!(cs.steady_points > 0 && cs.fallback_points > 0);
+    sim.settle().unwrap();
+    log.borrow_mut().clear();
+    if let Batch::Pokes = batch {
+        sim.poke_u64(a, 1);
+        sim.poke_u64(b, 1);
+    } else {
+        sim.poke_u64(go, 1);
+    }
+    sim.settle().unwrap();
+    if mode.is_compiled() {
+        assert!(sim.compiled_stats().unwrap().parks > 0, "P never parked");
+    }
+    log.take()
+}
+
+/// A parked component that one signal of a batch skips and a later
+/// signal of the same batch wakes is queued where event-driven dispatch
+/// queues it, at the earlier signal: every batch unparks before it
+/// marks.
+#[test]
+fn a_late_wake_keeps_the_event_driven_dispatch_order() {
+    for batch in [Batch::Writes, Batch::Pokes, Batch::WriteThenDrive] {
+        for mode in [ExecMode::EventDriven, ExecMode::Compiled] {
+            assert_eq!(
+                late_wake_order(mode, batch),
+                ["P", "Q"],
+                "{mode}, {batch:?}"
+            );
+        }
+    }
 }
 
 /// Event-driven mode must be byte-identical to a kernel given none of
-/// the compiled plane's declarations: parking, doorbells and dirty
-/// watches are inert there.
+/// the compiled plane's declarations: parking and doorbells are inert
+/// there.
 #[test]
 fn declarations_are_inert_in_event_driven_mode() {
     let (mut plain, pq, _) = counter_design(ExecMode::EventDriven, true);

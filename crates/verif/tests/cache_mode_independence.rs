@@ -124,20 +124,22 @@ fn compiled_counters_fold_from_every_runner_of_the_campaign() {
         compiled.stats.compiled_plans, 4,
         "2 matrix systems + 1 recovery + 1 fuzz"
     );
-    assert!(compiled.stats.compiled.steady_points > 0);
+    assert!(compiled.stats.compiled.parks > 0);
+    assert!(compiled.stats.compiled.skipped_parked > 0);
 
     let event = every_runner(ExecMode::EventDriven).run();
     assert!(event.failures().is_empty(), "{}", event.digest());
     assert_eq!(event.stats.compiled_plans, 0);
-    assert_eq!(event.stats.compiled.steady_points, 0);
+    assert_eq!(event.stats.compiled.parks, 0);
+    assert_eq!(event.stats.compiled.skipped_parked, 0);
 
     // A registry that outlives the campaign shows the last one only.
     let mut reg = MetricsRegistry::new();
     compiled.stats.record(&mut reg);
     assert_eq!(reg.get_counter("compiled.plans"), 4);
-    assert!(reg.get_gauge("compiled.fallback_share").is_some());
+    assert!(reg.get_counter("compiled.parks") > 0);
     event.stats.record(&mut reg);
     assert_eq!(reg.get_counter("compiled.plans"), 0);
-    assert_eq!(reg.get_counter("compiled.steady_points"), 0);
-    assert_eq!(reg.get_gauge("compiled.fallback_share"), Some(0.0));
+    assert_eq!(reg.get_counter("compiled.parks"), 0);
+    assert_eq!(reg.get_counter("compiled.skipped_parked"), 0);
 }

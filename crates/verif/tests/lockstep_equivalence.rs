@@ -7,7 +7,10 @@
 //! edge the full architectural signal state (order-sensitive FNV digest
 //! over every signal's value/X planes) and the named probe signals must
 //! agree. A divergence is reported at the first cycle it appears, with
-//! the first differing signal named.
+//! the first differing signal named. Both systems also trace every
+//! value change to a VCD, and the two files must be byte-identical at
+//! the end: that pins the order of records within a delta, which the
+//! per-edge state comparison cannot see.
 //!
 //! Coverage:
 //! * the Table II demonstrator shape (single time-shared region, ReSim
@@ -23,6 +26,8 @@
 use autovision::{AvSystem, SimMethod, SystemConfig, CLK_PERIOD_PS};
 use proptest::prelude::*;
 use rtlsim::{ExecMode, SignalId};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use verif::fuzz::FuzzSchedule;
 
 /// Cycles both systems may drain after completion (matches the run
@@ -52,16 +57,58 @@ fn first_divergence(ev: &AvSystem, co: &AvSystem) -> String {
     "digest differs but no named signal does (width/arena mismatch)".to_string()
 }
 
+/// A VCD path no other system of this test process writes to: the
+/// tests run in parallel threads of one process.
+fn vcd_path(mode: ExecMode) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("lockstep_{}_{n}_{mode}.vcd", std::process::id()))
+}
+
+/// Build `cfg` in `mode`, tracing every value change to a fresh VCD.
+fn traced(cfg: &SystemConfig, mode: ExecMode) -> (AvSystem, PathBuf) {
+    let mut sys = AvSystem::build(SystemConfig {
+        exec_mode: mode,
+        ..cfg.clone()
+    });
+    let path = vcd_path(mode);
+    sys.sim.trace_vcd(&path).expect("create VCD");
+    (sys, path)
+}
+
+/// Flush and read one system's VCD, deleting the file.
+fn take_vcd(sys: &mut AvSystem, path: &Path) -> Vec<u8> {
+    sys.sim.flush_vcd().expect("flush VCD");
+    let bytes = std::fs::read(path).expect("read VCD");
+    std::fs::remove_file(path).expect("remove VCD");
+    bytes
+}
+
+/// The first line where two VCDs differ, with its line number.
+fn first_vcd_divergence(ev: &[u8], co: &[u8]) -> String {
+    let (ev, co) = (String::from_utf8_lossy(ev), String::from_utf8_lossy(co));
+    let mut time = "#0";
+    for (i, (a, b)) in ev.lines().zip(co.lines()).enumerate() {
+        if a != b {
+            return format!("line {} (at {time}): event={a:?} compiled={b:?}", i + 1);
+        }
+        if a.starts_with('#') {
+            time = a;
+        }
+    }
+    format!(
+        "one VCD is a prefix of the other ({} vs {} lines)",
+        ev.lines().count(),
+        co.lines().count()
+    )
+}
+
 /// Build one system per mode from `cfg` and advance them in lockstep,
-/// comparing registered state and probe values at every clock edge.
-/// Returns the frames both runs captured.
+/// comparing registered state and probe values at every clock edge and
+/// the two VCDs at the end. Returns the frames both runs captured.
 fn lockstep(cfg: &SystemConfig, max_cycles: u64) -> usize {
-    let mut cfg_ev = cfg.clone();
-    cfg_ev.exec_mode = ExecMode::EventDriven;
-    let mut cfg_co = cfg.clone();
-    cfg_co.exec_mode = ExecMode::Compiled;
-    let mut ev = AvSystem::build(cfg_ev);
-    let mut co = AvSystem::build(cfg_co);
+    let (mut ev, ev_vcd) = traced(cfg, ExecMode::EventDriven);
+    let (mut co, co_vcd) = traced(cfg, ExecMode::Compiled);
     let probes = probe_list(&ev);
     assert_eq!(
         probes,
@@ -107,6 +154,12 @@ fn lockstep(cfg: &SystemConfig, max_cycles: u64) -> usize {
         }
     }
 
+    let (ev_bytes, co_bytes) = (take_vcd(&mut ev, &ev_vcd), take_vcd(&mut co, &co_vcd));
+    assert!(
+        ev_bytes == co_bytes,
+        "VCD bytes differ between exec modes: {}",
+        first_vcd_divergence(&ev_bytes, &co_bytes)
+    );
     let (fe, fc) = (ev.captured.borrow(), co.captured.borrow());
     assert_eq!(fe.len(), fc.len(), "captured frame counts differ");
     for (i, (a, b)) in fe.iter().zip(fc.iter()).enumerate() {

@@ -190,14 +190,19 @@ fn each_server_scrapes_its_own_last_campaign() {
     let snap_a = a.metrics().expect("scrape a");
     let snap_b = b.metrics().expect("scrape b");
     assert_eq!(counter(&snap_a, "compiled.plans"), Some(2), "{snap_a}");
+    assert!(
+        counter(&snap_a, "compiled.parks").is_some_and(|n| n > 0),
+        "{snap_a}"
+    );
     assert_eq!(counter(&snap_b, "compiled.plans"), Some(0), "{snap_b}");
 
     // The next campaign replaces the compiled.* values; nothing adds up.
     a.submit(&clean(ExecMode::EventDriven)).expect("resubmit a");
     let snap_a = a.metrics().expect("rescrape a");
     assert_eq!(counter(&snap_a, "compiled.plans"), Some(0), "{snap_a}");
+    assert_eq!(counter(&snap_a, "compiled.parks"), Some(0), "{snap_a}");
     assert_eq!(
-        counter(&snap_a, "compiled.steady_points"),
+        counter(&snap_a, "compiled.skipped_parked"),
         Some(0),
         "{snap_a}"
     );
