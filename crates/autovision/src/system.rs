@@ -174,11 +174,10 @@ pub struct SystemConfig {
     /// untouched.
     pub recovery: RecoveryPolicy,
     /// Kernel execution mode. [`ExecMode::Compiled`] skips parked
-    /// components at dispatch and falls back to full event-driven
-    /// dispatch inside reconfiguration and X-injection windows; outputs
-    /// are bit-identical in every mode. Defaults to [`ExecMode::default`],
-    /// the compiled plane; [`ExecMode::EventDriven`] is the reference it
-    /// is pinned against.
+    /// components at dispatch, reconfiguration and X-injection windows
+    /// included; outputs are bit-identical in every mode. Defaults to
+    /// [`ExecMode::default`], the compiled plane; [`ExecMode::EventDriven`]
+    /// is the reference it is pinned against.
     pub exec_mode: ExecMode,
 }
 

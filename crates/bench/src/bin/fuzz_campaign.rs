@@ -10,9 +10,10 @@
 //!   with zero failure signatures.
 //! * **corrupt** — golden design with SimB word-stream corruption ops
 //!   enabled (bit flips, stalls, spurious bus errors, ICAP ready
-//!   drops) and the recovery protocol off. The detection claim: the
-//!   oracles must catch corrupted bitstreams, so this session must
-//!   find at least one failure signature.
+//!   drops) and the recovery protocol off in the baseline (a mutation
+//!   may toggle it). The detection claim: the oracles must catch
+//!   corrupted bitstreams, so this session must find at least one
+//!   failure signature.
 //! * **seeded** — the bug.dpr.6a race (fixed-loop wait instead of
 //!   polling transfer done) seeded into the base design. The
 //!   find-and-shrink claim: the fuzzer must find the race, dedup it to
@@ -23,9 +24,14 @@
 //! * **default** — prints each session report, checks the three claims
 //!   above, exercises the reproducer replay loop, and writes every
 //!   shrunk reproducer to `target/fuzz/<session>_<n>.json`.
-//! * **`--replay <file> [bug-id]`** — parse a `fuzz_repro/v2` document
-//!   and replay it against the base design (optionally with a seeded
-//!   bug from the catalog, e.g. `bug.dpr.6a`); prints the verdict.
+//! * **`--replay <file> [bug-id]`** — parse a `fuzz_repro/v1` document
+//!   (or a `fuzz_repro/v2` one of an earlier build) and replay it
+//!   against the base design (optionally with a seeded bug from the
+//!   catalog, e.g. `bug.dpr.6a`); prints the verdict and exits
+//!   non-zero unless the recorded signature reproduces.
+//!
+//! Every session and replay runs in the `--exec-mode` the command line
+//! selects (compiled by default).
 //!
 //! The same claims are pinned at smaller scale by
 //! `verif/tests/fuzz_determinism.rs`, which `cargo test` runs.
@@ -38,8 +44,7 @@ const BUDGET_CYCLES: u64 = 400_000;
 const SEED: u64 = 0x5EED_F022;
 
 /// The fuzzed base: the detection matrix's small configuration, under
-/// the shared `--exec-mode` flag (the fuzzer also mutates the mode as
-/// its own schedule knob; this sets the *baseline* schedule's mode).
+/// the shared `--exec-mode` flag.
 fn fuzz_base() -> SystemConfig {
     SystemConfig::builder()
         .method(SimMethod::Resim)
@@ -79,8 +84,6 @@ fn run_session(
         threads: harness::threads(),
         budget_cycles: BUDGET_CYCLES,
         corrupt_stream,
-        mutate_recovery: corrupt_stream,
-        mutate_topology: true,
         ..Default::default()
     };
     let (report, wall_s) = harness::timed(|| fuzz::run_fuzz(base, &opts));

@@ -9,11 +9,12 @@
 
 use autovision::AvSystem;
 use bench::{harness, paper_scale_config};
+use rtlsim::profile::ProfileRow;
 use rtlsim::CompKind;
 
 /// One measured repetition: (mux fraction, other-artifact fraction,
 /// user fraction, vip fraction, report rows).
-fn measure() -> (f64, f64, f64, f64, Vec<rtlsim::profile::ProfileRow>) {
+fn measure() -> (f64, f64, f64, f64, Vec<ProfileRow>) {
     let cfg = paper_scale_config();
     let mut sys = AvSystem::build(cfg);
     sys.sim.set_profiling(true);
@@ -22,18 +23,17 @@ fn measure() -> (f64, f64, f64, f64, Vec<rtlsim::profile::ProfileRow>) {
     let names = sys.sim.eval_counts();
     let rows = sys.sim.profiler().report(&names);
     let total: f64 = rows.iter().map(|r| r.time.as_secs_f64()).sum();
-    let frac_of = |pred: &dyn Fn(&str) -> bool| -> f64 {
+    let frac_of = |pred: &dyn Fn(&ProfileRow) -> bool| -> f64 {
         rows.iter()
-            .filter(|r| r.kind == CompKind::Artifact && pred(&r.name))
+            .filter(|r| pred(r))
             .map(|r| r.time.as_secs_f64())
             .sum::<f64>()
             / total
     };
-    let mux = frac_of(&|n| n.ends_with(".mux"));
-    let other = frac_of(&|n| !n.ends_with(".mux"));
-    let user = sys.sim.profiler().fraction_of_kind(CompKind::UserStatic)
-        + sys.sim.profiler().fraction_of_kind(CompKind::UserReconf);
-    let vip = sys.sim.profiler().fraction_of_kind(CompKind::Vip);
+    let mux = frac_of(&|r| r.kind == CompKind::Artifact && r.name.ends_with(".mux"));
+    let other = frac_of(&|r| r.kind == CompKind::Artifact && !r.name.ends_with(".mux"));
+    let user = frac_of(&|r| matches!(r.kind, CompKind::UserStatic | CompKind::UserReconf));
+    let vip = frac_of(&|r| r.kind == CompKind::Vip);
     (mux, other, user, vip, rows)
 }
 

@@ -12,7 +12,10 @@
 //! | `turnaround` | §V-B — debug-turnaround comparison |
 //! | `ablation_simb_len` | §IV-B — SimB length accuracy/turnaround trade-off |
 //! | `ablation_error_source` | error-injection policy ablation |
+//! | `ablation_swap_trigger` | module-swap trigger ablation (bug.dpr.6b with the swap at the first SimB word) |
 //! | `two_region_pipeline` | two-region split pipeline, per-region DPR statistics |
+//! | `recovery_matrix` | transient-fault campaign, recovery off vs on |
+//! | `fuzz_campaign` | coverage-guided schedule fuzzing and reproducer replay |
 //!
 //! The boilerplate the bins share (thread counts, argv, the small
 //! experiment configuration, timing, evidence formatting) lives in

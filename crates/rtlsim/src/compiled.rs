@@ -56,21 +56,12 @@ impl ExecMode {
         !matches!(self, ExecMode::EventDriven)
     }
 
-    /// Stable lowercase name (CLI/JSON spelling).
+    /// Stable lowercase name (CLI/JSON spelling), the one
+    /// [`str::parse`] accepts.
     pub fn as_str(self) -> &'static str {
         match self {
             ExecMode::EventDriven => "event",
             ExecMode::Compiled => "compiled",
-        }
-    }
-
-    /// Parse the CLI/JSON spelling produced by [`ExecMode::as_str`]
-    /// (plus the common long aliases).
-    pub fn parse(s: &str) -> Option<ExecMode> {
-        match s {
-            "event" | "event-driven" | "eventdriven" => Some(ExecMode::EventDriven),
-            "compiled" => Some(ExecMode::Compiled),
-            _ => None,
         }
     }
 }
@@ -78,7 +69,11 @@ impl ExecMode {
 impl std::str::FromStr for ExecMode {
     type Err = String;
     fn from_str(s: &str) -> Result<ExecMode, String> {
-        ExecMode::parse(s).ok_or_else(|| format!("unknown exec mode '{s}' (event|compiled)"))
+        match s {
+            "event" => Ok(ExecMode::EventDriven),
+            "compiled" => Ok(ExecMode::Compiled),
+            _ => Err(format!("unknown exec mode '{s}' (event|compiled)")),
+        }
     }
 }
 
@@ -145,13 +140,6 @@ impl CompiledCore {
         self.wake_registered.push(false);
     }
 
-    /// Clear every parked flag (a switch to event-driven mode).
-    pub fn unpark_all(&mut self) {
-        for p in &mut self.parked {
-            *p = false;
-        }
-    }
-
     /// Unpark the components whose wake set holds `sig`, which the
     /// coming batch changes.
     #[inline]
@@ -189,10 +177,11 @@ mod tests {
     #[test]
     fn exec_mode_round_trips_through_its_name() {
         for m in [ExecMode::EventDriven, ExecMode::Compiled] {
-            assert_eq!(ExecMode::parse(m.as_str()), Some(m));
+            assert_eq!(m.as_str().parse(), Ok(m));
         }
-        assert_eq!(ExecMode::parse("event-driven"), Some(ExecMode::EventDriven));
-        assert_eq!(ExecMode::parse("bogus"), None);
+        for other in ["event-driven", "eventdriven", "Event", "bogus"] {
+            assert!(other.parse::<ExecMode>().is_err(), "{other}");
+        }
         assert_eq!(ExecMode::default(), ExecMode::Compiled);
     }
 }

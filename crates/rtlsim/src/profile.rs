@@ -21,13 +21,10 @@ use crate::CompId;
 use std::time::{Duration, Instant};
 
 struct Entry {
-    kind: CompKind,
     /// Sum of sampled eval durations (raw, including clock-read cost).
     time: Duration,
     /// Number of sampled (timed) evals.
     samples: u64,
-    /// Total evals (exact).
-    evals: u64,
 }
 
 /// Accumulates evaluation time per component.
@@ -35,7 +32,10 @@ struct Entry {
 /// Roughly 1 in 2^[`SAMPLE_SHIFT`] evaluations is timed; a component's
 /// total is estimated as (mean sampled duration − the cheapest mean
 /// observed across all components, which calibrates away the clock-read
-/// floor) × its exact eval count.
+/// floor) × its exact eval count, which [`Profiler::report`] takes from
+/// the simulator ([`crate::Simulator::eval_counts`]). The counts cover
+/// every eval since the simulator was built, so turn profiling on before
+/// the first run.
 pub struct Profiler {
     enabled: bool,
     entries: Vec<Entry>,
@@ -82,13 +82,11 @@ impl Profiler {
         self.enabled = on;
     }
 
-    pub(crate) fn register(&mut self, id: CompId, kind: CompKind) {
+    pub(crate) fn register(&mut self, id: CompId) {
         debug_assert_eq!(id.0 as usize, self.entries.len());
         self.entries.push(Entry {
-            kind,
             time: Duration::ZERO,
             samples: 0,
-            evals: 0,
         });
     }
 
@@ -114,9 +112,8 @@ impl Profiler {
 
     #[inline]
     pub(crate) fn end(&mut self, id: CompId, t0: Option<Instant>) {
-        let e = &mut self.entries[id.0 as usize];
-        e.evals += 1;
         if let Some(t0) = t0 {
+            let e = &mut self.entries[id.0 as usize];
             e.time += t0.elapsed();
             e.samples += 1;
         }
@@ -139,59 +136,34 @@ impl Profiler {
         }
     }
 
-    /// Estimated net eval time of one entry: (mean sample - floor) x
-    /// exact eval count, clamped at zero.
-    fn estimate_secs(&self, e: &Entry, floor: f64) -> f64 {
-        if e.samples == 0 {
-            return 0.0;
-        }
-        let mean = e.time.as_secs_f64() / e.samples as f64;
-        ((mean - floor).max(0.0)) * e.evals as f64
-    }
-
-    /// Fraction of total eval time spent in components of `kind`.
-    pub fn fraction_of_kind(&self, kind: CompKind) -> f64 {
-        let floor = self.floor_secs();
-        let total: f64 = self
-            .entries
-            .iter()
-            .map(|e| self.estimate_secs(e, floor))
-            .sum();
-        if total == 0.0 {
-            return 0.0;
-        }
-        let t: f64 = self
-            .entries
-            .iter()
-            .filter(|e| e.kind == kind)
-            .map(|e| self.estimate_secs(e, floor))
-            .sum();
-        t / total
-    }
-
-    /// Build a full report given component names (from the simulator),
-    /// sorted by descending estimated time.
+    /// Build a full report given each component's name, kind and exact
+    /// eval count ([`crate::Simulator::eval_counts`]), sorted by
+    /// descending estimated time (net mean sample, clamped at zero, ×
+    /// eval count).
     pub fn report(&self, names: &[(Name, CompKind, u64)]) -> Vec<ProfileRow> {
         let floor = self.floor_secs();
-        let total: f64 = self
-            .entries
-            .iter()
-            .map(|e| self.estimate_secs(e, floor))
-            .sum::<f64>()
-            .max(f64::MIN_POSITIVE);
-        let mut rows: Vec<ProfileRow> = self
+        let estimates: Vec<f64> = self
             .entries
             .iter()
             .zip(names)
-            .map(|(e, (name, kind, _))| {
-                let est = self.estimate_secs(e, floor);
-                ProfileRow {
-                    name: name.clone(),
-                    kind: *kind,
-                    time: Duration::from_secs_f64(est),
-                    evals: e.evals,
-                    fraction: est / total,
+            .map(|(e, &(_, _, evals))| {
+                if e.samples == 0 {
+                    return 0.0;
                 }
+                let mean = e.time.as_secs_f64() / e.samples as f64;
+                (mean - floor).max(0.0) * evals as f64
+            })
+            .collect();
+        let total = estimates.iter().sum::<f64>().max(f64::MIN_POSITIVE);
+        let mut rows: Vec<ProfileRow> = estimates
+            .iter()
+            .zip(names)
+            .map(|(&est, (name, kind, evals))| ProfileRow {
+                name: name.clone(),
+                kind: *kind,
+                time: Duration::from_secs_f64(est),
+                evals: *evals,
+                fraction: est / total,
             })
             .collect();
         rows.sort_by_key(|r| std::cmp::Reverse(r.time));

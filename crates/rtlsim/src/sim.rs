@@ -394,7 +394,7 @@ impl Simulator {
         self.bodies.push(body);
         self.core.comp_names.push((name, kind));
         self.core.compiled.add_comp();
-        self.profiler.register(id, kind);
+        self.profiler.register(id);
         self.uninitialized.push(id);
         id
     }
@@ -542,6 +542,8 @@ impl Simulator {
 
     /// Enable or disable per-component wall-time profiling (off by
     /// default — sampling clock reads cost measurable throughput).
+    /// Enable it before the first run: [`Profiler::report`] scales the
+    /// samples by every eval since the simulator was built.
     pub fn set_profiling(&mut self, on: bool) {
         self.profiling = on;
         self.profiler.set_enabled(on);
@@ -874,14 +876,9 @@ impl Simulator {
 
     // --- Compiled-plane API (see `crate::compiled`) -------------------
 
-    /// Select the execution mode. Call before the first run; switching
-    /// back to [`ExecMode::EventDriven`] mid-run is allowed (it simply
-    /// stops filtering and unparks everything).
+    /// Select the execution mode, a setting made before the first run.
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
         self.core.compiled.mode = mode;
-        if !mode.is_compiled() {
-            self.core.compiled.unpark_all();
-        }
     }
 
     /// The selected execution mode.

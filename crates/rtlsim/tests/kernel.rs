@@ -340,15 +340,21 @@ fn profiler_attributes_time_by_kind() {
     // enough for the law of large numbers to take over.
     sim.set_profiling(true);
     sim.run_until(2_000 * PERIOD).unwrap();
-    let user = sim.profiler().fraction_of_kind(CompKind::UserStatic);
-    let artifact = sim.profiler().fraction_of_kind(CompKind::Artifact);
+    let names = sim.eval_counts();
+    let rows = sim.profiler().report(&names);
+    let fraction_of = |kind: CompKind| -> f64 {
+        rows.iter()
+            .filter(|r| r.kind == kind)
+            .map(|r| r.fraction)
+            .sum()
+    };
+    let user = fraction_of(CompKind::UserStatic);
+    let artifact = fraction_of(CompKind::Artifact);
     assert!(
         user > artifact,
         "heavy user logic must dominate: {user} vs {artifact}"
     );
     assert!(user > 0.5, "user fraction {user}");
-    let names = sim.eval_counts();
-    let rows = sim.profiler().report(&names);
     assert_eq!(rows[0].name, "heavy");
 }
 

@@ -54,13 +54,16 @@ use obs::json::Json;
 use obs::{span_durations, Span};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use rtlsim::{coverage_key, log2_bucket, ExecMode, TraceCat, TraceEvent, TraceKind};
+use rtlsim::{coverage_key, log2_bucket, TraceCat, TraceEvent, TraceKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Trace capacity for fuzz runs: small frames keep event counts in the
 /// low thousands, so 64 K slots never drop and cost ~2.5 MiB per
 /// in-flight scenario instead of the 10 MiB default.
 const FUZZ_TRACE_CAPACITY: usize = 1 << 16;
+
+/// Corpus size cap: past it, the oldest non-baseline entry is evicted.
+const MAX_CORPUS: usize = 64;
 
 /// Which region topology a fuzzed schedule runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -106,18 +109,11 @@ pub struct FuzzSchedule {
     pub bus_errors: u32,
     /// Drop ICAP `ready` for this many cycles mid-configuration.
     pub ready_drop: Option<u32>,
-    /// Kernel execution mode the schedule runs under. Behaviour is
-    /// bit-identical across modes by contract, so this knob never
-    /// changes coverage or a failure signature — mutating it *is* the
-    /// check: a mode-dependent verdict would surface as a new,
-    /// shrinkable signature whose minimal reproducer flips only this
-    /// knob.
-    pub exec_mode: ExecMode,
 }
 
 /// Number of independently mutable knobs (the shrinker walks them by
 /// index).
-const KNOBS: usize = 13;
+const KNOBS: usize = 12;
 
 impl FuzzSchedule {
     /// The unmutated schedule of a base configuration: running it is
@@ -141,7 +137,6 @@ impl FuzzSchedule {
             stall: None,
             bus_errors: 0,
             ready_drop: None,
-            exec_mode: base.exec_mode,
         }
     }
 
@@ -169,7 +164,7 @@ impl FuzzSchedule {
 
     /// Overlay the schedule onto a base configuration. ReSim is forced:
     /// the schedule knobs act on the bitstream path, which only the
-    /// ReSim backend models.
+    /// ReSim backend models. The execution mode is the base's.
     pub fn apply(&self, base: &SystemConfig) -> SystemConfig {
         let s = self.sanitized();
         let regions = match s.topology {
@@ -199,7 +194,6 @@ impl FuzzSchedule {
                 enabled: s.recovery_on,
                 ..Default::default()
             },
-            exec_mode: s.exec_mode,
             ..base.clone()
         }
     }
@@ -227,7 +221,6 @@ fn knob_differs(s: &FuzzSchedule, b: &FuzzSchedule, k: usize) -> bool {
         9 => s.stall != b.stall,
         10 => s.bus_errors != b.bus_errors,
         11 => s.ready_drop != b.ready_drop,
-        12 => s.exec_mode != b.exec_mode,
         _ => unreachable!("knob index out of range"),
     }
 }
@@ -246,7 +239,6 @@ fn revert_knob(s: &mut FuzzSchedule, b: &FuzzSchedule, k: usize) {
         9 => s.stall = b.stall,
         10 => s.bus_errors = b.bus_errors,
         11 => s.ready_drop = b.ready_drop,
-        12 => s.exec_mode = b.exec_mode,
         _ => unreachable!("knob index out of range"),
     }
 }
@@ -518,17 +510,11 @@ pub struct FuzzOptions {
     /// Hang budget per run, in cycles.
     pub budget_cycles: u64,
     /// Allow SimB word-stream corruption ops (flip/stall/bus
-    /// error/ready drop). Off for the "clean design must survive every
-    /// legal schedule" gate, where injected upsets would trivially —
-    /// and correctly — be detected.
+    /// error/ready drop) and toggling the recovery policy that answers
+    /// them. Off for the "clean design must survive every legal
+    /// schedule" gate, where injected upsets would trivially — and
+    /// correctly — be detected.
     pub corrupt_stream: bool,
-    /// Allow toggling the recovery policy.
-    pub mutate_recovery: bool,
-    /// Allow toggling the region topology (only effective when the base
-    /// config carries no seeded bug — the split software rejects them).
-    pub mutate_topology: bool,
-    /// Corpus size cap (oldest non-baseline entries evicted first).
-    pub max_corpus: usize,
     /// Maximum re-runs the shrinker may spend per failure signature.
     pub shrink_budget: usize,
 }
@@ -544,9 +530,6 @@ impl Default for FuzzOptions {
                 .unwrap_or(1),
             budget_cycles: 400_000,
             corrupt_stream: true,
-            mutate_recovery: false,
-            mutate_topology: true,
-            max_corpus: 64,
             shrink_budget: 64,
         }
     }
@@ -557,19 +540,13 @@ fn apply_op(s: &mut FuzzSchedule, rng: &mut StdRng, opts: &FuzzOptions, base_has
     // to what the golden design tolerates, so a clean base failing under
     // any schedule drawn from here is a real robustness finding.
     let mut ops: Vec<u32> = (0..=5).collect();
-    // The execution mode is always in the op table: compiled dispatch
-    // is contractually bit-identical, so it is legal under every
-    // session policy — including the clean robustness gate, which
-    // thereby also fuzzes mode-switch coverage.
-    ops.push(12);
-    if opts.mutate_topology && !base_has_faults {
+    // The split software rejects seeded bugs, so a faulty base keeps
+    // its topology.
+    if !base_has_faults {
         ops.push(6);
     }
-    if opts.mutate_recovery {
-        ops.push(7);
-    }
     if opts.corrupt_stream {
-        ops.extend([8, 9, 10, 11]);
+        ops.extend([7, 8, 9, 10, 11]);
     }
     let op = ops[rng.random_range(0u64..ops.len() as u64) as usize];
     match op {
@@ -614,12 +591,6 @@ fn apply_op(s: &mut FuzzSchedule, rng: &mut StdRng, opts: &FuzzOptions, base_has
                 Some(rng.random_range(64u32..2048))
             }
         }
-        12 => {
-            s.exec_mode = match s.exec_mode {
-                ExecMode::EventDriven => ExecMode::Compiled,
-                ExecMode::Compiled => ExecMode::EventDriven,
-            }
-        }
         _ => unreachable!("op index out of table"),
     }
 }
@@ -657,11 +628,10 @@ pub struct FuzzRepro {
 }
 
 impl FuzzRepro {
-    /// Serialize as a flat JSON document (`fuzz_repro/v2`; v2 added the
-    /// `exec_mode` knob).
+    /// Serialize as a flat `fuzz_repro/v1` JSON document.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\n  \"schema\": \"fuzz_repro/v2\",\n  \"signature\": \"{}\",\n  \"mutations\": {},\n  \"budget_cycles\": {},\n  {}\n}}\n",
+            "{{\n  \"schema\": \"fuzz_repro/v1\",\n  \"signature\": \"{}\",\n  \"mutations\": {},\n  \"budget_cycles\": {},\n  {}\n}}\n",
             obs::json::escape(&self.signature),
             self.mutations,
             self.budget_cycles,
@@ -669,20 +639,22 @@ impl FuzzRepro {
         )
     }
 
-    /// Parse a `fuzz_repro/v1` or `/v2` document produced by
-    /// [`FuzzRepro::to_json`] (v1 documents predate the `exec_mode`
-    /// knob and replay event-driven). A budget or warmup above
-    /// [`wire::MAX_BUDGET_CYCLES`] is rejected with an error naming the
-    /// limit.
+    /// Parse a document produced by [`FuzzRepro::to_json`]. The
+    /// `fuzz_repro/v2` documents of earlier builds parse too: they are
+    /// v1 plus an `exec_mode` member, which is ignored, because a
+    /// replay runs in its base configuration's mode. A budget or warmup
+    /// above [`wire::MAX_BUDGET_CYCLES`] is rejected with an error
+    /// naming the limit.
     pub fn from_json(doc: &str) -> Result<FuzzRepro, String> {
         let v = Json::parse(doc)?;
-        let exec_mode = match wire::str_of(&v, "schema")?.as_str() {
-            "fuzz_repro/v1" => ExecMode::EventDriven,
-            "fuzz_repro/v2" => wire::exec_mode_of(&v)?,
-            _ => return Err("unsupported schema".to_string()),
-        };
+        if !matches!(
+            wire::str_of(&v, "schema")?.as_str(),
+            "fuzz_repro/v1" | "fuzz_repro/v2"
+        ) {
+            return Err("unsupported schema".to_string());
+        }
         Ok(FuzzRepro {
-            schedule: wire::schedule_from_json(&v, exec_mode)?,
+            schedule: wire::schedule_from_json(&v)?,
             signature: wire::str_of(&v, "signature")?,
             mutations: wire::u64_of(&v, "mutations")? as usize,
             budget_cycles: wire::u64_at_most(&v, "budget_cycles", wire::MAX_BUDGET_CYCLES)?,
@@ -935,7 +907,7 @@ pub fn run_fuzz(base: &SystemConfig, opts: &FuzzOptions) -> FuzzReport {
                     coverage.extend(fr.coverage.iter().copied());
                     if novel {
                         corpus.push(fr.spec.schedule);
-                        if corpus.len() > opts.max_corpus.max(2) {
+                        if corpus.len() > MAX_CORPUS {
                             // Keep the baseline; evict the oldest child.
                             corpus.remove(1);
                         }
@@ -1053,7 +1025,6 @@ mod tests {
                 stall: None,
                 bus_errors: 1,
                 ready_drop: Some(96),
-                exec_mode: ExecMode::Compiled,
             },
             signature: "checker:plb_monitor+hang".to_string(),
             mutations: 4,
@@ -1064,7 +1035,7 @@ mod tests {
             doc,
             concat!(
                 "{\n",
-                "  \"schema\": \"fuzz_repro/v2\",\n",
+                "  \"schema\": \"fuzz_repro/v1\",\n",
                 "  \"signature\": \"checker:plb_monitor+hang\",\n",
                 "  \"mutations\": 4,\n",
                 "  \"budget_cycles\": 400000,\n",
@@ -1080,22 +1051,22 @@ mod tests {
                 "  \"flip_bit\": 17,\n",
                 "  \"stall\": null,\n",
                 "  \"bus_errors\": 1,\n",
-                "  \"ready_drop\": 96,\n",
-                "  \"exec_mode\": \"compiled\"\n",
+                "  \"ready_drop\": 96\n",
                 "}\n",
             ),
-            "fuzz_repro/v2 bytes changed"
+            "fuzz_repro/v1 bytes changed"
         );
         let parsed = FuzzRepro::from_json(&doc).expect("parse back");
         assert_eq!(parsed, repro);
         assert!(FuzzRepro::from_json("{}").is_err());
-        // Pre-exec-mode documents still parse and replay event-driven.
-        let v1 = doc.replace("fuzz_repro/v2", "fuzz_repro/v1").replace(
-            "  \"exec_mode\": \"compiled\"\n",
-            "  \"exec_mode_ignored\": 0\n",
+        // A v2 document (v1 plus an `exec_mode` member) parses to the
+        // same reproducer: the mode is the replay base's.
+        let v2 = doc.replace("fuzz_repro/v1", "fuzz_repro/v2").replace(
+            "  \"ready_drop\": 96\n",
+            "  \"ready_drop\": 96,\n  \"exec_mode\": \"event\"\n",
         );
-        let legacy = FuzzRepro::from_json(&v1).expect("v1 parses");
-        assert_eq!(legacy.schedule.exec_mode, ExecMode::EventDriven);
+        assert_ne!(v2, doc);
+        assert_eq!(FuzzRepro::from_json(&v2), Ok(repro.clone()));
         // Signatures are free text: separators and escapes survive.
         for signature in ["checker:a,b+hang", "literal \\n here"] {
             let odd = FuzzRepro {

@@ -7,8 +7,9 @@
 //! from an in-process run — the determinism contract the service
 //! inherits from the executor. Submissions reuse the shapes the repo
 //! already ships: scenarios mirror [`Scenario`]'s variants, and fuzz
-//! scenarios carry their schedule in the `fuzz_repro/v2` knob encoding
-//! (`warmup_cycles`, `flip_beat`/`flip_bit`, `exec_mode`, ...).
+//! scenarios carry their schedule in the `fuzz_repro/v1` knob encoding
+//! (`warmup_cycles`, `flip_beat`/`flip_bit`, ...). A fuzz scenario runs
+//! in the submission's `exec_mode`, like every other scenario.
 //!
 //! Both directions are schema-checked: [`CampaignSubmission::from_json`]
 //! and [`report_from_json`] reject any document whose `schema` member is
@@ -159,7 +160,7 @@ fn opt_str_of(v: &Json, key: &str) -> Result<Option<String>, String> {
 
 /// One scenario as a single-line JSON object (`{"kind": "clean"}`,
 /// `{"kind": "bug", "bug": "bug.dpr.4"}`, ...). Fuzz scenarios carry
-/// their schedule in the `fuzz_repro/v2` knob encoding.
+/// their schedule in the `fuzz_repro/v1` knob encoding.
 pub fn scenario_to_json(s: &Scenario) -> String {
     match s {
         Scenario::Clean => "{\"kind\": \"clean\"}".to_string(),
@@ -204,22 +205,14 @@ pub fn scenario_from_json(v: &Json) -> Result<Scenario, String> {
         }
         "fuzz" => Ok(Scenario::Fuzz(FuzzSpec {
             id: u32_of(v, "id")?,
-            schedule: schedule_from_json(v, exec_mode_of(v)?)?,
+            schedule: schedule_from_json(v)?,
         })),
         other => Err(format!("unknown scenario kind \"{other}\"")),
     }
 }
 
-/// The `exec_mode` member of a submission, a fuzz scenario or a
-/// `fuzz_repro/v2` document.
-pub(crate) fn exec_mode_of(v: &Json) -> Result<ExecMode, String> {
-    str_of(v, "exec_mode")?
-        .parse::<ExecMode>()
-        .map_err(|e| format!("key exec_mode: {e}"))
-}
-
 /// Encode a fuzz schedule's knobs as `"key": value` members in the
-/// `fuzz_repro/v2` key order, joined by `sep` — the one encoder fuzz
+/// `fuzz_repro/v1` key order, joined by `sep` — the one encoder fuzz
 /// scenarios and `fuzz_repro` documents share, each with its own
 /// separator. Unset optional knobs render as `null`.
 pub(crate) fn schedule_to_json(s: &FuzzSchedule, sep: &str) -> String {
@@ -240,18 +233,17 @@ pub(crate) fn schedule_to_json(s: &FuzzSchedule, sep: &str) -> String {
         ("stall", opt(s.stall)),
         ("bus_errors", s.bus_errors.to_string()),
         ("ready_drop", opt(s.ready_drop)),
-        ("exec_mode", format!("\"{}\"", s.exec_mode.as_str())),
     ]
     .map(|(key, value)| format!("\"{key}\": {value}"))
     .join(sep)
 }
 
-/// Decode a fuzz schedule's knobs from the `fuzz_repro/v2` key set —
+/// Decode a fuzz schedule's knobs from the `fuzz_repro/v1` key set —
 /// the one decoder fuzz scenarios and `fuzz_repro` documents share.
-/// The caller supplies the execution mode, because `fuzz_repro/v1`
-/// documents predate the `exec_mode` key. The warmup runs before the
-/// cycle budget starts, so it is capped at [`MAX_BUDGET_CYCLES`] too.
-pub(crate) fn schedule_from_json(v: &Json, exec_mode: ExecMode) -> Result<FuzzSchedule, String> {
+/// Other members (an `exec_mode` written by earlier builds among them)
+/// are ignored. The warmup runs before the cycle budget starts, so it
+/// is capped at [`MAX_BUDGET_CYCLES`] too.
+pub(crate) fn schedule_from_json(v: &Json) -> Result<FuzzSchedule, String> {
     let flip = match (opt_u32_of(v, "flip_beat")?, opt_u32_of(v, "flip_bit")?) {
         (Some(beat), Some(bit)) => Some((beat, bit)),
         (None, None) => None,
@@ -274,7 +266,6 @@ pub(crate) fn schedule_from_json(v: &Json, exec_mode: ExecMode) -> Result<FuzzSc
         stall: opt_u32_of(v, "stall")?,
         bus_errors: u32_of(v, "bus_errors")?,
         ready_drop: opt_u32_of(v, "ready_drop")?,
-        exec_mode,
     })
 }
 
@@ -392,7 +383,9 @@ impl CampaignSubmission {
             scenario_budget: opt_usize("scenario_budget", d.scenario_budget, usize::MAX)?,
             exec_mode: match v.get("exec_mode") {
                 None => d.exec_mode,
-                Some(_) => exec_mode_of(&v)?,
+                Some(_) => str_of(&v, "exec_mode")?
+                    .parse()
+                    .map_err(|e| format!("key exec_mode: {e}"))?,
             },
         };
         // What `plan` expands: the matrix, the explicit list, the batch.
@@ -734,7 +727,6 @@ mod tests {
                         warmup_cycles: 128,
                         flip: Some((3, 17)),
                         stall: None,
-                        exec_mode: ExecMode::Compiled,
                         ..FuzzSchedule::baseline(&autovision::SystemConfig::default())
                     },
                 }),
@@ -762,7 +754,7 @@ mod tests {
                 r#""cfg_divider": 4, "mem_wait_states": 1, "fixed_wait_loops": 250, "#,
                 r#""round_robin": false, "split_topology": false, "recovery_on": false, "#,
                 r#""flip_beat": 3, "flip_bit": 17, "stall": null, "bus_errors": 0, "#,
-                r#""ready_drop": null, "exec_mode": "compiled"}"#,
+                r#""ready_drop": null}"#,
             )
         );
         let doc = sub.to_json();
@@ -770,6 +762,11 @@ mod tests {
         assert_eq!(parsed, sub);
         // And the second render is byte-identical.
         assert_eq!(parsed.to_json(), doc);
+        // A fuzz scenario runs in the submission's mode: an `exec_mode`
+        // member on it is ignored like any unknown key.
+        let fuzz = scenario_to_json(&sub.scenarios[4]).replace('}', ", \"exec_mode\": \"event\"}");
+        let v = Json::parse(&fuzz).expect("valid JSON");
+        assert_eq!(scenario_from_json(&v), Ok(sub.scenarios[4]));
     }
 
     #[test]
@@ -805,11 +802,13 @@ mod tests {
                 "accepted {bad}"
             );
         }
-        let err = CampaignSubmission::from_json(
-            "{\"schema\": \"campaign_submit/v1\", \"scenarios\": [], \"exec_mode\": \"auto\"}",
-        )
-        .unwrap_err();
-        assert!(err.contains("unknown exec mode"), "{err}");
+        for mode in ["auto", "event-driven"] {
+            let err = CampaignSubmission::from_json(&format!(
+                "{{\"schema\": \"campaign_submit/v1\", \"scenarios\": [], \"exec_mode\": \"{mode}\"}}"
+            ))
+            .unwrap_err();
+            assert!(err.contains("unknown exec mode"), "{err}");
+        }
     }
 
     /// A submission document with no scenarios and `members` spliced

@@ -96,13 +96,10 @@ fn pre_cancelled_campaigns_yield_typed_cancelled_rows_for_every_scenario() {
     assert!(json.contains("\"kind\": \"cancelled\""), "{json}");
 }
 
-/// One scenario per runner, all in `mode`: a matrix row (two systems),
-/// one recovery run and one fuzz run.
+/// One scenario per runner, all in the campaign's `mode`: a matrix row
+/// (two systems), one recovery run and one fuzz run.
 fn every_runner(mode: ExecMode) -> Campaign {
-    let schedule = FuzzSchedule {
-        exec_mode: mode,
-        ..FuzzSchedule::baseline(&MatrixConfig::default().base)
-    };
+    let schedule = FuzzSchedule::baseline(&MatrixConfig::default().base);
     Campaign::builder()
         .threads(2)
         .exec_mode(mode)

@@ -62,12 +62,9 @@ fn session(
             threads,
             budget_cycles,
             corrupt_stream: corrupt,
-            mutate_recovery: corrupt,
-            mutate_topology: true,
             // Small shrink budget keeps the debug-build suite fast; the
             // shrinker is deterministic at any budget.
             shrink_budget: 8,
-            ..Default::default()
         },
     )
 }

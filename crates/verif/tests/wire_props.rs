@@ -1,6 +1,6 @@
 //! Property tests for every wire parser: `campaign_submit/v1`,
 //! `campaign_report/v1`, the row objects `campaign_row/v1` frames carry,
-//! and `fuzz_repro/v2`.
+//! and `fuzz_repro/v1`.
 //!
 //! Two properties per schema: random typed values render, parse back
 //! equal and re-render byte-identically; and byte mutations of a
@@ -71,13 +71,13 @@ fn arb_schedule() -> impl Strategy<Value = FuzzSchedule> {
             any::<bool>(),
         ),
         (any::<bool>(), any::<bool>(), arb_opt_u32(), any::<u32>()),
-        (arb_opt_u32(), any::<u32>(), arb_opt_u32(), arb_exec_mode()),
+        (arb_opt_u32(), any::<u32>(), arb_opt_u32()),
     )
         .prop_map(
             |(
                 (warmup, isr_pad, divider, wait_states, wait_loops, round_robin),
                 (split, recovery_on, flip_beat, flip_bit),
-                (stall, bus_errors, ready_drop, exec_mode),
+                (stall, bus_errors, ready_drop),
             )| FuzzSchedule {
                 warmup_cycles: warmup,
                 isr_pad_loops: isr_pad,
@@ -95,7 +95,6 @@ fn arb_schedule() -> impl Strategy<Value = FuzzSchedule> {
                 stall,
                 bus_errors,
                 ready_drop,
-                exec_mode,
             },
         )
 }
