@@ -9,14 +9,17 @@
 //! the synthetic scene and its golden prediction of `(dims, objects,
 //! seed, frames)` — so N scenarios keep re-deriving byte-identical
 //! data. The [`ArtifactCache`] computes each distinct artifact once and
-//! hands out `Arc`s; [`AvSystem::build_with`](crate::AvSystem::build_with) consumes it, and
-//! [`AvSystem::build`](crate::AvSystem::build) remains the uncached single-run path.
+//! hands out `Arc`s. Every build sources its artifacts from one:
+//! [`AvSystem::build_with`](crate::AvSystem::build_with) takes a shared
+//! cache, and [`AvSystem::build`](crate::AvSystem::build) gives a single
+//! run a fresh one.
 //!
-//! Cached and uncached builds are bit-identical by construction: every
-//! producer is deterministic, and the cache key covers every input the
-//! producer reads. The cache is `Sync` (mutex-guarded maps around
-//! immutable `Arc` values), so one instance can serve a whole worker
-//! pool; hit/miss counters expose how much rework it absorbed.
+//! Builds on a cold and on a warm cache are bit-identical by
+//! construction: every producer is deterministic, and the cache key
+//! covers every input the producer reads. The cache is `Sync`
+//! (mutex-guarded maps around immutable `Arc` values), so one instance
+//! can serve a whole worker pool; hit/miss counters expose how much
+//! rework it absorbed.
 
 use crate::system::{EngineKind, MemLayout, SystemConfig};
 use ppc::Program;
@@ -228,25 +231,24 @@ mod tests {
     }
 
     #[test]
-    fn cached_build_matches_uncached_build() {
+    fn warm_cache_build_matches_cold_cache_build() {
         let cache = ArtifactCache::new();
-        let mut plain = AvSystem::build(small());
-        let mut cached = AvSystem::build_with(small(), &cache);
-        let a = plain.run(200_000);
-        let b = cached.run(200_000);
+        let mut cold = AvSystem::build_with(small(), &cache);
+        let (_, misses_cold) = cache.stats();
+        let mut warm = AvSystem::build_with(small(), &cache);
+        let (hits, misses_warm) = cache.stats();
+        assert!(misses_cold > 0, "the first build derived nothing");
+        assert_eq!(misses_cold, misses_warm, "the second build missed");
+        assert_eq!(hits, misses_cold, "the second build skipped a lookup");
+        let a = cold.run(200_000);
+        let b = warm.run(200_000);
         assert_eq!(a, b);
         assert_eq!(
-            *plain.captured.borrow(),
-            *cached.captured.borrow(),
-            "cached artifacts changed the simulation"
+            *cold.captured.borrow(),
+            *warm.captured.borrow(),
+            "the warm cache changed the simulation"
         );
-        assert_eq!(plain.golden_output(), cached.golden_output());
-
-        // A second cached build re-uses every artifact.
-        let (_, misses_before) = cache.stats();
-        let _again = AvSystem::build_with(small(), &cache);
-        let (_, misses_after) = cache.stats();
-        assert_eq!(misses_before, misses_after);
+        assert_eq!(cold.golden_output(), warm.golden_output());
     }
 
     #[test]

@@ -516,23 +516,10 @@ pub struct CpuSubsystem {
     pub stats: Rc<RefCell<IssStats>>,
 }
 
-/// Assemble `source` at `0x1000`, install the external-interrupt vector
-/// branch at `0x500`, and instantiate the ISS.
+/// Load `program` (assembled at `0x1000`, see
+/// [`crate::ArtifactCache::program`]), install the external-interrupt
+/// vector branch at `0x500`, and instantiate the ISS.
 pub fn cpu_subsystem(
-    sim: &mut Simulator,
-    cr: ClockReset,
-    cpu_irq: SignalId,
-    mem: &SharedMem,
-    dcr_handle: dcr::DcrHandle,
-    source: &str,
-) -> CpuSubsystem {
-    let program = ppc::assemble(source, 0x1000).expect("system software must assemble");
-    cpu_subsystem_prebuilt(sim, cr, cpu_irq, mem, dcr_handle, &program)
-}
-
-/// [`cpu_subsystem`] with an already-assembled program image — the
-/// artifact-cache path, where one assembly serves many builds.
-pub fn cpu_subsystem_prebuilt(
     sim: &mut Simulator,
     cr: ClockReset,
     cpu_irq: SignalId,

@@ -24,14 +24,14 @@ use engines::EngineCtrl;
 use plb::{MasterPort, MemFaultHandle, MonitorStats, SharedMem};
 use ppc::IssStats;
 use resim::{
-    build_simb, build_simb_integrity, BackendStats, IcapConfig, IcapFaultHandle, ReconfigBackend,
-    RegionPlan, ResimBackend, RrBoundary, SimbKind, VmuxBackend, VmuxConfig, VmuxRegion, XSource,
+    BackendStats, IcapConfig, IcapFaultHandle, ReconfigBackend, RegionPlan, ResimBackend,
+    RrBoundary, VmuxBackend, VmuxConfig, VmuxRegion, XSource,
 };
 use rtlsim::{ExecMode, KernelError, SignalId, Simulator, PS_PER_NS};
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
-use video::{Frame, Scene};
+use video::Frame;
 
 /// System clock period (100 MHz).
 pub const CLK_PERIOD_PS: u64 = 10 * PS_PER_NS;
@@ -710,9 +710,9 @@ pub struct AvSystem {
     pub recovery: Rc<RefCell<RecoveryStats>>,
     /// The synthetic input frames fed by the camera VIP.
     pub input_frames: Vec<Frame>,
-    /// Golden prediction shared from the [`ArtifactCache`] the system
-    /// was built with (computed on demand otherwise).
-    golden: Option<std::sync::Arc<crate::artifacts::SceneArtifacts>>,
+    /// Input frames and golden prediction, shared from the
+    /// [`ArtifactCache`] the system was built with.
+    golden: std::sync::Arc<crate::artifacts::SceneArtifacts>,
     /// The configuration the system was built from.
     pub config: SystemConfig,
     /// Memory layout in use.
@@ -751,21 +751,18 @@ pub struct RegionProbes {
 }
 
 impl AvSystem {
-    /// Build the complete system.
+    /// Build the complete system on a fresh [`ArtifactCache`]: the
+    /// single-run form of [`AvSystem::build_with`].
     pub fn build(cfg: SystemConfig) -> AvSystem {
-        Self::build_inner(cfg, None)
+        Self::build_with(cfg, &ArtifactCache::new())
     }
 
     /// Build the complete system, sourcing pure setup artifacts (SimB
     /// word streams, the assembled software image, the synthetic scene
     /// and its golden prediction) from a shared [`ArtifactCache`].
-    /// Bit-identical to [`AvSystem::build`] — the cache only absorbs
-    /// re-derivation, never changes a value.
+    /// Whether the cache is cold or warm, the system is the same: the
+    /// cache only absorbs re-derivation, never changes a value.
     pub fn build_with(cfg: SystemConfig, artifacts: &ArtifactCache) -> AvSystem {
-        Self::build_inner(cfg, Some(artifacts))
-    }
-
-    fn build_inner(cfg: SystemConfig, artifacts: Option<&ArtifactCache>) -> AvSystem {
         let scenario = cfg
             .scenario()
             .expect("region topology must be valid (validated by SystemConfig::builder)");
@@ -941,14 +938,8 @@ impl AvSystem {
         );
 
         // ----- video VIPs -----
-        let golden = artifacts.map(|a| a.scene(&cfg));
-        let input_frames: Vec<Frame> = match &golden {
-            Some(sa) => sa.inputs.clone(),
-            None => {
-                let scene = Scene::new(cfg.width, cfg.height, cfg.scene_objects, cfg.seed);
-                (0..cfg.n_frames).map(|t| scene.frame(t)).collect()
-            }
-        };
+        let golden = artifacts.scene(&cfg);
+        let input_frames = golden.inputs.clone();
         let video = fabric::video_subsystem(
             &mut sim,
             cr,
@@ -1030,45 +1021,25 @@ impl AvSystem {
                 isr_pad_loops: cfg.isr_pad_loops,
             }),
         };
-        let cpu = match artifacts {
-            Some(a) => fabric::cpu_subsystem_prebuilt(
-                &mut sim,
-                cr,
-                cpu_irq,
-                &main_mem.mem,
-                dcr_handle,
-                &a.program(&src),
-            ),
-            None => fabric::cpu_subsystem(&mut sim, cr, cpu_irq, &main_mem.mem, dcr_handle, &src),
-        };
+        let cpu = fabric::cpu_subsystem(
+            &mut sim,
+            cr,
+            cpu_irq,
+            &main_mem.mem,
+            dcr_handle,
+            &artifacts.program(&src),
+        );
 
         // ----- bitstream "flash": SimBs in main memory -----
         for slot in &layout.simbs {
-            if let Some(a) = artifacts {
-                let words = a.simb(
-                    slot.module,
-                    slot.kind,
-                    slot.rr_id,
-                    cfg.payload_words,
-                    cfg.seed,
-                    cfg.recovery.enabled,
-                );
-                main_mem.mem.load_words(slot.addr, &words);
-                continue;
-            }
-            let seed = cfg.seed
-                ^ match slot.kind {
-                    EngineKind::Matching => 0x4D45,
-                    EngineKind::Census => 0x0C1E,
-                };
-            let simb_kind = SimbKind::Config {
-                module: slot.module,
-            };
-            let words = if cfg.recovery.enabled {
-                build_simb_integrity(simb_kind, slot.rr_id, cfg.payload_words, seed)
-            } else {
-                build_simb(simb_kind, slot.rr_id, cfg.payload_words, seed)
-            };
+            let words = artifacts.simb(
+                slot.module,
+                slot.kind,
+                slot.rr_id,
+                cfg.payload_words,
+                cfg.seed,
+                cfg.recovery.enabled,
+            );
             main_mem.mem.load_words(slot.addr, &words);
         }
 
@@ -1181,10 +1152,7 @@ impl AvSystem {
     /// Both scenarios implement the same pipeline, so the prediction is
     /// topology-independent.
     pub fn golden_output(&self) -> Vec<Frame> {
-        match &self.golden {
-            Some(sa) => sa.golden.clone(),
-            None => golden_output(&self.input_frames, self.config.width, self.config.height),
-        }
+        self.golden.golden.clone()
     }
 }
 
@@ -1218,6 +1186,7 @@ pub fn golden_output(inputs: &[Frame], width: usize, height: usize) -> Vec<Frame
 #[cfg(test)]
 mod tests {
     use super::*;
+    use video::Scene;
 
     #[test]
     fn layout_regions_are_disjoint_and_aligned() {

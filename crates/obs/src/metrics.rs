@@ -184,11 +184,6 @@ impl MetricsRegistry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Read a gauge back.
-    pub fn get_gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
     /// Read a histogram back.
     pub fn get_histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)

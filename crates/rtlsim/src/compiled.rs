@@ -13,9 +13,8 @@
 //! keeps the delta loop as the *only* executor and compiles away the
 //! dispatches that are provably no-ops, by **parking**: an idle FSM
 //! calls [`crate::Ctx::park_until`] to declare itself quiescent until
-//! one of its watched signals changes, a [`DoorbellId`] rings or a
-//! self-scheduled wakeup fires, and a parked component is skipped at
-//! dispatch.
+//! one of its watched signals changes or a [`DoorbellId`] rings, and a
+//! parked component is skipped at dispatch.
 //!
 //! Each delta opens with one batch of value changes, and the kernel
 //! **unparks before it marks**: before any listener of the batch is
@@ -154,8 +153,9 @@ impl CompiledCore {
     }
 
     /// Consume raised doorbells, unparking their listeners. Called before
-    /// each batch in compiled mode; cost is one `Cell` read per
-    /// doorbell.
+    /// each batch; cost is one `Cell` read per doorbell. Only a parked
+    /// component listens, so in event-driven mode this just lowers the
+    /// flags.
     #[inline]
     pub fn service_doorbells(&mut self) {
         for (flag, listeners) in &self.doorbells {

@@ -26,8 +26,8 @@ pub enum CompKind {
 
 /// A simulation component (one "always block"/module instance worth of
 /// behaviour). The kernel calls [`Component::eval`] whenever a signal in
-/// the component's sensitivity list changes, at `t=0` for initialisation,
-/// and on self-scheduled wakeups.
+/// the component's sensitivity list changes, and once at the start of the
+/// first run for initialisation.
 pub trait Component {
     /// React to the current signal state. Reads see the *current* values;
     /// writes issued through [`Ctx::set`] take effect at the end of the
@@ -97,22 +97,6 @@ impl Ctx<'_> {
     #[inline]
     pub fn set_bit(&mut self, s: SignalId, b: bool) {
         self.core.push_write(s, Lv::bit(b));
-    }
-
-    /// Schedule a write `delay_ps` in the future (transport delay).
-    #[inline]
-    pub fn set_after(&mut self, s: SignalId, v: Lv, delay_ps: u64) {
-        let w = self.core.signals[s.0 as usize].width;
-        self.core
-            .schedule_drive(self.core.now + delay_ps, s, v.resize(w));
-    }
-
-    /// Request re-evaluation of this component `delay_ps` from now,
-    /// independent of signal activity.
-    #[inline]
-    pub fn wake_after(&mut self, delay_ps: u64) {
-        let me = self.me;
-        self.core.schedule_wake(self.core.now + delay_ps, me);
     }
 
     /// Did `s` change to a driven 1 in the delta that triggered this eval?
@@ -206,23 +190,23 @@ impl Ctx<'_> {
     }
 
     /// Declare this component quiescent: in compiled mode it is skipped
-    /// at dispatch until one of three wake conditions occurs:
-    /// * one of `signals` changes value;
-    /// * one of `doorbells` rings;
-    /// * a wakeup it scheduled with [`Ctx::wake_after`] fires.
+    /// at dispatch until one of `signals` changes value or one of
+    /// `doorbells` rings.
     ///
     /// The kernel unparks before it marks, so the batch of changes that
     /// wakes the component dispatches it just as event-driven dispatch
     /// would, at the same place in the ready queue. No-op in event-driven
-    /// mode.
+    /// mode. This is the one place dispatch reads the execution mode:
+    /// since nothing parks in event-driven mode, the kernel's marking and
+    /// unparking never test it.
     ///
     /// **Contract**: until one of those wake conditions occurs, every
     /// eval of this component must be an observable no-op — no signal
-    /// value changes, no messages, no trace emissions, no event
-    /// scheduling, no externally visible shared-state mutation. The wake
-    /// set is latched from the first call; list every signal the parked
-    /// eval reads, and a doorbell for every out-of-band state source
-    /// (register files, request queues) it polls.
+    /// value changes, no messages, no trace emissions, no externally
+    /// visible shared-state mutation. The wake set is latched from the
+    /// first call; list every signal the parked eval reads, and a
+    /// doorbell for every out-of-band state source (register files,
+    /// request queues) it polls.
     #[inline]
     pub fn park_until(&mut self, signals: &[SignalId], doorbells: &[DoorbellId]) {
         if self.core.compiled.mode.is_compiled() {
@@ -274,17 +258,6 @@ impl Ctx<'_> {
             self.core
                 .trace
                 .push(now, TraceKind::Instant, cat, name, track, arg);
-        }
-    }
-
-    /// Record a counter sample (`value` becomes the track's y-value).
-    #[inline]
-    pub fn trace_counter(&mut self, cat: TraceCat, name: &'static str, track: u32, value: u64) {
-        if self.core.trace.enabled {
-            let now = self.core.now;
-            self.core
-                .trace
-                .push(now, TraceKind::Counter, cat, name, track, value);
         }
     }
 }

@@ -7,10 +7,10 @@
 //! `seq` is the global sequence number each event was scheduled with.
 //! The earliest time pops first, and the events due at one time point
 //! pop in the order they were scheduled, so they need no sort (pinned
-//! by `tests/determinism.rs`). The queue is small. Kernel clock edges,
-//! reset releases and testbench pokes are its steady traffic, plus
-//! whatever components schedule through [`Ctx::set_after`] and
-//! [`Ctx::wake_after`]. Each clock keeps exactly one edge pending.
+//! by `tests/determinism.rs`). The queue is small and holds only the
+//! kernel's own drives: clock edges, reset releases and testbench pokes.
+//! Each clock keeps exactly one edge pending. Components schedule
+//! nothing; their writes apply at the end of the delta.
 //!
 //! # Delta loop
 //!
@@ -19,11 +19,11 @@
 //! membership is tracked with a generation stamp instead of a drained
 //! `bool` flag.
 //!
-//! Each delta opens with one batch of value changes: the events due now
+//! Each delta opens with one batch of value changes: the drives due now
 //! on the first delta of a time point, then the writes of the previous
-//! eval phase (plus any events that phase scheduled for now). In
-//! compiled mode a batch unparks every component it wakes before it
-//! marks anyone (`Simulator::unpark_batch`).
+//! eval phase. Both are `(signal, value)` lists, applied by one
+//! `Simulator::apply_batch`, which unparks every component the batch
+//! wakes before it marks anyone.
 
 use crate::compiled::{CompiledCore, CompiledStats, DoorbellId, ExecMode};
 use crate::component::{CompKind, Component, Ctx};
@@ -104,10 +104,10 @@ struct CompSlot {
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum EventKind {
+    /// A reset release or a testbench poke: drive the value.
     Drive(SignalId, Lv),
-    Wake(CompId),
     /// A kernel clock edge `(clock, level, half period)`: drive the
-    /// level, then schedule the opposite edge half a period later.
+    /// level. Popping it schedules the opposite edge half a period later.
     Edge(SignalId, bool, u64),
 }
 
@@ -172,14 +172,6 @@ impl SimCore {
         }));
     }
 
-    pub fn schedule_drive(&mut self, time: u64, sig: SignalId, v: Lv) {
-        self.schedule(time, EventKind::Drive(sig, v));
-    }
-
-    pub fn schedule_wake(&mut self, time: u64, comp: CompId) {
-        self.schedule(time, EventKind::Wake(comp));
-    }
-
     pub fn comp_name(&self, c: CompId) -> &Name {
         self.names.resolve(self.comp_names[c.0 as usize].0)
     }
@@ -242,8 +234,8 @@ pub struct SimStats {
     pub time_points: u64,
     /// Total signal value changes.
     pub toggles: u64,
-    /// Total events scheduled: kernel clock edges, drives (reset
-    /// releases, pokes, `set_after`) and wakeups.
+    /// Total events scheduled, the queue's only traffic: kernel clock
+    /// edges, reset releases and testbench pokes.
     pub events: u64,
 }
 
@@ -263,9 +255,9 @@ pub struct Simulator {
     /// Reusable ready queue; membership tracked by `ready_gen` stamps.
     ready: Vec<CompId>,
     ready_gen: u64,
-    /// Events due now, popped from the queue in scheduling order and not
-    /// yet applied (see [`Simulator::take_due`]).
-    due: Vec<EventKind>,
+    /// Reusable buffer of the drives due now, in scheduling order (see
+    /// [`Simulator::take_due`]).
+    due: Vec<(SignalId, Lv)>,
     profiler: Profiler,
     /// Mirror of the profiler's enabled flag, checked on the hot path.
     profiling: bool,
@@ -432,8 +424,10 @@ impl Simulator {
     pub fn add_reset(&mut self, sig: SignalId, duration_ps: u64) {
         assert!(duration_ps > 0, "reset duration must be positive");
         self.core.push_write(sig, Lv::bit(true));
-        self.core
-            .schedule_drive(self.core.now + duration_ps, sig, Lv::bit(false));
+        self.core.schedule(
+            self.core.now + duration_ps,
+            EventKind::Drive(sig, Lv::bit(false)),
+        );
     }
 
     /// Current simulation time in picoseconds.
@@ -456,7 +450,7 @@ impl Simulator {
     pub fn poke(&mut self, s: SignalId, v: Lv) {
         let w = self.core.signals[s.0 as usize].width;
         let t = self.core.now;
-        self.core.schedule_drive(t, s, v.resize(w));
+        self.core.schedule(t, EventKind::Drive(s, v.resize(w)));
     }
 
     /// Drive a known value from the testbench.
@@ -610,19 +604,19 @@ impl Simulator {
     /// Queue the listeners of `sig`, which just changed, in registration
     /// order. When the signal `fell` from a driven 1 the walk covers the
     /// fall list, which leaves out the posedge entries, in every mode.
-    /// In compiled mode a parked component is skipped too. Both lists
-    /// keep registration order, skipping never reorders the rest, and the
-    /// batch unparked everyone it wakes before its first mark, so the
-    /// ready queue, and thus the delta schedule, is the event-driven one
-    /// restricted to the dispatched set.
+    /// A parked component is skipped too; only compiled mode parks. Both
+    /// lists keep registration order, skipping never reorders the rest,
+    /// and the batch unparked everyone it wakes before its first mark, so
+    /// the ready queue, and thus the delta schedule, is the event-driven
+    /// one restricted to the dispatched set.
     fn mark_sensitive(&mut self, sig: SignalId, fell: bool) {
         let cc = &mut self.core.compiled;
-        let (compiled, gen) = (cc.mode.is_compiled(), self.ready_gen);
+        let gen = self.ready_gen;
         let s = &self.core.signals[sig.0 as usize];
         let list = if fell { &s.on_fall } else { &s.sensitive };
         for &comp in list {
             let idx = comp.0 as usize;
-            if compiled && cc.parked[idx] {
+            if cc.parked[idx] {
                 cc.stats.skipped_parked += 1;
                 continue;
             }
@@ -653,87 +647,57 @@ impl Simulator {
         self.mark_sensitive(sig, fell);
     }
 
-    /// Pop the events due now onto `due`, in scheduling order.
-    fn take_due(&mut self) {
+    /// Pop the drives due now onto `due`, in scheduling order. An edge
+    /// becomes a drive of its level and schedules the opposite edge half
+    /// a period (>= 1 ps) later, so nothing it schedules is due now.
+    fn take_due(&mut self, due: &mut Vec<(SignalId, Lv)>) {
         let now = self.core.now;
         while let Some(&Reverse(ev)) = self.core.queue.peek() {
             if ev.time != now {
                 break;
             }
             self.core.queue.pop();
-            self.due.push(ev.kind);
-        }
-    }
-
-    /// Apply the events on `due`, in order, and empty it. An edge
-    /// schedules its successor half a period (>= 1 ps) later.
-    fn apply_due(&mut self) {
-        let now = self.core.now;
-        let mut due = std::mem::take(&mut self.due);
-        for &ev in &due {
-            match ev {
-                EventKind::Drive(sig, v) => self.apply(sig, v),
+            due.push(match ev.kind {
+                EventKind::Drive(sig, v) => (sig, v),
                 EventKind::Edge(sig, level, half) => {
                     self.core
                         .schedule(now + half, EventKind::Edge(sig, !level, half));
-                    self.apply(sig, Lv::bit(level));
+                    (sig, Lv::bit(level))
                 }
-                EventKind::Wake(c) => {
-                    // A self-scheduled wakeup always dispatches: the
-                    // component asked for it.
-                    let gen = self.ready_gen;
-                    let slot = &mut self.comps[c.0 as usize];
-                    if slot.queued_gen != gen {
-                        slot.queued_gen = gen;
-                        self.ready.push(c);
-                    }
-                }
-            }
+            });
         }
-        due.clear();
-        self.due = due;
     }
 
-    /// In compiled mode, unpark every component the coming batch wakes,
-    /// before the batch marks anyone: the listeners of rung doorbells,
-    /// the targets of due wakeups, and the wakers of every signal the
-    /// batch changes. The batch is the writes in `pending`, then the
-    /// events on `due`. A signal in `pending` always changes, since
+    /// Apply one batch of value changes in order, and empty it: the
+    /// drives due now, or the writes of an eval phase.
+    ///
+    /// Before the batch marks anyone it unparks every component it
+    /// wakes: the listeners of rung doorbells and the wakers of every
+    /// entry that differs from its signal's value before the batch. Such
+    /// an entry means the signal changes in the batch, at that entry or
+    /// an earlier one. Every signal of a write batch has one, since
     /// [`SimCore::push_write`] drops a first write equal to the current
-    /// value. A due drive that differs from its signal's value before the
-    /// batch means the signal changes in the batch, at that drive or at an
-    /// earlier one.
+    /// value.
     ///
     /// So when [`Simulator::mark_sensitive`] skips a parked component,
     /// nothing later in the batch wakes it: a component that one signal
     /// of a batch skipped and a later one woke would otherwise be queued
     /// at the later signal's place, not where event-driven dispatch
-    /// queues it.
-    fn unpark_batch(&mut self, pending: &[(SignalId, Lv)]) {
+    /// queues it. Nothing parks in event-driven mode, so there the
+    /// unpark pass finds nobody to wake.
+    fn apply_batch(&mut self, batch: &mut Vec<(SignalId, Lv)>) {
         let (signals, cc) = (&self.core.signals, &mut self.core.compiled);
-        if !cc.mode.is_compiled() {
-            return;
-        }
         cc.service_doorbells();
-        for &ev in &self.due {
-            let (sig, v) = match ev {
-                EventKind::Drive(sig, v) => (sig, v),
-                EventKind::Edge(sig, level, _) => (sig, Lv::bit(level)),
-                EventKind::Wake(c) => {
-                    cc.parked[c.0 as usize] = false;
-                    continue;
-                }
-            };
+        for &(sig, v) in batch.iter() {
             let s = &signals[sig.0 as usize];
             if s.has_wakers && !s.cur.eq_case(&v) {
                 cc.wake(sig);
             }
         }
-        for &(sig, _) in pending {
-            if signals[sig.0 as usize].has_wakers {
-                cc.wake(sig);
-            }
+        for &(sig, v) in batch.iter() {
+            self.apply(sig, v);
         }
+        batch.clear();
     }
 
     fn eval_ready(&mut self) {
@@ -763,12 +727,13 @@ impl Simulator {
     /// Execute all deltas at the current time until quiescent.
     fn settle_now(&mut self) -> Result<(), KernelError> {
         let mut deltas = 0u32;
-        // The first batch: the events due now. Doorbells rung since the
+        // The first batch: the drives due now. Doorbells rung since the
         // last batch, by the testbench between run calls, count too.
-        self.take_due();
-        self.unpark_batch(&[]);
+        let mut due = std::mem::take(&mut self.due);
+        self.take_due(&mut due);
+        self.apply_batch(&mut due);
+        self.due = due;
         loop {
-            self.apply_due();
             // A batch that wakes nobody is not a delta. Writes can be
             // pending with nobody ready only before the first eval: the
             // initial values of kernel clocks and resets.
@@ -776,24 +741,16 @@ impl Simulator {
                 return Ok(());
             }
             self.eval_ready();
-            // The next batch: this phase's non-blocking writes, then any
-            // events it scheduled for now. Nothing pushes to
-            // `core.pending` while the writes apply, so the buffer can be
-            // taken and handed back without reallocating.
+            // The next batch: this phase's non-blocking writes. Nothing
+            // pushes to `core.pending` while they apply, so the buffer
+            // can be taken and handed back without reallocating.
             let mut pending = std::mem::take(&mut self.core.pending);
             self.core.step += 1;
             self.stats.deltas += 1;
-            self.take_due();
-            self.unpark_batch(&pending);
-            for &(sig, v) in pending.iter() {
-                self.apply(sig, v);
-            }
-            pending.clear();
+            self.apply_batch(&mut pending);
             debug_assert!(self.core.pending.is_empty());
             self.core.pending = pending;
             deltas += 1;
-            // An early return leaves the batch's events on `due`; the
-            // next call applies them first.
             if deltas > DELTA_LIMIT {
                 return Err(KernelError::DeltaOverflow {
                     time_ps: self.core.now,

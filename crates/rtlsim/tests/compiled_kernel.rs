@@ -191,9 +191,6 @@ enum Batch {
     Writes,
     /// Two testbench pokes at one time.
     Pokes,
-    /// A write of one eval, then a drive it schedules with zero delay,
-    /// which applies right after the write.
-    WriteThenDrive,
 }
 
 /// The dispatch order of one batch that changes `a`, then `b`. P is
@@ -229,10 +226,7 @@ fn late_wake_order(mode: ExecMode, batch: Batch) -> Vec<&'static str> {
         Box::new(move |ctx: &mut Ctx<'_>| {
             if ctx.is_high(go) {
                 ctx.set_bit(a, true);
-                match batch {
-                    Batch::Writes => ctx.set_bit(b, true),
-                    _ => ctx.set_after(b, Lv::bit(true), 0),
-                }
+                ctx.set_bit(b, true);
             }
         }),
         &[go],
@@ -258,7 +252,7 @@ fn late_wake_order(mode: ExecMode, batch: Batch) -> Vec<&'static str> {
 /// marks.
 #[test]
 fn a_late_wake_keeps_the_event_driven_dispatch_order() {
-    for batch in [Batch::Writes, Batch::Pokes, Batch::WriteThenDrive] {
+    for batch in [Batch::Writes, Batch::Pokes] {
         for mode in [ExecMode::EventDriven, ExecMode::Compiled] {
             assert_eq!(
                 late_wake_order(mode, batch),

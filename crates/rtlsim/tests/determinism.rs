@@ -18,16 +18,17 @@ const GRID: u64 = 50_000;
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64 })]
 
-    /// One driver schedules `set_after(s_e, 1, delays[e])` for every
-    /// event `e` in its initial eval, and each `s_e` has its own
-    /// listener logging `(now, e)` on the rise. Delays sit on a coarse
-    /// grid up to 3.2 µs, so many events share a time point, next to a
-    /// kernel clock whose edges fall on the same grid. Whatever
-    /// `run_until` chunks the run is cut into, each call ends at its
-    /// deadline and the log is the events sorted by `(delay, e)`.
+    /// Each event `e` is the release of a kernel reset,
+    /// `add_reset(s_e, delays[e])`, scheduled at build time in `e`
+    /// order, and each `s_e` has its own listener logging `(now, e)` on
+    /// the release. Delays sit on a coarse grid from one step up to
+    /// 3.2 µs, so many releases share a time point, next to a kernel
+    /// clock whose edges fall on the same grid. Whatever `run_until`
+    /// chunks the run is cut into, each call ends at its deadline and the
+    /// log is the events sorted by `(delay, e)`.
     #[test]
     fn events_apply_in_time_then_scheduling_order(
-        steps in prop::collection::vec(0u64..=64, 1..=48),
+        steps in prop::collection::vec(1u64..=64, 1..=48),
         half_steps in 1u64..=4,
         cuts in prop::collection::vec(1u64..=800_000, 0..=12),
     ) {
@@ -36,33 +37,21 @@ proptest! {
         let clk = sim.signal("clk", 1);
         sim.add_clock(clk, 2 * half_steps * GRID);
         let log: Rc<RefCell<Vec<(u64, usize)>>> = Rc::new(RefCell::new(Vec::new()));
-        let sigs: Vec<_> = (0..delays.len())
-            .map(|e| sim.signal_init(format!("s{e}"), 1, 0))
-            .collect();
-        for (e, &s) in sigs.iter().enumerate() {
+        for (e, &d) in delays.iter().enumerate() {
+            let s = sim.signal(format!("s{e}"), 1);
+            sim.add_reset(s, d);
             let sink = log.clone();
             sim.add_component(
                 format!("l{e}"),
                 CompKind::Vip,
                 Box::new(move |ctx: &mut Ctx<'_>| {
-                    if ctx.rose(s) {
+                    if ctx.fell(s) {
                         sink.borrow_mut().push((ctx.now(), e));
                     }
                 }),
                 &[s],
             );
         }
-        let schedule: Vec<_> = sigs.iter().copied().zip(delays.iter().copied()).collect();
-        sim.add_component(
-            "driver",
-            CompKind::Vip,
-            Box::new(move |ctx: &mut Ctx<'_>| {
-                for &(s, d) in &schedule {
-                    ctx.set_after(s, Lv::bit(true), d);
-                }
-            }),
-            &[],
-        );
         let mut deadline = 0;
         for cut in cuts {
             deadline += cut;
@@ -76,40 +65,6 @@ proptest! {
         want.sort_unstable();
         prop_assert_eq!(log.borrow().clone(), want);
     }
-}
-
-/// Register components that log their id when woken; wake them all at
-/// one timestamp in a scrambled registration order and check the batch
-/// evaluates in scheduling order.
-#[test]
-fn same_timestamp_wakes_apply_in_scheduling_order() {
-    let mut sim = Simulator::new();
-    let log: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(Vec::new()));
-    let trig = sim.signal_init("trig", 1, 0);
-    let n = 16usize;
-    for i in 0..n {
-        let log = log.clone();
-        let mut armed = false;
-        sim.add_component(
-            format!("w{i}"),
-            CompKind::Vip,
-            Box::new(move |ctx: &mut Ctx<'_>| {
-                if !armed {
-                    armed = true;
-                    ctx.wake_after(50_000);
-                } else if ctx.now() == 50_000 {
-                    log.borrow_mut().push(i);
-                }
-            }),
-            &[],
-        );
-    }
-    let _ = trig;
-    sim.run_until(60_000).unwrap();
-    let got = log.borrow().clone();
-    // All initial evals run in registration order, so the wakes are
-    // scheduled 0..n and must be delivered 0..n.
-    assert_eq!(got, (0..n).collect::<Vec<_>>());
 }
 
 /// Same-timestamp drives to one signal: the last scheduled write wins.
@@ -144,56 +99,47 @@ fn same_timestamp_drives_apply_last_writer_wins() {
     assert_eq!(changes.borrow().clone(), vec![13]);
 }
 
-/// A wake scheduled 10 µs ahead and a wake scheduled later from close
-/// range meet at one instant, and still apply in global scheduling
-/// order: the far one first.
+/// A reset release scheduled at build time and a clock edge scheduled
+/// half a period before it meet at one instant, the clock's fifth fall,
+/// and still apply in global scheduling order: the far release first,
+/// as the AutoVision reset releases just before its fifth falling edge.
+/// Each signal has its own any-edge listener, the clock's registered
+/// first, so the listeners' dispatch order is the order the two drives
+/// applied in.
 #[test]
 fn far_and_near_wakes_at_one_instant_apply_in_scheduling_order() {
+    let period = 10_000u64;
+    let t_meet = 5 * period;
     let mut sim = Simulator::new();
-    let log: Rc<RefCell<Vec<&'static str>>> = Rc::new(RefCell::new(Vec::new()));
-    let t_meet = 10_000_000u64;
-    {
-        let log = log.clone();
-        let mut armed = false;
+    let clk = sim.signal("clk", 1);
+    let rst = sim.signal("rst", 1);
+    sim.add_clock(clk, period);
+    sim.add_reset(rst, t_meet);
+    let log: Rc<RefCell<Vec<(u64, &'static str)>>> = Rc::new(RefCell::new(Vec::new()));
+    for (name, s) in [("clk", clk), ("rst", rst)] {
+        let sink = log.clone();
         sim.add_component(
-            "far_first",
+            name,
             CompKind::Vip,
             Box::new(move |ctx: &mut Ctx<'_>| {
-                if !armed {
-                    armed = true;
-                    ctx.wake_after(t_meet);
-                } else {
-                    log.borrow_mut().push("far_first");
+                if ctx.fell(s) {
+                    sink.borrow_mut().push((ctx.now(), name));
                 }
             }),
-            &[],
+            &[s],
         );
     }
-    {
-        // This component re-arms a short wake chain and schedules its
-        // final wake for the same instant from close range, with a
-        // *later* sequence number.
-        let log = log.clone();
-        let mut stage = 0u32;
-        sim.add_component(
-            "near_second",
-            CompKind::Vip,
-            Box::new(move |ctx: &mut Ctx<'_>| {
-                stage += 1;
-                match stage {
-                    1 => ctx.wake_after(t_meet - 500_000),
-                    2 => ctx.wake_after(500_000),
-                    _ => log.borrow_mut().push("near_second"),
-                }
-            }),
-            &[],
-        );
-    }
-    sim.run_until(t_meet + 1_000).unwrap();
+    sim.run_until(t_meet).unwrap();
+    let at_meet: Vec<_> = log
+        .borrow()
+        .iter()
+        .filter(|e| e.0 == t_meet)
+        .map(|e| e.1)
+        .collect();
     assert_eq!(
-        log.borrow().clone(),
-        vec!["far_first", "near_second"],
-        "the far wake must keep its earlier sequence number"
+        at_meet,
+        ["rst", "clk"],
+        "the release must keep its earlier sequence number"
     );
 }
 

@@ -171,30 +171,6 @@ fn edge_detection_counts_each_edge_once() {
     assert_eq!(sim.peek_u64(falls), Some(10));
 }
 
-/// `set_after` implements transport delay across time steps.
-#[test]
-fn transport_delay_lands_on_schedule() {
-    let mut sim = Simulator::new();
-    let trig = sim.signal_init("trig", 1, 0);
-    let out = sim.signal_init("out", 8, 0);
-    sim.add_component(
-        "delayer",
-        CompKind::UserStatic,
-        Box::new(move |ctx: &mut Ctx<'_>| {
-            if ctx.rose(trig) {
-                ctx.set_after(out, Lv::from_u64(8, 0xAB), 7_500);
-            }
-        }),
-        &[trig],
-    );
-    sim.settle().unwrap();
-    sim.poke_u64(trig, 1);
-    sim.run_until(7_499).unwrap();
-    assert_eq!(sim.peek_u64(out), Some(0));
-    sim.run_until(7_500).unwrap();
-    assert_eq!(sim.peek_u64(out), Some(0xAB));
-}
-
 /// A deadline behind `now()` does not rewind time: `run_until` settles
 /// the current time point and returns with `now()` unchanged, so a later
 /// poke lands at that time, not behind the last clock edge.
@@ -606,26 +582,21 @@ fn reset_release_on_a_falling_edge_dispatches_a_posedge_listener() {
 
 /// A clock edge applies at the top of its time point's first delta,
 /// together with every drive due then: a listener sees the edge and a
-/// `set_after` drive landing on it in one eval. A testbench poke issued
-/// at a falling edge that woke nobody lands in that edge's delta too.
+/// reset release landing on it in one eval. A testbench poke issued at a
+/// falling edge that woke nobody lands in that edge's delta too.
 #[test]
 fn drives_at_an_edge_time_share_the_edge_delta() {
     for mode in MODES {
         let (mut sim, inputs, log) = posedge_listener(mode, |sim| {
-            let d = sim.signal_init("d", 1, 0);
+            let rst = sim.signal("rst", 1);
+            sim.add_reset(rst, PERIOD / 2);
             let go = sim.signal_init("go", 1, 0);
-            sim.add_component(
-                "stimulus",
-                CompKind::Vip,
-                Box::new(move |ctx: &mut Ctx<'_>| ctx.set_after(d, Lv::bit(true), PERIOD / 2)),
-                &[],
-            );
-            vec![d, go]
+            vec![rst, go]
         });
         let rise = PERIOD / 2;
         sim.run_until(rise).unwrap();
-        let with_d = (rise, true, false, vec![true, false]);
-        assert_eq!(seen_at(&log, rise), [with_d], "{mode}");
+        let with_rst = (rise, true, false, vec![true, false]);
+        assert_eq!(seen_at(&log, rise), [with_rst], "{mode}");
         sim.run_until(PERIOD).unwrap();
         assert_eq!(seen_at(&log, PERIOD), [], "{mode}");
         sim.poke_u64(inputs[1], 1);

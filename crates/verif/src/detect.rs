@@ -76,8 +76,9 @@ pub struct Verdict {
     pub kernel_error: Option<String>,
 }
 
-/// Build the configured system, run it to completion or budget, and
-/// classify. `budget_cycles` bounds hang detection.
+/// Build the configured system on a fresh artifact cache
+/// ([`AvSystem::build`]), run it to completion or budget, and classify.
+/// `budget_cycles` bounds hang detection.
 pub fn run_experiment(cfg: SystemConfig, budget_cycles: u64) -> Verdict {
     let n_frames = cfg.n_frames;
     let mut sys = AvSystem::build(cfg);

@@ -303,17 +303,6 @@ impl CampaignReport {
             .collect()
     }
 
-    /// The fuzz rows, in submission order.
-    pub fn fuzz_rows(&self) -> Vec<FuzzRow> {
-        self.rows
-            .iter()
-            .filter_map(|r| match &r.outcome {
-                ScenarioOutcome::Fuzz(f) => Some(f.clone()),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Rows whose scenario panicked or was cancelled — the rows that
     /// carry no verification result.
     pub fn failures(&self) -> Vec<&CampaignRow> {
