@@ -77,34 +77,28 @@ pub mod errcode {
     pub const INTEGRITY: u32 = 3;
 }
 
+/// How many times an enabled policy retries a failed transfer before
+/// the error is latched permanently.
+pub const MAX_RETRIES: u32 = 3;
+
+/// Backoff before retry `i` (1-based) is `BACKOFF_BASE << (i-1)`
+/// cycles.
+pub const BACKOFF_BASE: u32 = 16;
+
+/// Cycles without transfer progress (no DMA burst completion and no
+/// word accepted by the ICAP) before an enabled policy's watchdog
+/// declares the transfer stuck.
+pub const WATCHDOG_CYCLES: u32 = 2048;
+
 /// Retry-with-backoff policy for the controller. Disabled by default:
 /// the controller then behaves exactly like the original seed design
 /// (first fault latches the error bit and gives up).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RecoveryPolicy {
-    /// Master enable for detection, watchdog and retry.
+    /// Master enable for detection, watchdog and retry (up to
+    /// [`MAX_RETRIES`] retries after [`BACKOFF_BASE`] backoff, with a
+    /// [`WATCHDOG_CYCLES`] progress watchdog).
     pub enabled: bool,
-    /// How many times a failed transfer is retried before the error is
-    /// latched permanently.
-    pub max_retries: u32,
-    /// Backoff before retry `i` (1-based) is `backoff_base << (i-1)`
-    /// cycles.
-    pub backoff_base: u32,
-    /// Cycles without transfer progress (no DMA burst completion and no
-    /// word accepted by the ICAP) before the watchdog declares the
-    /// transfer stuck.
-    pub watchdog_cycles: u32,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            enabled: false,
-            max_retries: 3,
-            backoff_base: 16,
-            watchdog_cycles: 2048,
-        }
-    }
 }
 
 /// Counters the recovery campaign reads out after a run.
@@ -297,7 +291,7 @@ impl IcapCtrl {
         }
         ctx.trace_instant(TraceCat::Retry, "fault", self.retries, code as u64);
         ctx.set_bit(icap.cwrite, false);
-        if self.retries >= self.policy.max_retries {
+        if self.retries >= MAX_RETRIES {
             ctx.trace_instant(TraceCat::Retry, "exhausted", self.retries, code as u64);
             self.rstats.borrow_mut().exhausted += 1;
             ctx.error(format!(
@@ -317,7 +311,7 @@ impl IcapCtrl {
             self.rstats.borrow_mut().retries += 1;
             ctx.warn(format!(
                 "IcapCTRL: transfer fault (code {}), retry {}/{}",
-                code, self.retries, self.policy.max_retries
+                code, self.retries, MAX_RETRIES
             ));
             if !self.dma.idle() {
                 self.dma.abort_flush(ctx);
@@ -345,7 +339,7 @@ impl IcapCtrl {
     /// cycles so the ICAP is guaranteed to observe the abort strobe).
     fn backoff_cycles(&self) -> u32 {
         let shift = (self.retries.saturating_sub(1)).min(16);
-        self.policy.backoff_base.saturating_mul(1 << shift).max(2)
+        BACKOFF_BASE.saturating_mul(1 << shift).max(2)
     }
 }
 
@@ -463,9 +457,7 @@ impl Component for IcapCtrl {
                 } else {
                     ctx.set_bit(icap.cwrite, false);
                 }
-                if self.policy.enabled
-                    && self.st == St::Active
-                    && self.watchdog >= self.policy.watchdog_cycles
+                if self.policy.enabled && self.st == St::Active && self.watchdog >= WATCHDOG_CYCLES
                 {
                     self.fail(ctx, errcode::WATCHDOG);
                 }
@@ -496,7 +488,7 @@ impl Component for IcapCtrl {
                     self.st = St::DonePulse;
                 } else {
                     self.watchdog += 1;
-                    if self.watchdog >= self.policy.watchdog_cycles {
+                    if self.watchdog >= WATCHDOG_CYCLES {
                         self.fail(ctx, errcode::WATCHDOG);
                     }
                 }

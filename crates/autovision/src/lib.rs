@@ -28,7 +28,7 @@ pub mod vips;
 
 pub use artifacts::{ArtifactCache, SceneArtifacts};
 pub use faults::{Bug, BugClass, FaultSet};
-pub use icapctrl::{IcapCtrl, RecoveryPolicy, RecoveryStats};
+pub use icapctrl::{IcapCtrl, RecoveryPolicy, RecoveryStats, WATCHDOG_CYCLES};
 pub use plb::ArbMode;
 pub use software::{SimMethod, SplitSwConfig, SwConfig};
 pub use system::{

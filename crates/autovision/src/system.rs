@@ -825,8 +825,7 @@ impl AvSystem {
                         fifo_depth: 16,
                         cfg_divider: cfg.cfg_divider,
                         swap_trigger: cfg.swap_trigger,
-                        require_integrity: cfg.recovery.enabled,
-                        tolerant: cfg.recovery.enabled,
+                        resilient: cfg.recovery.enabled,
                     },
                     resim::RegionOptions {
                         deselect_during_inject: !cfg.optimistic_region,

@@ -164,10 +164,7 @@ fn rejects_split_features_the_software_does_not_implement() {
     assert_eq!(
         SystemConfig::builder()
             .regions(SystemConfig::split_regions())
-            .recovery(RecoveryPolicy {
-                enabled: true,
-                ..RecoveryPolicy::default()
-            })
+            .recovery(RecoveryPolicy { enabled: true })
             .build()
             .unwrap_err(),
         ConfigError::UnsupportedInSplit {
@@ -235,10 +232,7 @@ fn layout_grows_past_the_floor_for_huge_payloads() {
 fn layout_charges_the_integrity_packet_to_every_simb() {
     let plain = MemLayout::for_config(&SystemConfig::default());
     let cfg = SystemConfig {
-        recovery: RecoveryPolicy {
-            enabled: true,
-            ..RecoveryPolicy::default()
-        },
+        recovery: RecoveryPolicy { enabled: true },
         ..SystemConfig::default()
     };
     let checked = MemLayout::for_config(&cfg);

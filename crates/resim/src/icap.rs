@@ -46,20 +46,17 @@ pub struct IcapConfig {
     /// When the module swap fires (ablation knob; keep the default for
     /// faithful ReSim behaviour).
     pub swap_trigger: SwapTrigger,
-    /// Require a verified CRC32 integrity packet before swapping: the
-    /// module swap strobe is deferred from the final payload word to the
-    /// `CrcOk` event, a CRC mismatch raises a distinct integrity error
-    /// (and latches `crc_error`) instead of silently activating a
-    /// corrupted module, and a stream that DESYNCs without any integrity
-    /// word is refused. Off by default — plain SimBs carry no CRC and
+    /// Serve a retrying reconfiguration controller. The module swap
+    /// waits for the stream's CRC32 integrity packet: the strobe is
+    /// deferred from the final payload word to the `CrcOk` event, a CRC
+    /// mismatch latches `crc_error` instead of activating a corrupted
+    /// module, and a stream that DESYNCs without an integrity word is
+    /// refused. Recoverable transfer faults (CRC mismatch, missing
+    /// integrity word, malformed words, FIFO overflow) are reported as
+    /// warnings, since the controller raises the error itself once its
+    /// retries run out. Off by default — plain SimBs carry no CRC and
     /// every paper-reproduction number is unchanged.
-    pub require_integrity: bool,
-    /// Report recoverable transfer faults (CRC mismatch, missing
-    /// integrity word, malformed words, FIFO overflow) at warning
-    /// severity instead of error: a retrying reconfiguration controller
-    /// owns escalation and raises the error itself once its retry
-    /// budget is exhausted. Off by default.
-    pub tolerant: bool,
+    pub resilient: bool,
 }
 
 impl Default for IcapConfig {
@@ -68,8 +65,7 @@ impl Default for IcapConfig {
             fifo_depth: 16,
             cfg_divider: 4,
             swap_trigger: SwapTrigger::LastPayloadWord,
-            require_integrity: false,
-            tolerant: false,
+            resilient: false,
         }
     }
 }
@@ -153,7 +149,7 @@ pub struct IcapStats {
     pub crc_ok: u64,
     /// Integrity packets that failed verification.
     pub crc_mismatches: u64,
-    /// Streams refused because `require_integrity` was set but the SimB
+    /// Streams refused because the port was `resilient` but the SimB
     /// carried no integrity word.
     pub integrity_missing: u64,
     /// Transfer aborts requested through the `abort` input.
@@ -187,7 +183,7 @@ pub struct IcapArtifact {
     drain_count: u32,
     last_far: (u8, u8),
     /// A completed payload waiting for integrity verification before the
-    /// swap strobe may fire (`require_integrity` mode only).
+    /// swap strobe may fire (`resilient` mode only).
     swap_deferred: bool,
     /// A strobe output was set high last cycle and must be cleared.
     strobe_pending: bool,
@@ -266,11 +262,11 @@ impl IcapArtifact {
         }
     }
 
-    /// Report a recoverable transfer fault: warning in `tolerant` mode
+    /// Report a recoverable transfer fault: warning in `resilient` mode
     /// (the retrying controller escalates on exhaustion), error
     /// otherwise.
     fn report(&self, ctx: &mut Ctx<'_>, msg: impl Into<String>) {
-        if self.cfg.tolerant {
+        if self.cfg.resilient {
             ctx.warn(msg.into());
         } else {
             ctx.error(msg.into());
@@ -424,7 +420,7 @@ impl Component for IcapArtifact {
                             }
                             ctx.set_bit(p.inject, false);
                             if self.cfg.swap_trigger == SwapTrigger::LastPayloadWord {
-                                if self.cfg.require_integrity {
+                                if self.cfg.resilient {
                                     // Hold the swap until the stream's
                                     // CRC packet verifies.
                                     self.swap_deferred = true;
@@ -456,7 +452,7 @@ impl Component for IcapArtifact {
                             ctx.set_bit(p.reconfiguring, false);
                             self.stats.borrow_mut().desyncs += 1;
                             if self.swap_deferred {
-                                // require_integrity is set but the SimB
+                                // The port is resilient but the SimB
                                 // carried no CRC packet: refuse the swap.
                                 self.swap_deferred = false;
                                 ctx.set_bit(p.crc_error, true);

@@ -106,7 +106,7 @@ pub fn build_simb(kind: SimbKind, rr_id: u8, payload_words: usize, seed: u64) ->
 /// Identical to [`build_simb`] except that a `T1_WRITE_CRC` packet
 /// carrying the CRC32 of every word after SYNC is inserted just before
 /// the DESYNC command. The ICAP artifact verifies it and refuses the
-/// module swap on mismatch (see `icap::IcapConfig::require_integrity`).
+/// module swap on mismatch (see `icap::IcapConfig::resilient`).
 pub fn build_simb_integrity(
     kind: SimbKind,
     rr_id: u8,

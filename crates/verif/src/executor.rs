@@ -3,7 +3,7 @@
 //!
 //! Every campaign hands the pool a short list of coarse jobs (6–47
 //! scenarios, each building and running a whole system) on a few
-//! worker threads, so the pool is one mutex and one condvar:
+//! worker threads, so the pool is one mutex:
 //!
 //! * **one claim cursor** — a worker claims the lowest unclaimed index,
 //!   runs it outside the lock, and stores the result; scenarios start
@@ -12,19 +12,15 @@
 //!   index and delivered in submission order, so the report is
 //!   byte-identical for any thread count (each scenario builds its own
 //!   single-threaded simulator; nothing leaks between runs);
-//! * **bounded in-flight memory** — a scenario *budget* caps how far
-//!   past the oldest undelivered scenario the cursor may claim, which
-//!   bounds the reorder buffer a streaming consumer needs to
-//!   `O(budget)` rows;
 //! * **shared setup artifacts** — one [`ArtifactCache`] serves every
 //!   worker, so N scenarios stop re-deriving identical SimB word
 //!   streams, software images and golden predictions;
 //! * **panic isolation** — a scenario that panics becomes a
 //!   [`ScenarioOutcome::Failed`] row; the pool keeps draining instead of
 //!   aborting the whole campaign;
-//! * **observability** — per-worker counters (executed, admission-window
-//!   waits, busy/idle time, a log₂ run-time histogram) plus optional
-//!   per-scenario spans, foldable into an [`obs::MetricsRegistry`].
+//! * **observability** — per-worker counters (executed, busy time, a
+//!   log₂ run-time histogram) plus optional per-scenario spans,
+//!   foldable into an [`obs::MetricsRegistry`].
 //!
 //! [`Campaign::builder`] assembles a scenario list (matrix rows,
 //! split-pipeline rows, recovery-injection batches) over one base
@@ -40,7 +36,7 @@ use autovision::{ArtifactCache, AvSystem, Bug, RecoveryPolicy, RunOutcome, Syste
 use obs::{Histogram, MetricsRegistry};
 use rtlsim::CompiledStats;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 // ---------------------------------------------------------------------
@@ -110,7 +106,6 @@ impl Scenario {
                 method: SimMethod::Resim,
                 recovery: RecoveryPolicy {
                     enabled: spec.recovery_on,
-                    ..Default::default()
                 },
                 ..base.clone()
             }],
@@ -258,7 +253,7 @@ pub struct CampaignRow {
 #[derive(Debug)]
 pub struct CampaignReport {
     /// One row per scenario, in submission order. Byte-identical for
-    /// any thread count and scenario budget.
+    /// any thread count.
     pub rows: Vec<CampaignRow>,
     /// Wall-clock/scheduling statistics of the run that produced the
     /// rows. Excluded from [`CampaignReport::digest`].
@@ -268,7 +263,7 @@ pub struct CampaignReport {
 impl CampaignReport {
     /// A deterministic, line-per-row rendering of the report's rows —
     /// the thing the determinism suite compares byte-for-byte across
-    /// thread counts and scenario budgets.
+    /// thread counts.
     pub fn digest(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("campaign rows: {}\n", self.rows.len()));
@@ -335,10 +330,6 @@ impl CampaignReport {
 pub struct PoolOptions {
     /// Worker threads (minimum 1).
     pub threads: usize,
-    /// Scenario budget: the pool never claims a scenario this many or
-    /// more positions past the oldest undelivered one, bounding the
-    /// reorder buffer. `0` means `4 × threads`.
-    pub scenario_budget: usize,
     /// Record one span per scenario into [`ExecutorStats::spans`].
     pub spans: bool,
 }
@@ -347,7 +338,6 @@ impl Default for PoolOptions {
     fn default() -> Self {
         PoolOptions {
             threads: 1,
-            scenario_budget: 0,
             spans: false,
         }
     }
@@ -358,13 +348,8 @@ impl Default for PoolOptions {
 pub struct WorkerStats {
     /// Scenarios this worker executed.
     pub executed: u64,
-    /// Waits for the admission window (the next index was unclaimed
-    /// but a full budget past the oldest undelivered one).
-    pub idle_waits: u64,
     /// Nanoseconds spent executing scenarios.
     pub busy_ns: u64,
-    /// Nanoseconds spent waiting for the admission window.
-    pub idle_ns: u64,
     /// log₂ histogram of per-scenario run times, in nanoseconds.
     pub run_ns: Histogram,
 }
@@ -395,7 +380,7 @@ pub struct ExecutorStats {
     /// Per-worker counters, indexed by worker.
     pub workers: Vec<WorkerStats>,
     /// Largest number of completed-but-undelivered rows ever buffered
-    /// (bounded by the scenario budget).
+    /// (at most the scenario count).
     pub max_reorder_depth: usize,
     /// Per-scenario spans (only when [`PoolOptions::spans`] is set),
     /// sorted by scenario index.
@@ -420,9 +405,10 @@ impl ExecutorStats {
         0
     }
 
-    /// Total idle nanoseconds across workers.
+    /// Always 0: no worker waits while a scenario is left to claim.
+    /// Kept only for the benchmark's `executor.idle_s` row.
     pub fn idle_ns(&self) -> u64 {
-        self.workers.iter().map(|w| w.idle_ns).sum()
+        0
     }
 
     /// Scenarios per wall-clock second.
@@ -450,12 +436,12 @@ impl ExecutorStats {
     /// counter and gauge is the last campaign's. The `campaign.run_ns`
     /// histogram is the exception: it adds up across campaigns.
     pub fn record(&self, reg: &mut MetricsRegistry) {
-        let sum = |f: fn(&WorkerStats) -> u64| self.workers.iter().map(f).sum::<u64>();
         reg.counter("campaign.scenarios", self.scenarios as u64);
         reg.counter("campaign.workers", self.workers.len() as u64);
-        reg.counter("campaign.busy_ns", sum(|w| w.busy_ns));
-        reg.counter("campaign.idle_ns", self.idle_ns());
-        reg.counter("campaign.idle_waits", sum(|w| w.idle_waits));
+        reg.counter(
+            "campaign.busy_ns",
+            self.workers.iter().map(|w| w.busy_ns).sum(),
+        );
         reg.counter("campaign.max_reorder_depth", self.max_reorder_depth as u64);
         reg.counter("campaign.artifact_cache.hits", self.artifact_hits);
         reg.counter("campaign.artifact_cache.misses", self.artifact_misses);
@@ -487,28 +473,23 @@ struct Cursor<R, S> {
 
 impl<R, S: FnMut(usize, R)> Cursor<R, S> {
     /// Store `index`'s result and release the in-order prefix to the
-    /// sink. Returns whether the prefix moved.
-    fn complete(&mut self, index: usize, result: R) -> bool {
+    /// sink.
+    fn complete(&mut self, index: usize, result: R) {
         self.slots[index] = Some(result);
         self.buffered += 1;
         self.max_depth = self.max_depth.max(self.buffered);
-        let from = self.delivered;
         while let Some(r) = self.slots.get_mut(self.delivered).and_then(Option::take) {
             (self.sink)(self.delivered, r);
             self.delivered += 1;
             self.buffered -= 1;
         }
-        self.delivered > from
     }
 }
 
-/// One worker: claim the lowest unclaimed index once it is inside the
-/// admission window, run it outside the lock, complete it; return when
-/// nothing is left to claim.
+/// One worker: claim the lowest unclaimed index, run it outside the
+/// lock, complete it; return when nothing is left to claim.
 fn worker_loop<R, S, F>(
     cursor: &Mutex<Cursor<R, S>>,
-    moved: &Condvar,
-    budget: usize,
     w: usize,
     run: &F,
     record_spans: bool,
@@ -522,17 +503,6 @@ where
     let mut spans = Vec::new();
     let mut c = cursor.lock().expect("pool lock poisoned");
     while c.next < c.slots.len() {
-        // `delivered <= next` always, and the subtraction (unlike
-        // `delivered + budget`) cannot overflow for any budget.
-        if c.next - c.delivered >= budget {
-            // The index that holds the window back is running on
-            // another worker; its completion moves the prefix.
-            stats.idle_waits += 1;
-            let t = Instant::now();
-            c = moved.wait(c).expect("pool lock poisoned");
-            stats.idle_ns += t.elapsed().as_nanos() as u64;
-            continue;
-        }
         let j = c.next;
         c.next += 1;
         let start = Instant::now();
@@ -551,9 +521,7 @@ where
             });
         }
         c = cursor.lock().expect("pool lock poisoned");
-        if c.complete(j, r) {
-            moved.notify_all();
-        }
+        c.complete(j, r);
     }
     (stats, spans)
 }
@@ -571,11 +539,6 @@ where
     S: FnMut(usize, R) + Send,
 {
     let threads = opts.threads.max(1);
-    let budget = if opts.scenario_budget == 0 {
-        4 * threads
-    } else {
-        opts.scenario_budget
-    };
     let cursor = Mutex::new(Cursor {
         next: 0,
         delivered: 0,
@@ -584,13 +547,12 @@ where
         max_depth: 0,
         sink,
     });
-    let moved = Condvar::new();
     let t0 = Instant::now();
     let per_worker: Vec<(WorkerStats, Vec<ScenarioSpan>)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|w| {
-                let (cursor, moved, run) = (&cursor, &moved, &run);
-                s.spawn(move || worker_loop(cursor, moved, budget, w, run, opts.spans, t0))
+                let (cursor, run) = (&cursor, &run);
+                s.spawn(move || worker_loop(cursor, w, run, opts.spans, t0))
             })
             .collect();
         handles
@@ -643,8 +605,6 @@ pub struct CampaignOptions {
     pub seed: u64,
     /// Hang budget per run, in cycles.
     pub budget_cycles: u64,
-    /// Scenario budget; see [`PoolOptions::scenario_budget`].
-    pub scenario_budget: usize,
     /// Record per-scenario spans into the report's stats.
     pub spans: bool,
 }
@@ -657,7 +617,6 @@ impl Default for CampaignOptions {
                 .unwrap_or(1),
             seed: 0xFA_17,
             budget_cycles: 400_000,
-            scenario_budget: 0,
             spans: false,
         }
     }
@@ -708,12 +667,6 @@ impl CampaignBuilder {
     /// Hang budget per run, in cycles.
     pub fn budget_cycles(mut self, budget_cycles: u64) -> Self {
         self.opts.budget_cycles = budget_cycles;
-        self
-    }
-
-    /// Scenario budget (bounded in-flight window).
-    pub fn scenario_budget(mut self, scenario_budget: usize) -> Self {
-        self.opts.scenario_budget = scenario_budget;
         self
     }
 
@@ -824,9 +777,7 @@ impl Campaign {
     }
 
     /// [`Campaign::run`], additionally delivering each finished row to
-    /// `sink` in submission order as soon as it is complete. The
-    /// scenario budget bounds how many rows are ever buffered waiting
-    /// for an earlier scenario.
+    /// `sink` in submission order as soon as it is complete.
     pub fn run_streaming(&self, sink: impl FnMut(&CampaignRow) + Send) -> CampaignReport {
         self.run_streaming_with(&ArtifactCache::new(), None, sink)
     }
@@ -861,7 +812,6 @@ impl Campaign {
         let (hits0, misses0) = artifacts.stats();
         let pool = PoolOptions {
             threads: self.opts.threads,
-            scenario_budget: self.opts.scenario_budget,
             spans: self.opts.spans,
         };
         let ctx = ScenarioCtx::new(&self.base, self.opts.budget_cycles, artifacts);
@@ -957,7 +907,6 @@ mod tests {
     fn scenarios_start_in_submission_order() {
         let o = PoolOptions {
             threads: 3,
-            scenario_budget: 64,
             spans: true,
         };
         // Job 0 is slow, so the other workers race ahead past it.
@@ -1000,26 +949,28 @@ mod tests {
     }
 
     #[test]
-    fn reorder_depth_respects_the_scenario_budget() {
-        let o = PoolOptions {
-            threads: 4,
-            scenario_budget: 3,
-            ..Default::default()
-        };
-        // Job 0 is slow, so later completions must queue behind it —
-        // but never more than the budget allows.
-        let (out, stats) = execute(40, &o, |i| {
-            if i == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(20));
+    fn a_slow_job_never_holds_the_other_workers_back() {
+        use std::sync::atomic::AtomicUsize;
+        use std::time::Duration;
+        // Job 0 runs until the other 39 have finished (at most 5 s) and
+        // returns how many did: the second worker must drain them all
+        // while the first is busy, and every one waits in the reorder
+        // buffer for job 0.
+        let finished = AtomicUsize::new(0);
+        let (out, stats) = execute(40, &opts(2), |i| {
+            if i > 0 {
+                finished.fetch_add(1, Ordering::Relaxed);
+                return i;
             }
-            i
+            let t0 = Instant::now();
+            while finished.load(Ordering::Relaxed) < 39 && t0.elapsed() < Duration::from_secs(5) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            finished.load(Ordering::Relaxed)
         });
-        assert_eq!(out, (0..40).collect::<Vec<_>>());
-        assert!(
-            stats.max_reorder_depth <= 3,
-            "reorder depth {} exceeded budget",
-            stats.max_reorder_depth
-        );
+        assert_eq!(out[0], 39, "jobs finished while job 0 ran");
+        assert_eq!(out[1..], (1..40).collect::<Vec<_>>());
+        assert_eq!(stats.max_reorder_depth, 40);
     }
 
     #[test]
@@ -1027,7 +978,6 @@ mod tests {
         let o = PoolOptions {
             threads: 3,
             spans: true,
-            ..Default::default()
         };
         let (_, stats) = execute(11, &o, |i| i);
         let idx: Vec<usize> = stats.spans.iter().map(|s| s.index).collect();

@@ -192,7 +192,6 @@ impl FuzzSchedule {
             },
             recovery: RecoveryPolicy {
                 enabled: s.recovery_on,
-                ..Default::default()
             },
             ..base.clone()
         }

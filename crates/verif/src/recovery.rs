@@ -17,7 +17,9 @@
 //! the recovery hardware is designed against.
 
 use crate::executor::{RecoveryRow, RecoverySpec, ScenarioCtx};
-use autovision::{AvSystem, Bug, RecoveryPolicy, SimMethod, SystemConfig, CLK_PERIOD_PS};
+use autovision::{
+    AvSystem, Bug, RecoveryPolicy, SimMethod, SystemConfig, CLK_PERIOD_PS, WATCHDOG_CYCLES,
+};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -109,11 +111,7 @@ fn arm_fault(sys: &mut AvSystem, fault: Bug, rng: &mut StdRng) {
     // eligible.
     let lo = sys.layout.simb_me.0;
     let hi = sys.layout.simb_cie.0 + 4 * sys.layout.simb_cie.1;
-    let wd = sys
-        .config
-        .recovery
-        .watchdog_cycles
-        .max(RecoveryPolicy::default().watchdog_cycles);
+    let wd = WATCHDOG_CYCLES;
     let mut mem = sys.mem_faults.borrow_mut();
     mem.window = Some((lo, hi));
     match fault {
@@ -168,7 +166,6 @@ pub fn run_one(ctx: &ScenarioCtx<'_>, spec: RecoverySpec) -> RecoveryRow {
         method: SimMethod::Resim,
         recovery: RecoveryPolicy {
             enabled: recovery_on,
-            ..Default::default()
         },
         ..ctx.base.clone()
     };

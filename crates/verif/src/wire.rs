@@ -275,10 +275,10 @@ pub(crate) fn schedule_from_json(v: &Json) -> Result<FuzzSchedule, String> {
 
 /// One `campaign_submit/v1` document: an explicit scenario list plus
 /// the executor knobs a client may set. Runs over the standard matrix
-/// base configuration (32×24, two frames, 256-word SimB). Thread count
-/// and scenario budget are *requests*: a daemon configured with its own
-/// values overrides them, and by the executor's determinism contract
-/// neither changes a single row.
+/// base configuration (32×24, two frames, 256-word SimB). The thread
+/// count is a *request*: a daemon configured with its own value
+/// overrides it, and by the executor's determinism contract it changes
+/// no row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSubmission {
     /// Explicit scenarios, in submission order.
@@ -295,8 +295,6 @@ pub struct CampaignSubmission {
     pub budget_cycles: u64,
     /// Requested worker threads (0 = executor default / daemon policy).
     pub threads: usize,
-    /// Requested scenario budget (0 = executor default / daemon policy).
-    pub scenario_budget: usize,
     /// Kernel execution mode for every scenario in the campaign.
     pub exec_mode: ExecMode,
 }
@@ -311,7 +309,6 @@ impl Default for CampaignSubmission {
             seed: 0xFA_17,
             budget_cycles: 400_000,
             threads: 0,
-            scenario_budget: 0,
             exec_mode: ExecMode::default(),
         }
     }
@@ -327,14 +324,13 @@ impl CampaignSubmission {
             .collect();
         format!(
             "{{\n  \"schema\": \"{}\",\n  \"seed\": {},\n  \"budget_cycles\": {},\n  \
-             \"threads\": {},\n  \"scenario_budget\": {},\n  \"exec_mode\": \"{}\",\n  \
+             \"threads\": {},\n  \"exec_mode\": \"{}\",\n  \
              \"matrix\": {},\n  \"recovery_runs\": {},\n  \"recovery_on\": {},\n  \
              \"scenarios\": [\n{}\n  ]\n}}\n",
             CAMPAIGN_SUBMIT_SCHEMA,
             self.seed,
             self.budget_cycles,
             self.threads,
-            self.scenario_budget,
             self.exec_mode.as_str(),
             self.matrix,
             self.recovery_runs,
@@ -349,7 +345,9 @@ impl CampaignSubmission {
     /// empty array is legal when `matrix` or `recovery_runs` supplies
     /// the work). A budget above [`MAX_BUDGET_CYCLES`], a thread request
     /// above [`MAX_THREADS`] or a plan of more than [`MAX_SCENARIOS`]
-    /// scenarios is rejected with an error naming the limit.
+    /// scenarios is rejected with an error naming the limit. Unknown
+    /// members are ignored, such as the `scenario_budget` that earlier
+    /// clients sent.
     pub fn from_json(doc: &str) -> Result<CampaignSubmission, String> {
         let v = Json::parse(doc)?;
         schema_check(&v, CAMPAIGN_SUBMIT_SCHEMA)?;
@@ -380,7 +378,6 @@ impl CampaignSubmission {
             seed: opt_u64("seed", d.seed, u64::MAX)?,
             budget_cycles: opt_u64("budget_cycles", d.budget_cycles, MAX_BUDGET_CYCLES)?,
             threads: opt_usize("threads", d.threads, MAX_THREADS)?,
-            scenario_budget: opt_usize("scenario_budget", d.scenario_budget, usize::MAX)?,
             exec_mode: match v.get("exec_mode") {
                 None => d.exec_mode,
                 Some(_) => str_of(&v, "exec_mode")?
@@ -401,21 +398,20 @@ impl CampaignSubmission {
 
     /// The fully planned campaign this submission describes: the matrix
     /// (when requested), then the explicit scenarios, then the seeded
-    /// recovery batch. A zero thread/budget request keeps the executor
-    /// defaults; callers (the daemon) may override both afterwards via
-    /// [`Campaign::builder`]-style re-planning without changing rows.
+    /// recovery batch. A zero thread request keeps the executor
+    /// default; the daemon may grant another count through
+    /// [`CampaignSubmission::plan`] without changing rows.
     pub fn to_campaign(&self) -> Campaign {
-        self.plan(self.threads, self.scenario_budget)
+        self.plan(self.threads)
     }
 
-    /// [`CampaignSubmission::to_campaign`] with the executor knobs the
+    /// [`CampaignSubmission::to_campaign`] with the thread count the
     /// serving side actually grants (0 keeps the executor default).
-    pub fn plan(&self, threads: usize, scenario_budget: usize) -> Campaign {
+    pub fn plan(&self, threads: usize) -> Campaign {
         let mut b = Campaign::builder()
             .seed(self.seed)
             .budget_cycles(self.budget_cycles)
-            .exec_mode(self.exec_mode)
-            .scenario_budget(scenario_budget);
+            .exec_mode(self.exec_mode);
         if threads > 0 {
             b = b.threads(threads);
         }
@@ -708,7 +704,6 @@ pub fn report_from_json(doc: &str) -> Result<WireReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{execute, PoolOptions};
 
     fn mixed_submission() -> CampaignSubmission {
         CampaignSubmission {
@@ -737,7 +732,6 @@ mod tests {
             seed: 0xDEAD_BEEF_0000_0001,
             budget_cycles: 123_456,
             threads: 3,
-            scenario_budget: 5,
             exec_mode: ExecMode::Compiled,
         }
     }
@@ -932,23 +926,15 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_scenario_budget_runs_to_completion() {
-        // The admission window must not overflow at the largest budget
-        // the decoder accepts.
-        let pool = PoolOptions {
-            threads: 2,
-            scenario_budget: usize::MAX,
-            ..Default::default()
-        };
-        let (out, stats) = execute(16, &pool, |i| i);
-        assert_eq!(out, (0..16).collect::<Vec<_>>());
-        assert_eq!(stats.workers.len(), 2);
+    fn a_scenario_budget_from_an_earlier_client_is_ignored() {
+        let members = "\"threads\": 2, \"recovery_runs\": 3, ";
+        let plain = CampaignSubmission::from_json(&submit_doc(members)).expect("parses");
         let sub = CampaignSubmission::from_json(&submit_doc(&format!(
-            "\"threads\": 2, \"scenario_budget\": {}, \"recovery_runs\": 3, ",
-            usize::MAX
+            "{members}\"scenario_budget\": {}, ",
+            u64::MAX
         )))
-        .expect("an unbounded budget parses");
-        assert_eq!(sub.scenario_budget, usize::MAX);
+        .expect("a stray scenario_budget parses");
+        assert_eq!(sub, plain);
         let report = sub.to_campaign().run();
         assert_eq!(report.rows.len(), 3);
         assert!(report.failures().is_empty(), "{}", report.digest());

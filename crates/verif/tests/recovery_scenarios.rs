@@ -3,7 +3,7 @@
 //! recovery mechanism that must handle it, plus the regression that the
 //! recovery machinery is inert when disabled.
 
-use autovision::{AvSystem, MemLayout, RecoveryPolicy, SimMethod, SystemConfig};
+use autovision::{AvSystem, MemLayout, RecoveryPolicy, SimMethod, SystemConfig, WATCHDOG_CYCLES};
 
 const BUDGET: u64 = 400_000;
 
@@ -14,10 +14,7 @@ fn recovery_cfg() -> SystemConfig {
         height: 24,
         n_frames: 2,
         payload_words: 256,
-        recovery: RecoveryPolicy {
-            enabled: true,
-            ..Default::default()
-        },
+        recovery: RecoveryPolicy { enabled: true },
         ..Default::default()
     }
 }
@@ -80,7 +77,7 @@ fn exhausted_retries_engage_degraded_fallback() {
     let outcome = sys.run(BUDGET);
     let r = sys.recovery.borrow();
     assert!(r.exhausted > 0, "retry budget never exhausted: {r:?}");
-    assert!(r.retries >= u64::from(RecoveryPolicy::default().max_retries));
+    assert!(r.retries >= u64::from(autovision::icapctrl::MAX_RETRIES));
     // The whole point of graceful degradation: the frame pipeline keeps
     // delivering (stale vectors) instead of hanging.
     assert!(!outcome.hung, "pipeline hung instead of degrading");
@@ -93,7 +90,7 @@ fn exhausted_retries_engage_degraded_fallback() {
 #[test]
 fn watchdog_fires_on_stalled_dma() {
     let cfg = recovery_cfg();
-    let wd = cfg.recovery.watchdog_cycles;
+    let wd = WATCHDOG_CYCLES;
     let n = cfg.n_frames;
     let mut sys = AvSystem::build(cfg);
     {

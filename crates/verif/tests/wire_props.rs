@@ -126,15 +126,10 @@ fn arb_submission() -> impl Strategy<Value = CampaignSubmission> {
     (
         prop::collection::vec(arb_scenario(), 0..6),
         (any::<bool>(), any::<u64>(), any::<bool>(), any::<u64>()),
-        (
-            0..=MAX_BUDGET_CYCLES,
-            0..=MAX_THREADS,
-            any::<u64>(),
-            arb_exec_mode(),
-        ),
+        (0..=MAX_BUDGET_CYCLES, 0..=MAX_THREADS, arb_exec_mode()),
     )
         .prop_map(
-            |(scenarios, (matrix, runs, recovery_on, seed), (budget, threads, window, mode))| {
+            |(scenarios, (matrix, runs, recovery_on, seed), (budget, threads, mode))| {
                 // Whatever the explicit list and the matrix leave of the
                 // scenario cap, the recovery batch may fill.
                 let room =
@@ -147,7 +142,6 @@ fn arb_submission() -> impl Strategy<Value = CampaignSubmission> {
                     seed,
                     budget_cycles: budget,
                     threads,
-                    scenario_budget: window as usize,
                     exec_mode: mode,
                 }
             },

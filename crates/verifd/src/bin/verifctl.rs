@@ -3,7 +3,7 @@
 //! ```text
 //! verifctl --connect ENDPOINT submit [--file SUB.json] [--matrix]
 //!          [--recovery N] [--recovery-off] [--seed N] [--budget-cycles N]
-//!          [--threads N] [--scenario-budget N] [--exec-mode MODE]
+//!          [--threads N] [--exec-mode MODE]
 //!          [--report]
 //! verifctl --connect ENDPOINT watch --id N
 //! verifctl --connect ENDPOINT cancel --id N
@@ -69,9 +69,6 @@ fn build_submission(args: &[String]) -> CampaignSubmission {
     }
     if let Some(t) = parsed_flag::<usize>(args, "--threads") {
         sub.threads = t;
-    }
-    if let Some(b) = parsed_flag::<usize>(args, "--scenario-budget") {
-        sub.scenario_budget = b;
     }
     if let Some(mode) = flag_value(args, "--exec-mode") {
         sub.exec_mode = mode

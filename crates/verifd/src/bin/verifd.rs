@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! verifd [--unix PATH] [--tcp ADDR] [--max-campaigns N] [--max-queued N]
-//!        [--threads N] [--scenario-budget N]
+//!        [--threads N]
 //! ```
 //!
 //! With no endpoint flags it listens on `verifd.sock` in the working
@@ -36,7 +36,7 @@ fn main() {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!(
             "usage: verifd [--unix PATH] [--tcp ADDR] [--max-campaigns N] \
-             [--max-queued N] [--threads N] [--scenario-budget N]"
+             [--max-queued N] [--threads N]"
         );
         return;
     }
@@ -45,7 +45,6 @@ fn main() {
         max_campaigns: usize_flag(&args, "--max-campaigns", defaults.max_campaigns),
         max_queued: usize_flag(&args, "--max-queued", defaults.max_queued),
         threads: usize_flag(&args, "--threads", defaults.threads),
-        scenario_budget: usize_flag(&args, "--scenario-budget", defaults.scenario_budget),
     };
     let mut endpoints = Vec::new();
     if let Some(path) = flag_value(&args, "--unix") {

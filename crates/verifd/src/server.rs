@@ -50,9 +50,6 @@ pub struct ServerConfig {
     /// submission's request (which may itself be 0 = executor default;
     /// the decoder caps it at [`verif::wire::MAX_THREADS`]).
     pub threads: usize,
-    /// Scenario budget forced on every campaign. `0` honours the
-    /// submission's request.
-    pub scenario_budget: usize,
 }
 
 impl Default for ServerConfig {
@@ -61,7 +58,6 @@ impl Default for ServerConfig {
             max_campaigns: 2,
             max_queued: 8,
             threads: 0,
-            scenario_budget: 0,
         }
     }
 }
@@ -370,12 +366,7 @@ impl Server {
         } else {
             sub.threads
         };
-        let budget = if self.cfg.scenario_budget > 0 {
-            self.cfg.scenario_budget
-        } else {
-            sub.scenario_budget
-        };
-        let campaign = sub.plan(threads, budget);
+        let campaign = sub.plan(threads);
         let guard = match self.admit_one() {
             Ok(g) => g,
             Err(e) => return reply(writer, &proto::error_frame(&e)),

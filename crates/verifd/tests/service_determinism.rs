@@ -1,7 +1,6 @@
 //! The service determinism suite: rows streamed over the socket must be
 //! byte-identical to in-process campaign runs, and admission control
-//! must never bend row order — even under a forced 1-scenario window
-//! with concurrent submissions.
+//! must never bend row order — not even with concurrent submissions.
 
 use obs::json::Json;
 use rtlsim::ExecMode;
@@ -48,7 +47,7 @@ fn mixed_submission() -> CampaignSubmission {
 /// it (thread count cannot change a row, but the report's worker count
 /// must match for full-document comparison).
 fn reference_rows(sub: &CampaignSubmission, threads: usize) -> (Vec<String>, String) {
-    let report = sub.plan(threads, 0).run();
+    let report = sub.plan(threads).run();
     let rows = report.rows.iter().map(row_to_json).collect();
     (rows, report_to_json(&report))
 }
@@ -93,14 +92,10 @@ fn socket_rows_are_byte_identical_to_in_process_runs() {
 }
 
 #[test]
-fn concurrent_submissions_under_forced_single_scenario_window_stay_index_ordered() {
-    // scenario_budget = 1 forces the tightest admission window the
-    // executor supports: the pool may never run ahead of the oldest
-    // incomplete scenario.
+fn concurrent_submissions_stay_index_ordered() {
     let (server, endpoint) = start_unix(ServerConfig {
         max_campaigns: 2,
         threads: 2,
-        scenario_budget: 1,
         ..Default::default()
     });
     let sub_a = mixed_submission();
@@ -293,7 +288,6 @@ fn flooded_daemon_rejects_loudly_instead_of_queueing_forever() {
         max_campaigns: 1,
         max_queued: 0,
         threads: 1,
-        ..Default::default()
     });
     let sub = CampaignSubmission {
         recovery_runs: 6,
