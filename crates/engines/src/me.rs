@@ -101,30 +101,7 @@ impl MatchingEngine {
             .curr
             .as_ref()
             .expect("search runs only after the DMA latched the current frame");
-        let r = self.params.search_radius as isize;
-        let mut best = (0isize, 0isize, u32::MAX);
-        for dy in -r..=r {
-            for dx in -r..=r {
-                let c = video::match_cost(prev, curr, x, y, dx, dy, self.params.patch_half);
-                let better = c < best.2
-                    || (c == best.2 && (dx * dx + dy * dy) < (best.0 * best.0 + best.1 * best.1));
-                if better {
-                    best = (dx, dy, c);
-                }
-            }
-        }
-        let cost = best.2.min(u16::MAX as u32) as u16;
-        MotionVector {
-            x: x as u16,
-            y: y as u16,
-            dx: best.0 as i8,
-            dy: best.1 as i8,
-            cost: if cost > self.params.max_cost {
-                u16::MAX
-            } else {
-                cost
-            },
-        }
+        video::search_anchor(prev, curr, x, y, &self.params)
     }
 
     fn frame_words(&self) -> u32 {
@@ -230,20 +207,12 @@ impl Component for MatchingEngine {
                                 self.latched.height,
                                 &words,
                             ));
-                            // Enumerate anchors exactly as the golden
-                            // model does.
-                            let margin = self.params.search_radius + self.params.patch_half;
+                            // The golden model's anchors, in its order.
                             self.anchors.clear();
                             self.vectors.clear();
-                            let mut y = margin;
-                            while y + margin < self.latched.height {
-                                let mut x = margin;
-                                while x + margin < self.latched.width {
-                                    self.anchors.push((x, y));
-                                    x += self.params.grid_step;
-                                }
-                                y += self.params.grid_step;
-                            }
+                            self.anchors.extend(
+                                self.params.anchors(self.latched.width, self.latched.height),
+                            );
                             if self.anchors.is_empty() {
                                 ctx.warn("ME: frame too small for any anchor");
                                 ctx.set_bit(io.busy, false);

@@ -16,6 +16,15 @@
 //! one of its watched signals changes or a [`DoorbellId`] rings, and a
 //! parked component is skipped at dispatch.
 //!
+//! The parked set is a bitset over `CompId`, and so is each signal's
+//! listener set, stored as ascending `(word, mask)` pairs. Marking a
+//! signal's listeners queues the set bits of `mask & !parked[word]`
+//! from low to high and counts the parked bits into
+//! [`CompiledStats::skipped_parked`] with one popcount, so a parked
+//! listener costs nothing per entry. Components listen only while they
+//! register, so ascending `CompId` order is registration order, the
+//! order event-driven dispatch queues them in.
+//!
 //! Each delta opens with one batch of value changes, and the kernel
 //! **unparks before it marks**: before any listener of the batch is
 //! queued, every component the batch wakes is unparked. No later
@@ -114,13 +123,20 @@ impl CompiledStats {
     }
 }
 
+/// The word index and bit of `c` in a bitset over `CompId`: bit `b` of
+/// word `w` is the component `64 * w + b`.
+#[inline]
+pub(crate) fn comp_bit(c: CompId) -> (usize, u64) {
+    (c.0 as usize / 64, 1 << (c.0 % 64))
+}
+
 /// Dense per-component / per-signal compiled-plane state, embedded in
 /// `SimCore` so both the dispatcher and `Ctx::park_until` reach it.
 #[derive(Default)]
 pub(crate) struct CompiledCore {
     pub mode: ExecMode,
-    /// Per component: currently parked.
-    pub parked: Vec<bool>,
+    /// Bitset over `CompId` of the parked components (see [`comp_bit`]).
+    pub parked: Vec<u64>,
     /// Per component: wake set already registered (the set is latched
     /// from the first `park_until` call).
     pub wake_registered: Vec<bool>,
@@ -135,8 +151,17 @@ impl CompiledCore {
     /// Give a newly added component its dense slot: unparked, no wake
     /// set.
     pub fn add_comp(&mut self) {
-        self.parked.push(false);
+        if self.wake_registered.len().is_multiple_of(64) {
+            self.parked.push(0);
+        }
         self.wake_registered.push(false);
+    }
+
+    /// Mark `c` parked.
+    #[inline]
+    pub fn park(&mut self, c: CompId) {
+        let (word, bit) = comp_bit(c);
+        self.parked[word] |= bit;
     }
 
     /// Unpark the components whose wake set holds `sig`, which the
@@ -144,9 +169,9 @@ impl CompiledCore {
     #[inline]
     pub fn wake(&mut self, sig: SignalId) {
         for &c in &self.wakers[sig.0 as usize] {
-            let parked = &mut self.parked[c.0 as usize];
-            if *parked {
-                *parked = false;
+            let (word, bit) = comp_bit(c);
+            if self.parked[word] & bit != 0 {
+                self.parked[word] &= !bit;
                 self.stats.signal_wakes += 1;
             }
         }
@@ -163,7 +188,8 @@ impl CompiledCore {
                 flag.set(false);
                 self.stats.doorbell_rings += 1;
                 for &c in listeners {
-                    self.parked[c.0 as usize] = false;
+                    let (word, bit) = comp_bit(c);
+                    self.parked[word] &= !bit;
                 }
             }
         }

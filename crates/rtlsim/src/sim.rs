@@ -3,14 +3,17 @@
 //!
 //! # Event queue
 //!
-//! Pending events live in one `BinaryHeap`, ordered by `(time, seq)`:
-//! `seq` is the global sequence number each event was scheduled with.
-//! The earliest time pops first, and the events due at one time point
-//! pop in the order they were scheduled, so they need no sort (pinned
-//! by `tests/determinism.rs`). The queue is small and holds only the
-//! kernel's own drives: clock edges, reset releases and testbench pokes.
-//! Each clock keeps exactly one edge pending. Components schedule
-//! nothing; their writes apply at the end of the delta.
+//! Pending events live in one flat, unordered table of drives, each
+//! stamped with `seq`, the global sequence number it was scheduled with.
+//! The table holds only the kernel's own drives: clock edges, reset
+//! releases and testbench pokes, so it holds one or two entries in a
+//! clocked design. Each clock keeps exactly one edge pending, which is
+//! rescheduled in place each time it applies. Components schedule
+//! nothing; their writes apply at the end of the delta. The next time
+//! point is the table's least time, and the drives due at one time
+//! point apply in `seq` order, which is sorted only when more than one
+//! is due (pinned against a `(time, seq)` reference model by
+//! `tests/determinism.rs`).
 //!
 //! # Delta loop
 //!
@@ -25,7 +28,7 @@
 //! `Simulator::apply_batch`, which unparks every component the batch
 //! wakes before it marks anyone.
 
-use crate::compiled::{CompiledCore, CompiledStats, DoorbellId, ExecMode};
+use crate::compiled::{comp_bit, CompiledCore, CompiledStats, DoorbellId, ExecMode};
 use crate::component::{CompKind, Component, Ctx};
 use crate::lv::Lv;
 use crate::name::{Name, NameArena, NameId};
@@ -33,8 +36,6 @@ use crate::profile::Profiler;
 use crate::trace::{TraceBuf, TraceCat, TraceEvent, TraceKind, DEFAULT_TRACE_CAPACITY};
 use crate::vcd::VcdWriter;
 use crate::{CompId, Severity, SignalId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Maximum delta iterations at one time point before the kernel declares a
@@ -76,12 +77,13 @@ pub(crate) struct SignalState {
     pub prev: Lv,
     /// Global step number of the most recent value change.
     pub last_change: u64,
-    /// Components woken when this signal changes, in registration order.
-    pub sensitive: Vec<CompId>,
-    /// The any-edge entries of `sensitive`, in the same order: the
+    /// Components woken when this signal changes, as ascending
+    /// `(word, mask)` pairs over `CompId` (see [`Simulator::listen`]).
+    pub sensitive: Vec<(u32, u64)>,
+    /// The any-edge entries of `sensitive`, in the same form: the
     /// components woken when this signal falls from a driven 1, which
     /// wakes no posedge listener.
-    pub on_fall: Vec<CompId>,
+    pub on_fall: Vec<(u32, u64)>,
     /// Number of value changes since time 0.
     pub toggles: u64,
     /// True once a parked component listed this signal in its wake set
@@ -102,12 +104,13 @@ struct CompSlot {
     evals: u64,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 enum EventKind {
     /// A reset release or a testbench poke: drive the value.
     Drive(SignalId, Lv),
     /// A kernel clock edge `(clock, level, half period)`: drive the
-    /// level. Popping it schedules the opposite edge half a period later.
+    /// level. Applying it reschedules the entry as the opposite edge half
+    /// a period later.
     Edge(SignalId, bool, u64),
 }
 
@@ -116,23 +119,6 @@ struct Event {
     time: u64,
     seq: u64,
     kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
 }
 
 /// Mutable kernel state shared with evaluation contexts.
@@ -145,8 +131,8 @@ pub(crate) struct SimCore {
     /// due at one time, and [`SimStats::events`] reads it.
     seq: u64,
     pub signals: Vec<SignalState>,
-    /// Pending events, earliest `(time, seq)` on top.
-    queue: BinaryHeap<Reverse<Event>>,
+    /// Pending events, unordered (see the module docs).
+    queue: Vec<Event>,
     /// Non-blocking writes accumulated during the current delta; only
     /// [`SimCore::push_write`] appends to it.
     pending: Vec<(SignalId, Lv)>,
@@ -165,11 +151,11 @@ impl SimCore {
     fn schedule(&mut self, time: u64, kind: EventKind) {
         debug_assert!(time >= self.now, "event scheduled in the past");
         self.seq += 1;
-        self.queue.push(Reverse(Event {
+        self.queue.push(Event {
             time,
             seq: self.seq,
             kind,
-        }));
+        });
     }
 
     pub fn comp_name(&self, c: CompId) -> &Name {
@@ -218,7 +204,7 @@ impl SimCore {
                 cc.doorbells[d.0 as usize].1.push(comp);
             }
         }
-        cc.parked[idx] = true;
+        cc.park(comp);
         cc.stats.parks += 1;
     }
 }
@@ -258,6 +244,8 @@ pub struct Simulator {
     /// Reusable buffer of the drives due now, in scheduling order (see
     /// [`Simulator::take_due`]).
     due: Vec<(SignalId, Lv)>,
+    /// Reusable buffer of the `(seq, queue index)` of each entry due now.
+    due_order: Vec<(u64, usize)>,
     profiler: Profiler,
     /// Mirror of the profiler's enabled flag, checked on the hot path.
     profiling: bool,
@@ -284,7 +272,7 @@ impl Simulator {
                 step: 1,
                 seq: 0,
                 signals: Vec::new(),
-                queue: BinaryHeap::new(),
+                queue: Vec::new(),
                 pending: Vec::new(),
                 messages: Vec::new(),
                 finish_requested: false,
@@ -298,6 +286,7 @@ impl Simulator {
             ready: Vec::new(),
             ready_gen: 1,
             due: Vec::new(),
+            due_order: Vec::new(),
             profiler: Profiler::new(),
             profiling: false,
             vcd: None,
@@ -391,11 +380,27 @@ impl Simulator {
         id
     }
 
+    /// Add `comp` to the listener sets of `sig`. Each set is a list of
+    /// ascending `(word, mask)` pairs of a bitset over `CompId` (see
+    /// [`comp_bit`]). Components listen only while they register, so
+    /// `comp` is the newest component, and ascending `CompId` order is
+    /// registration order.
     fn listen(&mut self, sig: SignalId, comp: CompId, posedge: bool) {
+        fn add(set: &mut Vec<(u32, u64)>, comp: CompId) {
+            let (word, bit) = comp_bit(comp);
+            let word = word as u32;
+            match set.last_mut() {
+                Some((w, mask)) if *w == word => *mask |= bit,
+                last => {
+                    debug_assert!(last.is_none_or(|(w, _)| *w < word));
+                    set.push((word, bit));
+                }
+            }
+        }
         let s = &mut self.core.signals[sig.0 as usize];
-        s.sensitive.push(comp);
+        add(&mut s.sensitive, comp);
         if !posedge {
-            s.on_fall.push(comp);
+            add(&mut s.on_fall, comp);
         }
     }
 
@@ -602,28 +607,32 @@ impl Simulator {
     }
 
     /// Queue the listeners of `sig`, which just changed, in registration
-    /// order. When the signal `fell` from a driven 1 the walk covers the
-    /// fall list, which leaves out the posedge entries, in every mode.
-    /// A parked component is skipped too; only compiled mode parks. Both
-    /// lists keep registration order, skipping never reorders the rest,
-    /// and the batch unparked everyone it wakes before its first mark, so
-    /// the ready queue, and thus the delta schedule, is the event-driven
-    /// one restricted to the dispatched set.
+    /// order. When the signal `fell` from a driven 1 the set is the fall
+    /// set, which leaves out the posedge entries, in every mode. A parked
+    /// component is masked out word by word and counted, never visited;
+    /// only compiled mode parks. Each word queues its remaining bits from
+    /// low to high, so the order is ascending `CompId`, which is
+    /// registration order. Masking never reorders the rest, and the batch
+    /// unparked everyone it wakes before its first mark, so the ready
+    /// queue, and thus the delta schedule, is the event-driven one
+    /// restricted to the dispatched set.
     fn mark_sensitive(&mut self, sig: SignalId, fell: bool) {
         let cc = &mut self.core.compiled;
         let gen = self.ready_gen;
         let s = &self.core.signals[sig.0 as usize];
-        let list = if fell { &s.on_fall } else { &s.sensitive };
-        for &comp in list {
-            let idx = comp.0 as usize;
-            if cc.parked[idx] {
-                cc.stats.skipped_parked += 1;
-                continue;
-            }
-            let slot = &mut self.comps[idx];
-            if slot.queued_gen != gen {
-                slot.queued_gen = gen;
-                self.ready.push(comp);
+        let set = if fell { &s.on_fall } else { &s.sensitive };
+        for &(word, mask) in set {
+            let parked = cc.parked[word as usize] & mask;
+            cc.stats.skipped_parked += u64::from(parked.count_ones());
+            let mut live = mask & !parked;
+            while live != 0 {
+                let idx = word as usize * 64 + live.trailing_zeros() as usize;
+                live &= live - 1;
+                let slot = &mut self.comps[idx];
+                if slot.queued_gen != gen {
+                    slot.queued_gen = gen;
+                    self.ready.push(CompId(idx as u32));
+                }
             }
         }
     }
@@ -647,24 +656,48 @@ impl Simulator {
         self.mark_sensitive(sig, fell);
     }
 
-    /// Pop the drives due now onto `due`, in scheduling order. An edge
-    /// becomes a drive of its level and schedules the opposite edge half
-    /// a period (>= 1 ps) later, so nothing it schedules is due now.
+    /// Take the drives due now onto `due`, in scheduling order; the
+    /// entries are sorted only when more than one is due. An edge becomes
+    /// a drive of its level, and its entry is rescheduled in place as the
+    /// opposite edge half a period (>= 1 ps) later, with a fresh `seq` in
+    /// the order the edges apply, so it is not due now. The one-shot
+    /// drives applied leave the table.
     fn take_due(&mut self, due: &mut Vec<(SignalId, Lv)>) {
-        let now = self.core.now;
-        while let Some(&Reverse(ev)) = self.core.queue.peek() {
-            if ev.time != now {
-                break;
-            }
-            self.core.queue.pop();
-            due.push(match ev.kind {
-                EventKind::Drive(sig, v) => (sig, v),
-                EventKind::Edge(sig, level, half) => {
-                    self.core
-                        .schedule(now + half, EventKind::Edge(sig, !level, half));
-                    (sig, Lv::bit(level))
+        let core = &mut self.core;
+        let now = core.now;
+        let order = &mut self.due_order;
+        order.extend(
+            core.queue
+                .iter()
+                .enumerate()
+                .filter(|(_, ev)| ev.time == now)
+                .map(|(i, ev)| (ev.seq, i)),
+        );
+        if order.len() > 1 {
+            order.sort_unstable();
+        }
+        let mut one_shot = false;
+        for &(_, i) in order.iter() {
+            let ev = &mut core.queue[i];
+            match ev.kind {
+                EventKind::Drive(sig, v) => {
+                    due.push((sig, v));
+                    one_shot = true;
                 }
-            });
+                EventKind::Edge(sig, level, half) => {
+                    due.push((sig, Lv::bit(level)));
+                    core.seq += 1;
+                    *ev = Event {
+                        time: now + half,
+                        seq: core.seq,
+                        kind: EventKind::Edge(sig, !level, half),
+                    };
+                }
+            }
+        }
+        order.clear();
+        if one_shot {
+            core.queue.retain(|ev| ev.time != now);
         }
     }
 
@@ -786,12 +819,9 @@ impl Simulator {
             if self.core.finish_requested {
                 return Ok(());
             }
-            let next = match self.core.queue.peek() {
-                Some(Reverse(ev)) => ev.time,
-                None => {
-                    self.core.now = deadline;
-                    return Ok(());
-                }
+            let Some(next) = self.core.queue.iter().map(|ev| ev.time).min() else {
+                self.core.now = deadline;
+                return Ok(());
             };
             debug_assert!(next > self.core.now, "settle_now left same-time events");
             if next > deadline {

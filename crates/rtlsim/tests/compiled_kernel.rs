@@ -1,6 +1,7 @@
-//! Compiled-plane kernel tests: parking, doorbells and the dispatch
-//! order of a batch that wakes a parked component, each checked against
-//! an event-driven reference built the same way.
+//! Compiled-plane kernel tests: parking, doorbells, the dispatch order
+//! of a batch that wakes a parked component and of a listener set three
+//! bitset words wide, each checked against an event-driven reference
+//! built the same way.
 
 use rtlsim::{CompKind, Ctx, ExecMode, Lv, SignalId, Simulator};
 use std::cell::{Cell, RefCell};
@@ -276,4 +277,86 @@ fn declarations_are_inert_in_event_driven_mode() {
     assert_eq!(plain.stats().evals, bare.stats().evals);
     assert_eq!(plain.stats().deltas, bare.stats().deltas);
     assert_eq!(plain.peek_u64(pq), Some(28));
+}
+
+/// Listeners of [`wide_fan_out`]: more than 128, so the signal's
+/// listener set spans three 64-bit words.
+const FAN_OUT: usize = 150;
+
+/// Listener `i` of [`wide_fan_out`] parks for good on its first eval.
+fn parks(i: usize) -> bool {
+    i.is_multiple_of(3) || (60..70).contains(&i)
+}
+
+/// Listener `i` of [`wide_fan_out`] is posedge, so a fall skips it.
+fn posedge(i: usize) -> bool {
+    i % 5 == 4
+}
+
+/// One signal `s` with [`FAN_OUT`] listeners, registered in index order
+/// with an unrelated component after every seventh, so a listener's
+/// `CompId` is not its index. Returns the dispatch log of a rise and
+/// then a fall of `s`, and how far `skipped_parked` grew on each.
+fn wide_fan_out(mode: ExecMode) -> [(Vec<usize>, u64); 2] {
+    let mut sim = Simulator::new();
+    sim.set_exec_mode(mode);
+    let s = sim.signal_init("s", 1, 0);
+    let never = sim.signal_init("never", 1, 0);
+    let log = Rc::new(RefCell::new(Vec::new()));
+    for i in 0..FAN_OUT {
+        let sink = log.clone();
+        let body = Box::new(move |ctx: &mut Ctx<'_>| {
+            sink.borrow_mut().push(i);
+            if parks(i) {
+                ctx.park_until(&[never], &[]);
+            }
+        });
+        let name = format!("l{i}");
+        if posedge(i) {
+            sim.add_clocked(name, CompKind::UserStatic, body, s, &[]);
+        } else {
+            sim.add_component(name, CompKind::UserStatic, body, &[s]);
+        }
+        if i % 7 == 6 {
+            sim.add_component(
+                format!("other{i}"),
+                CompKind::Vip,
+                Box::new(|_: &mut Ctx<'_>| {}),
+                &[never],
+            );
+        }
+    }
+    sim.settle().unwrap();
+    let skipped = |sim: &Simulator| sim.compiled_stats().map_or(0, |cs| cs.skipped_parked);
+    [1, 0].map(|level| {
+        log.borrow_mut().clear();
+        let before = skipped(&sim);
+        sim.poke_u64(s, level);
+        sim.settle().unwrap();
+        (log.take(), skipped(&sim) - before)
+    })
+}
+
+/// A change of a signal whose listeners span three bitset words
+/// dispatches every listener that is not parked, in registration order,
+/// and counts each parked one it skips exactly once; a fall leaves out
+/// the posedge listeners, parked or not.
+#[test]
+fn a_wide_fan_out_dispatches_in_registration_order() {
+    for mode in [ExecMode::EventDriven, ExecMode::Compiled] {
+        let filtered = |fell: bool| -> (Vec<usize>, u64) {
+            let listening: Vec<usize> = (0..FAN_OUT).filter(|&i| !(fell && posedge(i))).collect();
+            if !mode.is_compiled() {
+                return (listening, 0);
+            }
+            let parked = listening.iter().filter(|&&i| parks(i)).count() as u64;
+            (
+                listening.into_iter().filter(|&i| !parks(i)).collect(),
+                parked,
+            )
+        };
+        let [rise, fall] = wide_fan_out(mode);
+        assert_eq!(rise, filtered(false), "{mode}: rise");
+        assert_eq!(fall, filtered(true), "{mode}: fall");
+    }
 }

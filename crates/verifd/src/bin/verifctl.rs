@@ -16,10 +16,46 @@
 //! socket path. `submit` prints each streamed row object on its own
 //! line (or, with `--report`, the reassembled `campaign_report/v1`
 //! document — byte-identical to an in-process run) and finishes with
-//! the `campaign_done/v1` summary on stderr.
+//! the `campaign_done/v1` summary on stderr. Any argument the usage
+//! does not list, or a flag missing its value, exits 2 with a message
+//! naming it before anything connects.
 
 use verif::wire::CampaignSubmission;
 use verifd::client::Client;
+
+/// The commands the usage lists.
+const COMMANDS: [&str; 6] = ["submit", "watch", "cancel", "metrics", "ping", "shutdown"];
+
+/// The flags the usage lists that take a value, and those that do not.
+const VALUE_FLAGS: [&str; 8] = [
+    "--connect",
+    "--file",
+    "--recovery",
+    "--seed",
+    "--budget-cycles",
+    "--threads",
+    "--exec-mode",
+    "--id",
+];
+const SWITCHES: [&str; 5] = ["--matrix", "--recovery-off", "--report", "--help", "-h"];
+
+/// Exit 2 at the first argument the usage does not list, or at a value
+/// flag with no value after it.
+fn check_args(args: &[String]) {
+    let mut tokens = args.iter();
+    while let Some(a) = tokens.next() {
+        let a = a.as_str();
+        let known = if VALUE_FLAGS.contains(&a) {
+            tokens.next().is_some()
+        } else {
+            SWITCHES.contains(&a) || COMMANDS.contains(&a)
+        };
+        if !known {
+            eprintln!("verifctl: unknown argument or missing value: \"{a}\" (see --help)");
+            std::process::exit(2);
+        }
+    }
+}
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -83,6 +119,7 @@ fn build_submission(args: &[String]) -> CampaignSubmission {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    check_args(&args);
     if args.is_empty() || has_flag(&args, "--help") || has_flag(&args, "-h") {
         eprintln!(
             "usage: verifctl --connect ENDPOINT \
@@ -94,12 +131,7 @@ fn main() {
         flag_value(&args, "--connect").unwrap_or_else(|| die("missing --connect ENDPOINT"));
     let command = args
         .iter()
-        .find(|a| {
-            matches!(
-                a.as_str(),
-                "submit" | "watch" | "cancel" | "metrics" | "ping" | "shutdown"
-            )
-        })
+        .find(|a| COMMANDS.contains(&a.as_str()))
         .unwrap_or_else(|| die("missing command"))
         .clone();
     let mut client = Client::connect(&endpoint)

@@ -6,12 +6,39 @@
 //! ```
 //!
 //! With no endpoint flags it listens on `verifd.sock` in the working
-//! directory. Once every listener is bound it prints a single ready
-//! line to stdout (`verifd ready unix=... tcp=...`) so supervisors and
-//! CI scripts can wait for it, then serves until a client sends
-//! `shutdown/v1`.
+//! directory. Any other argument, or a flag missing its value, exits 2
+//! with a message naming it before anything binds. Once every listener
+//! is bound it prints a single ready line to stdout (`verifd ready
+//! unix=... tcp=...`) so supervisors and CI scripts can wait for it,
+//! then serves until a client sends `shutdown/v1`.
 
 use verifd::server::{Endpoint, RunningServer, ServerConfig};
+
+/// The flags the usage lists that take a value.
+const VALUE_FLAGS: [&str; 5] = [
+    "--unix",
+    "--tcp",
+    "--max-campaigns",
+    "--max-queued",
+    "--threads",
+];
+
+/// Exit 2 at the first argument the usage does not list, or at a value
+/// flag with no value after it.
+fn check_args(args: &[String]) {
+    let mut tokens = args.iter();
+    while let Some(a) = tokens.next() {
+        let known = if VALUE_FLAGS.contains(&a.as_str()) {
+            tokens.next().is_some()
+        } else {
+            a == "--help" || a == "-h"
+        };
+        if !known {
+            eprintln!("verifd: unknown argument or missing value: \"{a}\" (see --help)");
+            std::process::exit(2);
+        }
+    }
+}
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -33,6 +60,7 @@ fn usize_flag(args: &[String], flag: &str, default: usize) -> usize {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    check_args(&args);
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!(
             "usage: verifd [--unix PATH] [--tcp ADDR] [--max-campaigns N] \

@@ -33,5 +33,5 @@ pub use census::{census_pixel, census_transform, hamming};
 pub use draw::{draw_vectors, line};
 pub use frame::{Frame, MotionVector};
 pub use io::{load_pgm, read_pgm, save_pgm, write_pgm};
-pub use matching::{match_cost, match_frames, MatchParams};
+pub use matching::{match_frames, search_anchor, MatchParams, Patch};
 pub use scene::{Object, Scene};
