@@ -255,21 +255,7 @@ mod tests {
     fn concurrent_program_lookups_assemble_once() {
         let cfg = SystemConfig::default();
         let layout = MemLayout::for_config(&cfg);
-        let source = crate::software::generate(&crate::software::SwConfig {
-            method: cfg.method,
-            faults: cfg.faults.clone(),
-            width: cfg.width as u32,
-            height: cfg.height as u32,
-            n_frames: cfg.n_frames as u32,
-            in0: layout.in0,
-            cen0: layout.cen0,
-            vecs: layout.vecs,
-            simb_me: layout.simb_me,
-            simb_cie: layout.simb_cie,
-            isr_pad_loops: cfg.isr_pad_loops,
-            fixed_wait_loops: cfg.fixed_wait_loops,
-            recovery: cfg.recovery.enabled,
-        });
+        let source = crate::software::generate(&cfg, &layout);
         let cache = ArtifactCache::new();
         let gate = std::sync::Barrier::new(4);
         std::thread::scope(|s| {

@@ -30,7 +30,7 @@ pub use artifacts::{ArtifactCache, SceneArtifacts};
 pub use faults::{Bug, BugClass, FaultSet};
 pub use icapctrl::{IcapCtrl, RecoveryPolicy, RecoveryStats, WATCHDOG_CYCLES};
 pub use plb::ArbMode;
-pub use software::{SimMethod, SplitSwConfig, SwConfig};
+pub use software::SimMethod;
 pub use system::{
     golden_output, AvSystem, ConfigError, EngineKind, ErrorSourceKind, MemLayout, ModuleSpec,
     RegionProbes, RegionSpec, RunOutcome, Scenario, SimbSlot, SystemConfig, SystemConfigBuilder,

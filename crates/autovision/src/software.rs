@@ -1,13 +1,18 @@
 //! The embedded system software (PowerPC assembly).
 //!
-//! This module generates the AutoVision control program exactly as
-//! Figure 2 of the paper describes: the processing flow is pipelined —
-//! the CPU draws motion vectors for the *previous* frame while the
-//! engines process the current one — and the start, end and
-//! reconfiguration of the video engines are controlled by an interrupt
-//! service routine independent of the main loop.
+//! [`generate`] writes the AutoVision control program for either region
+//! topology exactly as Figure 2 of the paper describes: the processing
+//! flow is pipelined — the CPU draws motion vectors for the *previous*
+//! frame while the engines process the current one — and the start, end
+//! and reconfiguration of the video engines are controlled by an
+//! interrupt service routine independent of the main loop. Both
+//! topologies share the main loop, the draw routine, the ISR's entry,
+//! housekeeping loop and exit, and the buffer helpers; only the header
+//! comments, a few equates and init lines, the ISR's interrupt handlers
+//! and the ME start routine differ.
 //!
-//! Per frame:
+//! Per frame, with CIE and ME time-sharing one region
+//! ([`Scenario::SingleRegion`], the paper's demonstrator):
 //!
 //! 1. video-in interrupt: start the CIE on the captured buffer;
 //! 2. engine interrupt (CIE done): isolate the region and start the
@@ -17,20 +22,38 @@
 //!    and displays them), isolate, transfer the CIE bitstream back;
 //! 5. IcapCTRL interrupt: drop isolation and request the next frame.
 //!
-//! That is *two partial reconfigurations per frame*, as the real system
-//! requires to sustain throughput.
+//! Per frame, with the CIE in region A (`ENG_*` control block) and the
+//! ME in region B (`ENGB_*`) ([`Scenario::SplitPipeline`]):
+//!
+//! 1. video-in interrupt: start the CIE in region A *and* isolate
+//!    region B while IcapCTRL reloads its ME image — reconfiguration
+//!    overlaps computation instead of serialising with it;
+//! 2. when *both* the CIE and the reload finish (`PEND` rendezvous,
+//!    either order): start the ME in region B and reload region A's
+//!    CIE image behind isolation;
+//! 3. when both the ME and that reload finish: publish the vectors and
+//!    request the next frame.
+//!
+//! Either way that is *two partial reconfigurations per frame*, as the
+//! real system requires to sustain throughput; the split pipeline hides
+//! each behind the other region's compute half.
 //!
 //! Under Virtual Multiplexing the DPR steps are replaced by the "hack":
 //! writing the simulation-only `engine_signature` register and starting
 //! the other engine immediately — the ~100 modified software lines the
-//! paper tallies. Under ReSim the program is the production program,
-//! unchanged.
+//! paper tallies. In the split pipeline both engines stay resident
+//! (their signature registers are programmed once at init) and the ISR
+//! simply chains CIE → ME → publish. Under ReSim the program is the
+//! production program, unchanged.
 //!
 //! The software bugs of the catalog are generated as source-level
-//! variants of this program, exactly where a real driver would get them
-//! wrong.
+//! variants of the single-region program, exactly where a real driver
+//! would get them wrong, and so is the resilient driver of the recovery
+//! policy; [`SystemConfig::scenario`] rejects both in the split
+//! pipeline.
 
 use crate::faults::{Bug, FaultSet};
+use crate::system::{MemLayout, Scenario, SystemConfig};
 
 /// Which DPR simulation method the program must target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,53 +67,15 @@ pub enum SimMethod {
 impl SimMethod {
     /// Whether the backend this method selects models the configuration
     /// bitstream itself (DMA traffic, error injection, transfer-timed
-    /// swaps). Mirrors `ReconfigBackend::models_bitstream` for callers
-    /// that reason about capabilities before a system is built —
-    /// expectation tables, coverage analyses — so they need not match on
-    /// the method enum.
+    /// swaps). Capability checks — where the system build places the
+    /// DCR chain, expectation tables, coverage analyses — ask this
+    /// rather than match on the method enum.
     pub fn models_bitstream(self) -> bool {
         match self {
             SimMethod::Resim => true,
             SimMethod::Vmux => false,
         }
     }
-}
-
-/// Everything the program needs to know about the platform.
-#[derive(Debug, Clone)]
-pub struct SwConfig {
-    /// Simulation method (selects the swap mechanism).
-    pub method: SimMethod,
-    /// Injected software bugs.
-    pub faults: FaultSet,
-    /// Frame width in pixels.
-    pub width: u32,
-    /// Frame height in pixels.
-    pub height: u32,
-    /// Frames to process before halting.
-    pub n_frames: u32,
-    /// First input frame buffer (double-buffered, stride = frame bytes).
-    pub in0: u32,
-    /// First census buffer (double-buffered).
-    pub cen0: u32,
-    /// Motion-vector buffer.
-    pub vecs: u32,
-    /// ME SimB location and length in words.
-    pub simb_me: (u32, u32),
-    /// CIE SimB location and length in words.
-    pub simb_cie: (u32, u32),
-    /// Calibrated ISR housekeeping loop count (models the real ISRs'
-    /// bookkeeping; the Table II bench tunes it to the paper's 0.5 ms).
-    pub isr_pad_loops: u32,
-    /// Dummy-loop count for the bug.dpr.6a fixed wait.
-    pub fixed_wait_loops: u32,
-    /// Generate the resilient driver: the ICAP-done handler checks the
-    /// controller's permanent-failure status bit and, once the hardware
-    /// retry budget is exhausted, keeps isolation asserted, enters
-    /// degraded mode and keeps the frame pipeline moving by republishing
-    /// the previous frame's motion vectors. `false` generates the
-    /// original program byte-for-byte.
-    pub recovery: bool,
 }
 
 /// DCR address map (shared with `system.rs`).
@@ -156,28 +141,43 @@ pub const SIG_CIE: u32 = 1;
 /// VMUX signature value for the matching engine.
 pub const SIG_ME: u32 = 2;
 
-/// Generate the program source. Assemble at `0x1000`.
-pub fn generate(cfg: &SwConfig) -> String {
+/// Generate the system program for `cfg`'s region topology
+/// ([`SystemConfig::scenario`]) with the buffer and SimB addresses of
+/// `layout`. Assemble at `0x1000`.
+///
+/// The ISR's housekeeping loop runs `cfg.isr_pad_loops` times (the
+/// Table II bench calibrates it to the paper's 0.5 ms); bug.dpr.6a's
+/// fixed wait runs `cfg.fixed_wait_loops` times. With the recovery
+/// policy enabled the ICAP-done handler checks the controller's
+/// permanent-failure status bit and, once the hardware retry budget is
+/// exhausted, keeps isolation asserted, enters degraded mode and keeps
+/// the frame pipeline moving by republishing the previous frame's
+/// motion vectors.
+pub fn generate(cfg: &SystemConfig, layout: &MemLayout) -> String {
+    let split = cfg
+        .scenario()
+        .expect("region topology must be valid (validated by SystemConfig::builder)")
+        == Scenario::SplitPipeline;
     let f = &cfg.faults;
-    let frame_bytes = cfg.width * cfg.height;
-    let me_words = if f.has(Bug::Dpr5StaleSizeCalc) {
-        // BUG: the driver still divides the byte count by the original
-        // controller's 64-bit word size.
-        cfg.simb_me.1 / 2
-    } else {
-        cfg.simb_me.1
-    };
-    let cie_words = if f.has(Bug::Dpr5StaleSizeCalc) {
-        cfg.simb_cie.1 / 2
-    } else {
-        cfg.simb_cie.1
+    let simb_words = |(_, words): (u32, u32)| {
+        if f.has(Bug::Dpr5StaleSizeCalc) {
+            // BUG: the driver still divides the byte count by the original
+            // controller's 64-bit word size.
+            words / 2
+        } else {
+            words
+        }
     };
     // Interrupt enable mask: videoin | engine (| icap when the software
-    // actually waits for transfer completion).
+    // actually waits for transfer completion) (| region B's engine, INTC
+    // line 4; line 3 is videoout, left unmasked).
     let waits_for_icap = cfg.method == SimMethod::Resim
         && !f.has(Bug::Dpr6aShortFixedWait)
         && !f.has(Bug::Dpr6bNoWaitTransfer);
-    let int_mask = if waits_for_icap { 0b0111 } else { 0b0011 };
+    let mut int_mask = if waits_for_icap { 0b0111 } else { 0b0011 };
+    if split {
+        int_mask |= 0b1_0000;
+    }
 
     let mut s = String::with_capacity(16 * 1024);
     let mut p = |line: &str| {
@@ -185,17 +185,41 @@ pub fn generate(cfg: &SwConfig) -> String {
         s.push('\n');
     };
 
-    p("# AutoVision Optical Flow Demonstrator — system software");
-    p(&format!("# method={:?} faults={:?}", cfg.method, f.bugs()));
-    for (name, val) in [
-        ("ENG_CTRL", dcr_map::ENG as u32),
-        ("ENG_STATUS", dcr_map::ENG as u32 + 1),
-        ("ENG_SRC", dcr_map::ENG as u32 + 2),
-        ("ENG_DST", dcr_map::ENG as u32 + 3),
-        ("ENG_AUX", dcr_map::ENG as u32 + 4),
-        ("ENG_VEC", dcr_map::ENG as u32 + 5),
-        ("ENG_W", dcr_map::ENG as u32 + 6),
-        ("ENG_H", dcr_map::ENG as u32 + 7),
+    if split {
+        p("# AutoVision Optical Flow Demonstrator — split-pipeline software");
+        p(&format!("# method={:?} regions=A:CIE B:ME", cfg.method));
+    } else {
+        p("# AutoVision Optical Flow Demonstrator — system software");
+        p(&format!("# method={:?} faults={:?}", cfg.method, f.bugs()));
+    }
+    let (eng, eng_b) = (dcr_map::ENG as u32, dcr_map::ENG_B as u32);
+    let mut equates = if split {
+        vec![
+            ("ENG_CTRL", eng),
+            ("ENG_SRC", eng + 2),
+            ("ENG_DST", eng + 3),
+            ("ENG_W", eng + 6),
+            ("ENG_H", eng + 7),
+            ("ENGB_CTRL", eng_b),
+            ("ENGB_SRC", eng_b + 2),
+            ("ENGB_AUX", eng_b + 4),
+            ("ENGB_VEC", eng_b + 5),
+            ("ENGB_W", eng_b + 6),
+            ("ENGB_H", eng_b + 7),
+        ]
+    } else {
+        vec![
+            ("ENG_CTRL", eng),
+            ("ENG_STATUS", eng + 1),
+            ("ENG_SRC", eng + 2),
+            ("ENG_DST", eng + 3),
+            ("ENG_AUX", eng + 4),
+            ("ENG_VEC", eng + 5),
+            ("ENG_W", eng + 6),
+            ("ENG_H", eng + 7),
+        ]
+    };
+    equates.extend([
         ("ICAP_CTRL", dcr_map::ICAPC as u32),
         ("ICAP_ADDR", dcr_map::ICAPC as u32 + 2),
         ("ICAP_SIZE", dcr_map::ICAPC as u32 + 3),
@@ -209,62 +233,93 @@ pub fn generate(cfg: &SwConfig) -> String {
         ("VOUT_ADDR", dcr_map::VOUT as u32),
         ("VOUT_CTRL", dcr_map::VOUT as u32 + 1),
         ("VOUT_STATUS", dcr_map::VOUT as u32 + 2),
-        ("SIG_REG", dcr_map::SIG as u32),
+    ]);
+    if split {
+        equates.push(("SIG_A_REG", dcr_map::sig_base(0) as u32));
+        equates.push(("SIG_B_REG", dcr_map::sig_base(1) as u32));
+    } else {
+        equates.push(("SIG_REG", dcr_map::SIG as u32));
+    }
+    equates.extend([
         ("FLAG", data_map::FLAG),
         ("PHASE", data_map::PHASE),
         ("FRAME", data_map::FRAME),
         ("DRAWBUF", data_map::DRAWBUF),
         ("DRAWN", data_map::DRAWN),
-        ("IN0", cfg.in0),
-        ("CEN0", cfg.cen0),
-        ("VECS", cfg.vecs),
-        ("STRIDE", frame_bytes),
-        ("WIDTH", cfg.width),
-        ("HEIGHT", cfg.height),
-        ("NFRAMES", cfg.n_frames),
-        ("SIMB_ME", cfg.simb_me.0),
-        ("SIMB_ME_W", me_words),
-        ("SIMB_CIE", cfg.simb_cie.0),
-        ("SIMB_CIE_W", cie_words),
+    ]);
+    if split {
+        equates.push(("PEND", data_map::PEND));
+    }
+    equates.extend([
+        ("IN0", layout.in0),
+        ("CEN0", layout.cen0),
+        ("VECS", layout.vecs),
+        ("STRIDE", (cfg.width * cfg.height) as u32),
+        ("WIDTH", cfg.width as u32),
+        ("HEIGHT", cfg.height as u32),
+        ("NFRAMES", cfg.n_frames as u32),
+        ("SIMB_ME", layout.simb_me.0),
+        ("SIMB_ME_W", simb_words(layout.simb_me)),
+        ("SIMB_CIE", layout.simb_cie.0),
+        ("SIMB_CIE_W", simb_words(layout.simb_cie)),
         ("INTMASK", int_mask),
         ("ISRPAD", cfg.isr_pad_loops.max(1)),
-        ("FIXWAIT", cfg.fixed_wait_loops.max(1)),
-    ] {
-        p(&format!(".equ {name}, {val:#x}"));
+    ]);
+    if !split {
+        equates.push(("FIXWAIT", cfg.fixed_wait_loops.max(1)));
     }
-    if cfg.recovery {
-        p(&format!(
-            ".equ ICAP_STATUS, {:#x}",
-            dcr_map::ICAPC as u32 + 1
-        ));
-        p(&format!(".equ DEGRADED, {:#x}", data_map::DEGRADED));
+    if cfg.recovery.enabled {
+        equates.push(("ICAP_STATUS", dcr_map::ICAPC as u32 + 1));
+        equates.push(("DEGRADED", data_map::DEGRADED));
+    }
+    for (name, val) in equates {
+        p(&format!(".equ {name}, {val:#x}"));
     }
 
     // ----- initialisation -----
     p("init:");
     p("  li r3, 0");
     p("  liw r10, FLAG");
-    p("  stw r3, 0(r10)          # FLAG = 0");
-    p("  liw r10, PHASE");
-    p("  stw r3, 0(r10)");
-    p("  liw r10, FRAME");
-    p("  stw r3, 0(r10)");
-    p("  liw r10, DRAWN");
-    p("  stw r3, 0(r10)");
-    if cfg.recovery {
-        p("  liw r10, DEGRADED");
+    if split {
+        p("  stw r3, 0(r10)");
+    } else {
+        p("  stw r3, 0(r10)          # FLAG = 0");
+    }
+    let extra_var = if split {
+        Some("PEND")
+    } else {
+        cfg.recovery.enabled.then_some("DEGRADED")
+    };
+    for var in ["PHASE", "FRAME", "DRAWN"].into_iter().chain(extra_var) {
+        p(&format!("  liw r10, {var}"));
         p("  stw r3, 0(r10)");
     }
-    p("  mtdcr SYS_ISOLATE, r3   # region not isolated");
+    if split {
+        p("  mtdcr SYS_ISOLATE, r3   # no region isolated");
+    } else {
+        p("  mtdcr SYS_ISOLATE, r3   # region not isolated");
+    }
     p("  li r3, INTMASK");
     p("  mtdcr INTC_ENABLE, r3");
     // Engine geometry never changes: program it once.
-    p("  liw r3, WIDTH");
-    p("  mtdcr ENG_W, r3");
-    p("  liw r3, HEIGHT");
-    p("  mtdcr ENG_H, r3");
+    let engines: &[&str] = if split { &["ENG", "ENGB"] } else { &["ENG"] };
+    if split {
+        p("  # engine geometry never changes: program both regions once");
+    }
+    for (reg, value) in [("W", "WIDTH"), ("H", "HEIGHT")] {
+        p(&format!("  liw r3, {value}"));
+        for eng in engines {
+            p(&format!("  mtdcr {eng}_{reg}, r3"));
+        }
+    }
     if cfg.method == SimMethod::Vmux {
-        if f.has(Bug::Hw2SignatureUninit) {
+        if split {
+            p("  # VMUX hack: both engines permanently resident");
+            p(&format!("  li r3, {SIG_CIE}"));
+            p("  mtdcr SIG_A_REG, r3");
+            p(&format!("  li r3, {SIG_ME}"));
+            p("  mtdcr SIG_B_REG, r3");
+        } else if f.has(Bug::Hw2SignatureUninit) {
             p("  # BUG hw.2: forgot to initialise engine_signature —");
             p("  # the register powers up to garbage, no engine selected");
         } else {
@@ -377,19 +432,137 @@ pub fn generate(cfg: &SwConfig) -> String {
     p("  mfspr r31, ctr          # the main loop's draw uses CTR too");
     p("  mfdcr r20, INTC_STATUS");
     p("  mtdcr INTC_ACK, r20");
-    p("  # NOTE: handlers below assume at most one pipeline-step bit per");
-    p("  # invocation; the sequential frame pipeline guarantees it (each");
-    p("  # step's interrupt is acked before the next step is even started)");
+    if !split {
+        p("  # NOTE: handlers below assume at most one pipeline-step bit per");
+        p("  # invocation; the sequential frame pipeline guarantees it (each");
+        p("  # step's interrupt is acked before the next step is even started)");
+    }
     p("  # calibrated housekeeping (frame statistics, watchdog petting)");
     p("  liw r21, ISRPAD");
     p("  mtctr r21");
     p("ipad:");
     p("  bdnz ipad");
+    if split {
+        split_pipeline_handlers(&mut p, cfg.method);
+        // The half-frame switches below return through here.
+        p("isr_exit:");
+    } else {
+        single_region_handlers(&mut p, cfg, waits_for_icap);
+    }
+    p("  mtspr ctr, r31");
+    p("  mtlr r28");
+    p("  mtcrf r29");
+    p("  rfi");
+    if split {
+        split_pipeline_switches(&mut p, cfg.method);
+    }
+
+    // ----- ISR helpers (use r24-r27 and the link register) -----
+    p("# r24 = IN[FRAME&1], r25 = CEN[FRAME&1], r26 = CEN[(FRAME+1)&1]");
+    p("cur_in:");
+    p("  liw r24, FRAME");
+    p("  lwz r24, 0(r24)");
+    p("  andi. r27, r24, 1");
+    p("  liw r25, STRIDE");
+    p("  mullw r27, r27, r25");
+    p("  liw r24, IN0");
+    p("  add r24, r24, r27");
+    p("  liw r25, CEN0");
+    p("  add r25, r25, r27");
+    p("  liw r26, FRAME");
+    p("  lwz r26, 0(r26)");
+    p("  addi r26, r26, 1");
+    p("  andi. r26, r26, 1");
+    p("  liw r27, STRIDE");
+    p("  mullw r26, r26, r27");
+    p("  liw r27, CEN0");
+    p("  add r26, r26, r27");
+    p("  blr");
+    // The ME start routine: region B's control block in the split
+    // pipeline, the one region's otherwise.
+    if split {
+        p("start_me_b:");
+        p("  mflr r30                # nested call: save return");
+        p("  bl cur_in");
+        p("  mtdcr ENGB_SRC, r25     # current census image");
+        p("  mtdcr ENGB_AUX, r26     # previous census image");
+        p("  liw r27, VECS");
+        p("  mtdcr ENGB_VEC, r27");
+        p("  li r27, 2");
+        p("  mtdcr ENGB_CTRL, r27    # region B: reset (latch ME parameters)");
+        p("  li r27, 1");
+        p("  mtdcr ENGB_CTRL, r27    # region B: start the ME");
+        p("  mtlr r30");
+        p("  blr");
+    } else {
+        // bug.sw.1's publish target: the buffer the camera fills next.
+        p("next_in:");
+        p("  liw r24, FRAME");
+        p("  lwz r24, 0(r24)");
+        p("  addi r24, r24, 1");
+        p("  andi. r27, r24, 1");
+        p("  liw r25, STRIDE");
+        p("  mullw r27, r27, r25");
+        p("  liw r24, IN0");
+        p("  add r24, r24, r27");
+        p("  blr");
+        p("start_me:");
+        p("  mflr r30                # nested call: save return");
+        p("  bl cur_in");
+        p("  mtdcr ENG_SRC, r25      # current census image");
+        p("  mtdcr ENG_AUX, r26      # previous census image");
+        p("  liw r27, VECS");
+        p("  mtdcr ENG_VEC, r27");
+        p("  li r27, 2");
+        p("  mtdcr ENG_CTRL, r27     # reset: latch ME parameters");
+        p("  li r27, 1");
+        p("  mtdcr ENG_CTRL, r27     # start the ME");
+        p("  mtlr r30");
+        p("  blr");
+    }
+
+    p("advance_frame:");
+    p("  mflr r30");
+    p("  liw r27, FRAME");
+    p("  lwz r24, 0(r27)");
+    p("  addi r24, r24, 1");
+    p("  stw r24, 0(r27)");
+    p("  li r25, 0");
+    p("  liw r27, PHASE");
+    p("  stw r25, 0(r27)         # phase 0: waiting for the camera");
+    p("  cmplwi r24, NFRAMES");
+    p("  bge adv_done            # no more frames to request");
+    p("  bl next_in2");
+    p("  mtdcr VIN_ADDR, r24");
+    p("  li r25, 1");
+    p("  mtdcr VIN_CTRL, r25");
+    p("adv_done:");
+    p("  mtlr r30");
+    p("  blr");
+    p("next_in2:");
+    p("  liw r24, FRAME");
+    p("  lwz r24, 0(r24)");
+    p("  andi. r27, r24, 1");
+    p("  liw r25, STRIDE");
+    p("  mullw r27, r27, r25");
+    p("  liw r24, IN0");
+    p("  add r24, r24, r27");
+    p("  blr");
+
+    s
+}
+
+/// The single-region ISR's handlers: video-in done, engine done (the
+/// phase tells the CIE from the ME) and, when the software waits for
+/// it, IcapCTRL done.
+fn single_region_handlers(p: &mut impl FnMut(&str), cfg: &SystemConfig, waits_for_icap: bool) {
+    let f = &cfg.faults;
+    let recovery = cfg.recovery.enabled;
 
     // --- video-in done: start the CIE ---
     p("  andi. r21, r20, 1");
     p("  beq n_vin");
-    if cfg.recovery {
+    if recovery {
         p("  liw r22, DEGRADED");
         p("  lwz r21, 0(r22)");
         p("  cmpwi r21, 0");
@@ -437,7 +610,7 @@ pub fn generate(cfg: &SwConfig) -> String {
             p("  stw r21, 0(r22)");
         }
         SimMethod::Resim => {
-            emit_isolate_on(&mut p, f);
+            emit_isolate_on(p, f);
             p("  liw r21, SIMB_ME");
             p("  mtdcr ICAP_ADDR, r21");
             p("  liw r21, SIMB_ME_W");
@@ -446,7 +619,7 @@ pub fn generate(cfg: &SwConfig) -> String {
             p("  mtdcr ICAP_CTRL, r21    # begin bitstream transfer");
             if f.has(Bug::Dpr6bNoWaitTransfer) {
                 p("  # BUG dpr.6b: no wait for transfer completion");
-                emit_isolate_off(&mut p);
+                emit_isolate_off(p);
                 p("  bl start_me");
                 p("  li r21, 3");
                 p("  liw r22, PHASE");
@@ -457,7 +630,7 @@ pub fn generate(cfg: &SwConfig) -> String {
                 p("  mtctr r21");
                 p("fw1:");
                 p("  bdnz fw1");
-                emit_isolate_off(&mut p);
+                emit_isolate_off(p);
                 p("  bl start_me");
                 p("  li r21, 3");
                 p("  liw r22, PHASE");
@@ -492,7 +665,7 @@ pub fn generate(cfg: &SwConfig) -> String {
             p("  bl advance_frame");
         }
         SimMethod::Resim => {
-            emit_isolate_on(&mut p, f);
+            emit_isolate_on(p, f);
             p("  liw r21, SIMB_CIE");
             p("  mtdcr ICAP_ADDR, r21");
             p("  liw r21, SIMB_CIE_W");
@@ -500,14 +673,14 @@ pub fn generate(cfg: &SwConfig) -> String {
             p("  li r21, 1");
             p("  mtdcr ICAP_CTRL, r21");
             if f.has(Bug::Dpr6bNoWaitTransfer) {
-                emit_isolate_off(&mut p);
+                emit_isolate_off(p);
                 p("  bl advance_frame");
             } else if f.has(Bug::Dpr6aShortFixedWait) {
                 p("  liw r21, FIXWAIT");
                 p("  mtctr r21");
                 p("fw2:");
                 p("  bdnz fw2");
-                emit_isolate_off(&mut p);
+                emit_isolate_off(p);
                 p("  bl advance_frame");
             } else {
                 p("  li r21, 4");
@@ -522,7 +695,7 @@ pub fn generate(cfg: &SwConfig) -> String {
     if waits_for_icap {
         p("  andi. r21, r20, 4");
         p("  beq n_icap");
-        if cfg.recovery {
+        if recovery {
             p("  mfdcr r21, ICAP_STATUS");
             p("  andi. r21, r21, 4       # bit2: permanent failure");
             p("  beq icap_ok");
@@ -553,7 +726,7 @@ pub fn generate(cfg: &SwConfig) -> String {
         p("  lwz r23, 0(r22)");
         p("  cmpwi r23, 2");
         p("  bne icap_cie");
-        emit_isolate_off(&mut p);
+        emit_isolate_off(p);
         p("  bl start_me");
         p("  li r21, 3");
         p("  liw r22, PHASE");
@@ -562,328 +735,19 @@ pub fn generate(cfg: &SwConfig) -> String {
         p("icap_cie:");
         p("  cmpwi r23, 4");
         p("  bne n_icap");
-        emit_isolate_off(&mut p);
+        emit_isolate_off(p);
         p("  bl advance_frame");
         p("n_icap:");
     }
-    p("  mtspr ctr, r31");
-    p("  mtlr r28");
-    p("  mtcrf r29");
-    p("  rfi");
-
-    // ----- ISR helpers (use r24-r27 and the link register) -----
-    p("# r24 = IN[FRAME&1], r25 = CEN[FRAME&1], r26 = CEN[(FRAME+1)&1]");
-    p("cur_in:");
-    p("  liw r24, FRAME");
-    p("  lwz r24, 0(r24)");
-    p("  andi. r27, r24, 1");
-    p("  liw r25, STRIDE");
-    p("  mullw r27, r27, r25");
-    p("  liw r24, IN0");
-    p("  add r24, r24, r27");
-    p("  liw r25, CEN0");
-    p("  add r25, r25, r27");
-    p("  liw r26, FRAME");
-    p("  lwz r26, 0(r26)");
-    p("  addi r26, r26, 1");
-    p("  andi. r26, r26, 1");
-    p("  liw r27, STRIDE");
-    p("  mullw r26, r26, r27");
-    p("  liw r27, CEN0");
-    p("  add r26, r26, r27");
-    p("  blr");
-    p("next_in:");
-    p("  liw r24, FRAME");
-    p("  lwz r24, 0(r24)");
-    p("  addi r24, r24, 1");
-    p("  andi. r27, r24, 1");
-    p("  liw r25, STRIDE");
-    p("  mullw r27, r27, r25");
-    p("  liw r24, IN0");
-    p("  add r24, r24, r27");
-    p("  blr");
-
-    p("start_me:");
-    p("  mflr r30                # nested call: save return");
-    p("  bl cur_in");
-    p("  mtdcr ENG_SRC, r25      # current census image");
-    p("  mtdcr ENG_AUX, r26      # previous census image");
-    p("  liw r27, VECS");
-    p("  mtdcr ENG_VEC, r27");
-    p("  li r27, 2");
-    p("  mtdcr ENG_CTRL, r27     # reset: latch ME parameters");
-    p("  li r27, 1");
-    p("  mtdcr ENG_CTRL, r27     # start the ME");
-    p("  mtlr r30");
-    p("  blr");
-
-    p("advance_frame:");
-    p("  mflr r30");
-    p("  liw r27, FRAME");
-    p("  lwz r24, 0(r27)");
-    p("  addi r24, r24, 1");
-    p("  stw r24, 0(r27)");
-    p("  li r25, 0");
-    p("  liw r27, PHASE");
-    p("  stw r25, 0(r27)         # phase 0: waiting for the camera");
-    p("  cmplwi r24, NFRAMES");
-    p("  bge adv_done            # no more frames to request");
-    p("  bl next_in2");
-    p("  mtdcr VIN_ADDR, r24");
-    p("  li r25, 1");
-    p("  mtdcr VIN_CTRL, r25");
-    p("adv_done:");
-    p("  mtlr r30");
-    p("  blr");
-    p("next_in2:");
-    p("  liw r24, FRAME");
-    p("  lwz r24, 0(r24)");
-    p("  andi. r27, r24, 1");
-    p("  liw r25, STRIDE");
-    p("  mullw r27, r27, r25");
-    p("  liw r24, IN0");
-    p("  add r24, r24, r27");
-    p("  blr");
-
-    s
 }
 
-/// Everything the split-pipeline (two-region) program needs to know
-/// about the platform. Region A (`RR_ID`) hosts the CIE behind the
-/// legacy `ENG_*` control block; region B ([`crate::system::RR_ID_B`])
-/// hosts the ME behind `ENG_B`. Bug variants are not generated for this
-/// scenario (the builder rejects them).
-#[derive(Debug, Clone)]
-pub struct SplitSwConfig {
-    /// Simulation method (selects the swap mechanism).
-    pub method: SimMethod,
-    /// Frame width in pixels.
-    pub width: u32,
-    /// Frame height in pixels.
-    pub height: u32,
-    /// Frames to process before halting.
-    pub n_frames: u32,
-    /// First input frame buffer (double-buffered).
-    pub in0: u32,
-    /// First census buffer (double-buffered).
-    pub cen0: u32,
-    /// Motion-vector buffer.
-    pub vecs: u32,
-    /// ME SimB location and length in words (targets region B).
-    pub simb_me: (u32, u32),
-    /// CIE SimB location and length in words (targets region A).
-    pub simb_cie: (u32, u32),
-    /// Calibrated ISR housekeeping loop count.
-    pub isr_pad_loops: u32,
-}
-
-/// Generate the split-pipeline program source. Assemble at `0x1000`.
-///
-/// Per frame (ReSim):
-///
-/// 1. video-in interrupt: start the CIE in region A *and* isolate
-///    region B while IcapCTRL reloads its ME image — reconfiguration
-///    overlaps computation instead of serialising with it;
-/// 2. when *both* the CIE and the reload finish (`PEND` rendezvous,
-///    either order): start the ME in region B and reload region A's
-///    CIE image behind isolation;
-/// 3. when both the ME and that reload finish: publish the vectors and
-///    request the next frame.
-///
-/// Still two partial reconfigurations per frame, but each hides behind
-/// the other region's compute half. Under VMUX both engines are
-/// permanently resident (their signature registers are programmed once
-/// at init) and the ISR simply chains CIE → ME → publish.
-pub fn generate_split(cfg: &SplitSwConfig) -> String {
-    let frame_bytes = cfg.width * cfg.height;
-    // videoin | engine A | icap | engine B (engine B is INTC line 4;
-    // line 3 is videoout, left unmasked like the classic program).
-    let int_mask: u32 = match cfg.method {
-        SimMethod::Resim => 0b1_0111,
-        SimMethod::Vmux => 0b1_0011,
-    };
-    let resim = cfg.method == SimMethod::Resim;
-
-    let mut s = String::with_capacity(16 * 1024);
-    let mut p = |line: &str| {
-        s.push_str(line);
-        s.push('\n');
-    };
-
-    p("# AutoVision Optical Flow Demonstrator — split-pipeline software");
-    p(&format!("# method={:?} regions=A:CIE B:ME", cfg.method));
-    for (name, val) in [
-        ("ENG_CTRL", dcr_map::ENG as u32),
-        ("ENG_SRC", dcr_map::ENG as u32 + 2),
-        ("ENG_DST", dcr_map::ENG as u32 + 3),
-        ("ENG_W", dcr_map::ENG as u32 + 6),
-        ("ENG_H", dcr_map::ENG as u32 + 7),
-        ("ENGB_CTRL", dcr_map::ENG_B as u32),
-        ("ENGB_SRC", dcr_map::ENG_B as u32 + 2),
-        ("ENGB_AUX", dcr_map::ENG_B as u32 + 4),
-        ("ENGB_VEC", dcr_map::ENG_B as u32 + 5),
-        ("ENGB_W", dcr_map::ENG_B as u32 + 6),
-        ("ENGB_H", dcr_map::ENG_B as u32 + 7),
-        ("ICAP_CTRL", dcr_map::ICAPC as u32),
-        ("ICAP_ADDR", dcr_map::ICAPC as u32 + 2),
-        ("ICAP_SIZE", dcr_map::ICAPC as u32 + 3),
-        ("INTC_STATUS", dcr_map::INTC as u32),
-        ("INTC_ENABLE", dcr_map::INTC as u32 + 1),
-        ("INTC_ACK", dcr_map::INTC as u32 + 2),
-        ("SYS_ISOLATE", dcr_map::SYS as u32),
-        ("SYS_HEARTBEAT", dcr_map::SYS as u32 + 2),
-        ("VIN_ADDR", dcr_map::VIN as u32),
-        ("VIN_CTRL", dcr_map::VIN as u32 + 1),
-        ("VOUT_ADDR", dcr_map::VOUT as u32),
-        ("VOUT_CTRL", dcr_map::VOUT as u32 + 1),
-        ("VOUT_STATUS", dcr_map::VOUT as u32 + 2),
-        ("SIG_A_REG", dcr_map::sig_base(0) as u32),
-        ("SIG_B_REG", dcr_map::sig_base(1) as u32),
-        ("FLAG", data_map::FLAG),
-        ("PHASE", data_map::PHASE),
-        ("FRAME", data_map::FRAME),
-        ("DRAWBUF", data_map::DRAWBUF),
-        ("DRAWN", data_map::DRAWN),
-        ("PEND", data_map::PEND),
-        ("IN0", cfg.in0),
-        ("CEN0", cfg.cen0),
-        ("VECS", cfg.vecs),
-        ("STRIDE", frame_bytes),
-        ("WIDTH", cfg.width),
-        ("HEIGHT", cfg.height),
-        ("NFRAMES", cfg.n_frames),
-        ("SIMB_ME", cfg.simb_me.0),
-        ("SIMB_ME_W", cfg.simb_me.1),
-        ("SIMB_CIE", cfg.simb_cie.0),
-        ("SIMB_CIE_W", cfg.simb_cie.1),
-        ("INTMASK", int_mask),
-        ("ISRPAD", cfg.isr_pad_loops.max(1)),
-    ] {
-        p(&format!(".equ {name}, {val:#x}"));
-    }
-
-    // ----- initialisation -----
-    p("init:");
-    p("  li r3, 0");
-    for var in ["FLAG", "PHASE", "FRAME", "DRAWN", "PEND"] {
-        p(&format!("  liw r10, {var}"));
-        p("  stw r3, 0(r10)");
-    }
-    p("  mtdcr SYS_ISOLATE, r3   # no region isolated");
-    p("  li r3, INTMASK");
-    p("  mtdcr INTC_ENABLE, r3");
-    p("  # engine geometry never changes: program both regions once");
-    p("  liw r3, WIDTH");
-    p("  mtdcr ENG_W, r3");
-    p("  mtdcr ENGB_W, r3");
-    p("  liw r3, HEIGHT");
-    p("  mtdcr ENG_H, r3");
-    p("  mtdcr ENGB_H, r3");
-    if !resim {
-        p("  # VMUX hack: both engines permanently resident");
-        p(&format!("  li r3, {SIG_CIE}"));
-        p("  mtdcr SIG_A_REG, r3");
-        p(&format!("  li r3, {SIG_ME}"));
-        p("  mtdcr SIG_B_REG, r3");
-    }
-    p("  # request the first frame into IN0");
-    p("  liw r3, IN0");
-    p("  mtdcr VIN_ADDR, r3");
-    p("  li r3, 1");
-    p("  mtdcr VIN_CTRL, r3");
-    p("  # enable external interrupts");
-    p("  liw r3, 0x8000");
-    p("  mtmsr r3");
-
-    // ----- main loop (identical contract to the classic program) -----
-    p("main:");
-    p("  li r6, 0                # heartbeat counter");
-    p("mloop:");
-    p("  addi r6, r6, 1");
-    p("  mtdcr SYS_HEARTBEAT, r6 # liveness telemetry every iteration");
-    p("  liw r10, FLAG");
-    p("  lwz r5, 0(r10)");
-    p("  cmpwi r5, 0");
-    p("  beq mloop");
-    p("  # vectors ready: clear the flag and draw them");
-    p("  li r5, 0");
-    p("  liw r10, FLAG");
-    p("  stw r5, 0(r10)");
-    p("  bl draw");
-    p("  # display the drawn buffer");
-    p("  liw r10, DRAWBUF");
-    p("  lwz r3, 0(r10)");
-    p("  mtdcr VOUT_ADDR, r3");
-    p("  li r3, 1");
-    p("  mtdcr VOUT_CTRL, r3");
-    p("  # count it; halt after the last frame drains");
-    p("  liw r10, DRAWN");
-    p("  lwz r3, 0(r10)");
-    p("  addi r3, r3, 1");
-    p("  stw r3, 0(r10)");
-    p("  cmplwi r3, NFRAMES");
-    p("  blt mloop");
-    p("wait_vout:");
-    p("  mfdcr r3, VOUT_STATUS");
-    p("  cmpwi r3, 0");
-    p("  bne wait_vout");
-    p("  halt");
-
-    // ----- draw: anchor + endpoint markers for each motion vector -----
-    p("draw:");
-    p("  liw r8, VECS");
-    p("  lwz r7, 0(r8)           # vector count");
-    p("  cmpwi r7, 0");
-    p("  beq drawret");
-    p("  mtctr r7");
-    p("  addi r8, r8, 4");
-    p("  liw r10, DRAWBUF");
-    p("  lwz r9, 0(r10)          # target buffer");
-    p("  liw r4, WIDTH");
-    p("dloop:");
-    p("  lwz r11, 0(r8)");
-    p("  addi r8, r8, 4");
-    p("  srwi r12, r11, 20       # x");
-    p("  andi. r12, r12, 0xFFF");
-    p("  srwi r13, r11, 8        # y");
-    p("  andi. r13, r13, 0xFFF");
-    p("  srwi r14, r11, 4        # dx+8");
-    p("  andi. r14, r14, 0xF");
-    p("  addi r14, r14, -8");
-    p("  andi. r15, r11, 0xF     # dy+8");
-    p("  addi r15, r15, -8");
-    p("  or r16, r14, r15");
-    p("  cmpwi r16, 0");
-    p("  beq dskip               # zero vector: nothing to draw");
-    p("  mullw r16, r13, r4      # anchor marker");
-    p("  add r16, r16, r12");
-    p("  add r16, r16, r9");
-    p("  li r17, 255");
-    p("  stb r17, 0(r16)");
-    p("  add r18, r12, r14       # endpoint marker at (x+dx, y+dy)");
-    p("  add r19, r13, r15");
-    p("  mullw r16, r19, r4");
-    p("  add r16, r16, r18");
-    p("  add r16, r16, r9");
-    p("  li r17, 254");
-    p("  stb r17, 0(r16)");
-    p("dskip:");
-    p("  bdnz dloop");
-    p("drawret:");
-    p("  blr");
-
-    // ----- interrupt service routine -----
-    p("isr:");
-    p("  mfcr r29");
-    p("  mflr r28");
-    p("  mfspr r31, ctr          # the main loop's draw uses CTR too");
-    p("  mfdcr r20, INTC_STATUS");
-    p("  mtdcr INTC_ACK, r20");
-    p("  # calibrated housekeeping (frame statistics, watchdog petting)");
-    p("  liw r21, ISRPAD");
-    p("  mtctr r21");
-    p("ipad:");
-    p("  bdnz ipad");
+/// The split pipeline's ISR handlers: video-in done, region A's engine
+/// (CIE) done, region B's engine (ME) done and, under ReSim, IcapCTRL
+/// done — the idle region's reload finished. A handler that completes
+/// a half-frame's rendezvous branches to a switch of
+/// [`split_pipeline_switches`].
+fn split_pipeline_handlers(p: &mut impl FnMut(&str), method: SimMethod) {
+    let resim = method == SimMethod::Resim;
 
     // --- video-in done: first half-frame begins ---
     p("  andi. r21, r20, 1");
@@ -988,11 +852,12 @@ pub fn generate_split(cfg: &SplitSwConfig) -> String {
         p("  beq frame_done          # ME also done: next frame");
         p("n_icap:");
     }
-    p("isr_exit:");
-    p("  mtspr ctr, r31");
-    p("  mtlr r28");
-    p("  mtcrf r29");
-    p("  rfi");
+}
+
+/// The split pipeline's half-frame switches, placed after the ISR exit
+/// and returning through `isr_exit`.
+fn split_pipeline_switches(p: &mut impl FnMut(&str), method: SimMethod) {
+    let resim = method == SimMethod::Resim;
 
     // --- second half-frame: ME computes on B, A reloads its CIE ---
     p("half2:");
@@ -1025,72 +890,6 @@ pub fn generate_split(cfg: &SplitSwConfig) -> String {
     }
     p("  bl advance_frame");
     p("  b isr_exit");
-
-    // ----- ISR helpers (use r24-r27 and the link register) -----
-    p("# r24 = IN[FRAME&1], r25 = CEN[FRAME&1], r26 = CEN[(FRAME+1)&1]");
-    p("cur_in:");
-    p("  liw r24, FRAME");
-    p("  lwz r24, 0(r24)");
-    p("  andi. r27, r24, 1");
-    p("  liw r25, STRIDE");
-    p("  mullw r27, r27, r25");
-    p("  liw r24, IN0");
-    p("  add r24, r24, r27");
-    p("  liw r25, CEN0");
-    p("  add r25, r25, r27");
-    p("  liw r26, FRAME");
-    p("  lwz r26, 0(r26)");
-    p("  addi r26, r26, 1");
-    p("  andi. r26, r26, 1");
-    p("  liw r27, STRIDE");
-    p("  mullw r26, r26, r27");
-    p("  liw r27, CEN0");
-    p("  add r26, r26, r27");
-    p("  blr");
-
-    p("start_me_b:");
-    p("  mflr r30                # nested call: save return");
-    p("  bl cur_in");
-    p("  mtdcr ENGB_SRC, r25     # current census image");
-    p("  mtdcr ENGB_AUX, r26     # previous census image");
-    p("  liw r27, VECS");
-    p("  mtdcr ENGB_VEC, r27");
-    p("  li r27, 2");
-    p("  mtdcr ENGB_CTRL, r27    # region B: reset (latch ME parameters)");
-    p("  li r27, 1");
-    p("  mtdcr ENGB_CTRL, r27    # region B: start the ME");
-    p("  mtlr r30");
-    p("  blr");
-
-    p("advance_frame:");
-    p("  mflr r30");
-    p("  liw r27, FRAME");
-    p("  lwz r24, 0(r27)");
-    p("  addi r24, r24, 1");
-    p("  stw r24, 0(r27)");
-    p("  li r25, 0");
-    p("  liw r27, PHASE");
-    p("  stw r25, 0(r27)         # phase 0: waiting for the camera");
-    p("  cmplwi r24, NFRAMES");
-    p("  bge adv_done            # no more frames to request");
-    p("  bl next_in2");
-    p("  mtdcr VIN_ADDR, r24");
-    p("  li r25, 1");
-    p("  mtdcr VIN_CTRL, r25");
-    p("adv_done:");
-    p("  mtlr r30");
-    p("  blr");
-    p("next_in2:");
-    p("  liw r24, FRAME");
-    p("  lwz r24, 0(r24)");
-    p("  andi. r27, r24, 1");
-    p("  liw r25, STRIDE");
-    p("  mullw r27, r27, r25");
-    p("  liw r24, IN0");
-    p("  add r24, r24, r27");
-    p("  blr");
-
-    s
 }
 
 /// The sanity applications the paper's designer brought up in week 3
@@ -1193,43 +992,42 @@ fn emit_isolate_off(p: &mut impl FnMut(&str)) {
 mod tests {
     use super::*;
 
-    fn cfg(method: SimMethod, faults: FaultSet) -> SwConfig {
-        SwConfig {
+    /// A single-region configuration whose SimBs are 100 words long.
+    fn cfg(method: SimMethod, faults: FaultSet) -> SystemConfig {
+        SystemConfig {
             method,
             faults,
-            width: 64,
-            height: 48,
             n_frames: 3,
-            in0: 0x40000,
-            cen0: 0x50000,
-            vecs: 0x60000,
-            simb_me: (0x62000, 100),
-            simb_cie: (0x64000, 100),
+            payload_words: 90,
             isr_pad_loops: 10,
             fixed_wait_loops: 100,
-            recovery: false,
+            ..Default::default()
         }
+    }
+
+    fn program(cfg: &SystemConfig) -> String {
+        generate(cfg, &MemLayout::for_config(cfg))
     }
 
     #[test]
     fn all_variants_assemble() {
         for method in [SimMethod::Resim, SimMethod::Vmux] {
             for bug in Bug::ALL {
-                let src = generate(&cfg(method, FaultSet::one(bug)));
+                let src = program(&cfg(method, FaultSet::one(bug)));
                 let prog = ppc::assemble(&src, 0x1000)
                     .unwrap_or_else(|e| panic!("{method:?}/{}: {e}", bug.id()));
                 assert!(prog.words.len() > 100, "{method:?}/{} too small", bug.id());
                 assert!(prog.symbols.contains_key("isr"));
             }
-            let src = generate(&cfg(method, FaultSet::none()));
+            let src = program(&cfg(method, FaultSet::none()));
             ppc::assemble(&src, 0x1000).unwrap();
         }
     }
 
     #[test]
     fn vmux_program_is_the_hacked_one() {
-        let resim = generate(&cfg(SimMethod::Resim, FaultSet::none()));
-        let vmux = generate(&cfg(SimMethod::Vmux, FaultSet::none()));
+        let resim = program(&cfg(SimMethod::Resim, FaultSet::none()));
+        let vmux = program(&cfg(SimMethod::Vmux, FaultSet::none()));
         assert!(
             vmux.contains("SIG_REG"),
             "vmux writes the signature register"
@@ -1250,8 +1048,8 @@ mod tests {
 
     #[test]
     fn stale_size_halves_the_words() {
-        let good = generate(&cfg(SimMethod::Resim, FaultSet::none()));
-        let bad = generate(&cfg(
+        let good = program(&cfg(SimMethod::Resim, FaultSet::none()));
+        let bad = program(&cfg(
             SimMethod::Resim,
             FaultSet::one(Bug::Dpr5StaleSizeCalc),
         ));
@@ -1262,10 +1060,10 @@ mod tests {
     #[test]
     fn buggy_waiters_do_not_enable_the_icap_interrupt() {
         for bug in [Bug::Dpr6aShortFixedWait, Bug::Dpr6bNoWaitTransfer] {
-            let src = generate(&cfg(SimMethod::Resim, FaultSet::one(bug)));
+            let src = program(&cfg(SimMethod::Resim, FaultSet::one(bug)));
             assert!(src.contains(".equ INTMASK, 0x3"), "{}", bug.id());
         }
-        let good = generate(&cfg(SimMethod::Resim, FaultSet::none()));
+        let good = program(&cfg(SimMethod::Resim, FaultSet::none()));
         assert!(good.contains(".equ INTMASK, 0x7"));
     }
 }

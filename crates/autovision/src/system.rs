@@ -18,7 +18,7 @@ use crate::artifacts::ArtifactCache;
 use crate::fabric::{self, RegionNames};
 use crate::faults::{Bug, FaultSet};
 use crate::icapctrl::{IcapCtrl, RecoveryPolicy, RecoveryStats};
-use crate::software::{self, dcr_map, SimMethod, SplitSwConfig, SwConfig};
+use crate::software::{self, dcr_map, SimMethod};
 use dcr::{DcrChainBuilder, RegFile};
 use engines::EngineCtrl;
 use plb::{MasterPort, MemFaultHandle, MonitorStats, SharedMem};
@@ -763,8 +763,7 @@ impl AvSystem {
     /// Whether the cache is cold or warm, the system is the same: the
     /// cache only absorbs re-derivation, never changes a value.
     pub fn build_with(cfg: SystemConfig, artifacts: &ArtifactCache) -> AvSystem {
-        let scenario = cfg
-            .scenario()
+        cfg.scenario()
             .expect("region topology must be valid (validated by SystemConfig::builder)");
         let layout = MemLayout::for_config(&cfg);
         let f = &cfg.faults;
@@ -968,7 +967,7 @@ impl AvSystem {
         // moves region 0's *last* (nearest the return path) and marks it
         // as living inside the region, corrupted while the SimB streams.
         let mut chain = DcrChainBuilder::new(&mut sim, "dcr", cr.clk, cr.rst);
-        let eng_in_rr = f.has(Bug::Dpr2DcrInRr) && backend.models_bitstream();
+        let eng_in_rr = f.has(Bug::Dpr2DcrInRr) && cfg.method.models_bitstream();
         if !eng_in_rr {
             chain.add_slave("eng", eng_regs[0].clone(), None);
         }
@@ -980,7 +979,7 @@ impl AvSystem {
         chain.add_slave("sys", sys_regs.clone(), None);
         chain.add_slave("videoin", vin_regs.clone(), None);
         chain.add_slave("videoout", vout_regs.clone(), None);
-        if !backend.models_bitstream() {
+        if !cfg.method.models_bitstream() {
             for (idx, regs) in sig_regs.iter().enumerate() {
                 chain.add_slave(&names[idx].sig_slave, regs.clone(), None);
             }
@@ -991,35 +990,7 @@ impl AvSystem {
         let dcr_handle = chain.finish();
 
         // ----- CPU -----
-        let src = match scenario {
-            Scenario::SingleRegion => software::generate(&SwConfig {
-                method: cfg.method,
-                faults: cfg.faults.clone(),
-                width: cfg.width as u32,
-                height: cfg.height as u32,
-                n_frames: cfg.n_frames as u32,
-                in0: layout.in0,
-                cen0: layout.cen0,
-                vecs: layout.vecs,
-                simb_me: layout.simb_me,
-                simb_cie: layout.simb_cie,
-                isr_pad_loops: cfg.isr_pad_loops,
-                fixed_wait_loops: cfg.fixed_wait_loops,
-                recovery: cfg.recovery.enabled,
-            }),
-            Scenario::SplitPipeline => software::generate_split(&SplitSwConfig {
-                method: cfg.method,
-                width: cfg.width as u32,
-                height: cfg.height as u32,
-                n_frames: cfg.n_frames as u32,
-                in0: layout.in0,
-                cen0: layout.cen0,
-                vecs: layout.vecs,
-                simb_me: layout.simb_me,
-                simb_cie: layout.simb_cie,
-                isr_pad_loops: cfg.isr_pad_loops,
-            }),
-        };
+        let src = software::generate(&cfg, &layout);
         let cpu = fabric::cpu_subsystem(
             &mut sim,
             cr,

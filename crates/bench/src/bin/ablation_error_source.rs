@@ -11,6 +11,7 @@ use bench::harness;
 use verif::run_experiment;
 
 fn main() {
+    harness::args(&["--exec-mode"], &[]);
     println!("Error-source ablation on bug.dpr.1 (isolation never asserted)\n");
     println!("{:<10} {:>10}  evidence", "policy", "detected");
     println!("{}", harness::rule(72));

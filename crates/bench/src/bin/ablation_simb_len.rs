@@ -17,6 +17,7 @@ use bench::harness;
 use verif::run_experiment;
 
 fn main() {
+    harness::args(&["--exec-mode"], &[]);
     println!("SimB length ablation (32x24 frames, cfg divider 4, fixed wait = 250 loops)\n");
     println!(
         "{:>10} {:>16} {:>12} {:>14}",

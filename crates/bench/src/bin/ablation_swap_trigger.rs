@@ -28,6 +28,7 @@ fn run(trigger: SwapTrigger, optimistic: bool, bug: Option<Bug>) -> verif::Verdi
 }
 
 fn main() {
+    harness::args(&["--exec-mode"], &[]);
     println!("Swap-trigger ablation on bug.dpr.6b (no wait for transfer completion)\n");
     for (name, trig, optimistic) in [
         (

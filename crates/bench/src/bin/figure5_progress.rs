@@ -11,6 +11,7 @@ use bench::harness;
 use verif::{build_timeline, render_timeline, Campaign};
 
 fn main() {
+    harness::args(&["--exec-mode"], &[]);
     let threads = harness::threads();
     println!("Figure 5 — development workload and bugs detected\n");
     let rows = Campaign::builder()

@@ -219,10 +219,14 @@ fn run_replay(path: &str, bug_id: Option<&str>) {
 }
 
 fn main() {
-    if let Some(path) = harness::flag_value("--replay") {
-        let bug = std::env::args().nth(3);
-        run_replay(&path, bug.as_deref());
-    } else {
-        run_full();
+    let bug: Option<String> =
+        harness::args(&["--exec-mode", "--replay"], &["bug-id"]).positional(0);
+    match (harness::flag_value("--replay"), bug) {
+        (Some(path), bug) => run_replay(&path, bug.as_deref()),
+        (None, None) => run_full(),
+        (None, Some(bug)) => {
+            eprintln!("fuzz_campaign: a bug id (\"{bug}\") needs --replay <file>");
+            std::process::exit(2);
+        }
     }
 }

@@ -40,6 +40,7 @@ fn measure() -> (f64, f64, f64, f64, Vec<ProfileRow>) {
 use harness::median;
 
 fn main() {
+    harness::args(&["--exec-mode", "--metrics-out"], &[]);
     let cfg = paper_scale_config();
     println!(
         "ReSim simulation overhead profile ({}x{}, {} frames; median of 3 sampled runs)\n",

@@ -8,36 +8,41 @@
 //! degraded-mode software). The comparison shows which upsets the plain
 //! design shrugs off, which corrupt frames or hang the pipeline, and
 //! the retry/latency cost of recovering all of them.
+//!
+//! Usage: `recovery_matrix [runs] [--exec-mode <event|compiled>]`
+//! (default 16 runs per mode).
 
 use bench::harness;
-use verif::{render_campaign, summarize, Campaign, CampaignConfig};
+use verif::{render_campaign, summarize, Campaign, MatrixConfig};
+
+/// Injection runs per mode when the command line names none.
+const DEFAULT_RUNS: usize = 16;
 
 fn main() {
+    let runs = harness::args(&["--exec-mode"], &["runs"])
+        .positional(0)
+        .unwrap_or(DEFAULT_RUNS);
     let threads = harness::threads();
-    let mut cc = CampaignConfig::default();
-    if let Some(runs) = harness::parse_arg::<usize>(1) {
-        cc.runs = runs;
-    }
+    // The campaign runs on the builder's defaults: the matrix base, its
+    // master seed and its cycle budget.
+    let base = MatrixConfig::default().base;
     println!(
         "Recovery matrix — {} seeded transient-fault runs per mode ({}x{}, {} frames, SimB payload {} words, {} threads)\n",
-        cc.runs, cc.base.width, cc.base.height, cc.base.n_frames, cc.base.payload_words, threads
+        runs, base.width, base.height, base.n_frames, base.payload_words, threads
     );
 
     // One campaign, both modes: the executor interleaves the OFF and ON
     // batches across the worker pool and the shared artifact cache
     // serves both.
     let report = Campaign::builder()
-        .base(cc.base.clone())
         .exec_mode(harness::exec_mode())
-        .seed(cc.seed)
-        .budget_cycles(cc.budget_cycles)
         .threads(threads)
-        .recovery_campaign(cc.runs, false)
-        .recovery_campaign(cc.runs, true)
+        .recovery_campaign(runs, false)
+        .recovery_campaign(runs, true)
         .build()
         .run();
     let rows = report.recovery_rows();
-    let (off, on) = rows.split_at(cc.runs);
+    let (off, on) = rows.split_at(runs);
 
     println!(
         "{}",

@@ -8,6 +8,7 @@ use bench::harness;
 use resim::{annotate_simb, build_simb, SimbKind};
 
 fn main() {
+    harness::args(&[], &[]);
     println!("Table I — An example SimB for configuring a new module");
     println!("(module id=0x02 into region id=0x01, 4 payload words)\n");
     println!("{:<12} Explanation / actions taken", "SimB");

@@ -19,6 +19,7 @@ use std::time::Instant;
 use verif::{probe_high_time, Probe};
 
 fn main() {
+    harness::args(&["--exec-mode", "--trace-out", "--metrics-out"], &[]);
     let cfg = paper_scale_config();
     let n_frames = cfg.n_frames as u64;
     println!(

@@ -10,6 +10,7 @@ use bench::harness;
 use verif::{render_matrix, Campaign, MatrixConfig};
 
 fn main() {
+    harness::args(&["--exec-mode"], &[]);
     let threads = harness::threads();
     let mc = MatrixConfig::default();
     println!(

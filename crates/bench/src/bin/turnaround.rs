@@ -9,6 +9,7 @@ use bench::{harness, paper_scale_config};
 use verif::{compare, FRAMES_TO_DETECT, ONCHIP_ITERATION_MIN};
 
 fn main() {
+    harness::args(&["--exec-mode"], &[]);
     println!("Debug-turnaround comparison (paper §V-B)\n");
     let mut cfg = paper_scale_config();
     cfg.n_frames = 2;

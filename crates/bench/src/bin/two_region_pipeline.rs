@@ -10,18 +10,23 @@
 //! methods run the topology silently — the multi-region analogue of
 //! Table III's golden baseline.
 //!
-//! Usage: `two_region_pipeline [payload_words] [--trace-out <path>]
-//! [--metrics-out <path>]` (default payload 256). With `--trace-out`
-//! the ReSim run is traced and exported as Perfetto JSON, and the
-//! per-region reconfiguration timeline is reconstructed from the trace
-//! events instead of bespoke probes.
+//! Usage: `two_region_pipeline [payload_words] [--exec-mode <mode>]
+//! [--trace-out <path>] [--metrics-out <path>]` (default payload 256).
+//! With `--trace-out` the ReSim run is traced and exported as Perfetto
+//! JSON, and the per-region reconfiguration timeline is reconstructed
+//! from the trace events instead of bespoke probes.
 
 use autovision::{AvSystem, SimMethod, SystemConfig};
 use bench::harness;
 use verif::{Campaign, CoverageProbes, ReconfigTimeline, Scenario};
 
 fn main() {
-    let payload: usize = harness::parse_arg(1).unwrap_or(256);
+    let payload: usize = harness::args(
+        &["--exec-mode", "--trace-out", "--metrics-out"],
+        &["payload_words"],
+    )
+    .positional(0)
+    .unwrap_or(256);
     let obs_args = harness::ObsArgs::from_env();
     println!(
         "Two-region pipeline — CIE and ME in separate regions (32x24, 2 frames, SimB payload {payload} words)\n"

@@ -52,10 +52,85 @@ pub fn exec_mode() -> ExecMode {
     }
 }
 
-/// Positional command-line argument `n` (1-based, as in `args().nth`),
-/// parsed; `None` when absent or unparsable.
-pub fn parse_arg<T: std::str::FromStr>(n: usize) -> Option<T> {
-    std::env::args().nth(n).and_then(|a| a.parse().ok())
+/// A bench bin's checked command line; see [`args`].
+#[derive(Debug, Clone)]
+pub struct Args {
+    positionals: Vec<String>,
+}
+
+impl Args {
+    /// Positional argument `i` (0-based, flags and their values not
+    /// counted), parsed; `None` when absent. Exits 2 naming the
+    /// argument when it does not parse.
+    pub fn positional<T: std::str::FromStr>(&self, i: usize) -> Option<T> {
+        self.positionals.get(i).map(|a| {
+            a.parse().unwrap_or_else(|_| {
+                eprintln!("{}: cannot parse argument \"{a}\"", bin_name());
+                std::process::exit(2);
+            })
+        })
+    }
+}
+
+/// Check the command line against a bin's usage; every bin calls this
+/// once, before it simulates anything. `flags` are the flags the bin
+/// reads, each taking a value (`--flag <value>` or `--flag=<value>`);
+/// `positionals` names its optional positional arguments, in order.
+/// The first argument the usage does not list, or a flag without its
+/// value, exits 2 with a message naming it.
+pub fn args(flags: &[&str], positionals: &[&str]) -> Args {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match check_args(&argv, flags, positionals.len()) {
+        Ok(positionals) => Args { positionals },
+        Err(bad) => {
+            let usage: String = positionals
+                .iter()
+                .map(|p| format!(" [{p}]"))
+                .chain(flags.iter().map(|f| format!(" [{f} <value>]")))
+                .collect();
+            let bin = bin_name();
+            eprintln!("{bin}: unknown argument or missing value: \"{bad}\" (usage: {bin}{usage})");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The positional arguments of `args`, or the first argument that is
+/// neither one of `flags` (with its value) nor one of the first
+/// `max_positionals` non-flag arguments.
+fn check_args(
+    args: &[String],
+    flags: &[&str],
+    max_positionals: usize,
+) -> Result<Vec<String>, String> {
+    let mut positionals = Vec::new();
+    let mut tokens = args.iter();
+    while let Some(a) = tokens.next() {
+        let known = if flags.contains(&a.as_str()) {
+            tokens.next().is_some()
+        } else if a.starts_with('-') {
+            flags
+                .iter()
+                .any(|f| a.strip_prefix(f).is_some_and(|v| v.starts_with('=')))
+        } else if positionals.len() < max_positionals {
+            positionals.push(a.clone());
+            true
+        } else {
+            false
+        };
+        if !known {
+            return Err(a.clone());
+        }
+    }
+    Ok(positionals)
+}
+
+/// The running binary's file name, for messages.
+fn bin_name() -> String {
+    let argv0 = std::env::args().next().unwrap_or_default();
+    std::path::Path::new(&argv0)
+        .file_name()
+        .map_or(argv0.clone(), |n| n.to_string_lossy().into_owned())
 }
 
 /// Value of `--flag <value>` (or `--flag=<value>`) among the
@@ -239,6 +314,34 @@ mod tests {
             (32, 24, 2, 256)
         );
         assert_eq!(cfg.method, SimMethod::Resim);
+    }
+
+    fn argv(tokens: &[&str]) -> Vec<String> {
+        tokens.iter().map(|t| t.to_string()).collect()
+    }
+
+    #[test]
+    fn check_args_admits_only_the_listed_arguments() {
+        let flags = ["--exec-mode", "--trace-out"];
+        let ok = |tokens: &[&str]| check_args(&argv(tokens), &flags, 1);
+        assert_eq!(ok(&[]), Ok(vec![]));
+        assert_eq!(
+            ok(&["--exec-mode", "event", "64", "--trace-out=t.json"]),
+            Ok(vec!["64".to_string()])
+        );
+        assert_eq!(
+            ok(&["4", "--exec-mod", "event"]),
+            Err("--exec-mod".to_string())
+        );
+        assert_eq!(
+            ok(&["--trace-outt", "t.json"]),
+            Err("--trace-outt".to_string())
+        );
+        assert_eq!(ok(&["--exec-mode=", "1"]), Ok(vec!["1".to_string()]));
+        assert_eq!(ok(&["--exec-modes=x"]), Err("--exec-modes=x".to_string()));
+        assert_eq!(ok(&["1", "2"]), Err("2".to_string()));
+        assert_eq!(ok(&["1", "--exec-mode"]), Err("--exec-mode".to_string()));
+        assert_eq!(check_args(&argv(&["1"]), &flags, 0), Err("1".to_string()));
     }
 
     #[test]

@@ -81,8 +81,6 @@ pub struct RegionStats {
 /// the single shape callers consume instead of per-method getters.
 #[derive(Debug, Clone, Default)]
 pub struct BackendStats {
-    /// The backend's [`ReconfigBackend::method_name`].
-    pub method: &'static str,
     /// ICAP artifact counters; `None` when the method models no
     /// bitstream (VMUX).
     pub icap: Option<IcapStats>,
@@ -108,16 +106,6 @@ impl BackendStats {
 /// region boundaries exist but before the isolation/controller layers
 /// that only need the returned handles.
 pub trait ReconfigBackend {
-    /// Stable lowercase name ("resim" / "vmux") for labels and reports.
-    fn method_name(&self) -> &'static str;
-
-    /// True when the backend models the configuration bitstream itself:
-    /// DMA traffic on the system bus, error injection while the payload
-    /// streams, swap timing tied to the transfer. Capability checks
-    /// (e.g. "does bug dpr.2's corruption path exist in this build?")
-    /// should ask this, not compare method enums.
-    fn models_bitstream(&self) -> bool;
-
     /// Build the swap machinery for every region and return the shared
     /// handles.
     fn instantiate(
@@ -172,14 +160,6 @@ impl ResimBackend {
 }
 
 impl ReconfigBackend for ResimBackend {
-    fn method_name(&self) -> &'static str {
-        "resim"
-    }
-
-    fn models_bitstream(&self) -> bool {
-        true
-    }
-
     fn instantiate(
         &mut self,
         sim: &mut Simulator,
@@ -217,7 +197,6 @@ impl ReconfigBackend for ResimBackend {
 
     fn stats(&self) -> BackendStats {
         BackendStats {
-            method: self.method_name(),
             icap: self.icap_stats.as_ref().map(|s| s.borrow().clone()),
             regions: self
                 .portals
@@ -274,14 +253,6 @@ impl VmuxBackend {
 }
 
 impl ReconfigBackend for VmuxBackend {
-    fn method_name(&self) -> &'static str {
-        "vmux"
-    }
-
-    fn models_bitstream(&self) -> bool {
-        false
-    }
-
     fn instantiate(
         &mut self,
         sim: &mut Simulator,
@@ -326,7 +297,6 @@ impl ReconfigBackend for VmuxBackend {
 
     fn stats(&self) -> BackendStats {
         BackendStats {
-            method: self.method_name(),
             icap: None,
             regions: self
                 .rr_ids
@@ -409,12 +379,10 @@ mod tests {
             RegionOptions::default(),
             Box::new(|_| Box::new(XSource)),
         );
-        assert!(backend.models_bitstream());
         let h = backend.instantiate(&mut sim, clk, rst, plans);
         let s = backend.stats();
         assert_eq!(s.regions.len(), 2);
         assert!(s.icap.is_some());
-        assert_eq!(s.method, "resim");
         sim.run_for(5 * PERIOD).unwrap();
         assert_eq!(sim.peek_u64(boundaries[0].plb.wdata), Some(0x11));
         assert_eq!(sim.peek_u64(boundaries[1].plb.wdata), Some(0x21));
@@ -470,7 +438,6 @@ mod tests {
                 },
             ],
         );
-        assert!(!backend.models_bitstream());
         let h = backend.instantiate(&mut sim, clk, rst, plans);
         let s = backend.stats();
         assert!(s.icap.is_none());

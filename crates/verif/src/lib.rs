@@ -50,14 +50,10 @@ pub use fuzz::{
     coverage_of, failure_signature, replay, run_fuzz, shrink, FuzzFailure, FuzzOptions, FuzzReport,
     FuzzRepro, FuzzRow, FuzzSchedule, FuzzSpec, FuzzTopology,
 };
-pub use matrix::{
-    expected_detection, render_matrix, run_bug, run_clean, run_split_clean, MatrixConfig, MatrixRow,
-};
+pub use matrix::{expected_detection, render_matrix, run_bug, run_clean, MatrixConfig, MatrixRow};
 pub use probe::{probe_high_time, HighTime, Probe};
 pub use reconfig_timeline::{ReconfigTimeline, RegionTimeline};
-pub use recovery::{
-    render_campaign, run_one, summarize, CampaignConfig, CampaignSummary, RunClass,
-};
+pub use recovery::{render_campaign, run_one, summarize, CampaignSummary, RunClass};
 pub use timeline::{build_timeline, render_timeline, Phase, WeekRow, LOC_SERIES};
 pub use turnaround::{compare, Turnaround, FRAMES_TO_DETECT, ONCHIP_ITERATION_MIN};
 pub use wire::{

@@ -152,12 +152,6 @@ pub fn run_clean(mc: &MatrixConfig) -> MatrixRow {
     one_off_ctx(mc, run_clean_in)
 }
 
-/// One-off variant of [`run_split_clean_in`] with a private artifact
-/// cache.
-pub fn run_split_clean(mc: &MatrixConfig) -> MatrixRow {
-    one_off_ctx(mc, run_split_clean_in)
-}
-
 /// Render the matrix as an aligned text table (the Table III artifact).
 pub fn render_matrix(rows: &[MatrixRow]) -> String {
     let mut out = String::new();
@@ -228,7 +222,7 @@ mod tests {
 
     #[test]
     fn split_clean_row_is_silent_under_both_methods() {
-        let row = run_split_clean(&MatrixConfig::default());
+        let row = one_off_ctx(&MatrixConfig::default(), run_split_clean_in);
         assert!(
             row.as_expected() && !row.vmux_detected && !row.resim_detected,
             "split pipeline must run clean: {row:?}"

@@ -36,38 +36,6 @@ pub enum RunClass {
     Hung,
 }
 
-/// Campaign configuration.
-#[derive(Debug, Clone)]
-pub struct CampaignConfig {
-    /// Base system configuration (method is forced to ReSim; the
-    /// recovery policy is set per campaign mode).
-    pub base: SystemConfig,
-    /// Injection runs per campaign (cycled over the four transient
-    /// fault kinds).
-    pub runs: usize,
-    /// Master campaign seed.
-    pub seed: u64,
-    /// Hang budget per run, in cycles.
-    pub budget_cycles: u64,
-}
-
-impl Default for CampaignConfig {
-    fn default() -> Self {
-        CampaignConfig {
-            base: SystemConfig {
-                width: 32,
-                height: 24,
-                n_frames: 2,
-                payload_words: 256,
-                ..Default::default()
-            },
-            runs: 16,
-            seed: 0xFA_17,
-            budget_cycles: 400_000,
-        }
-    }
-}
-
 /// Aggregated campaign results for one recovery mode.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignSummary {
