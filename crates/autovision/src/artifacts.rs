@@ -147,11 +147,11 @@ impl ArtifactCache {
         })
     }
 
-    /// The assembled software image of `source` (load base `0x1000`,
-    /// matching [`crate::fabric::cpu_subsystem`]).
+    /// The assembled software image of `source` (load base
+    /// [`ppc::ISS_ENTRY`], where the ISS starts after reset).
     pub fn program(&self, source: &str) -> Arc<Program> {
         self.get_or_insert(&self.programs, source, || {
-            ppc::assemble(source, 0x1000).expect("system software must assemble")
+            ppc::assemble(source, ppc::ISS_ENTRY).expect("system software must assemble")
         })
     }
 

@@ -23,7 +23,7 @@ use plb::{
     AddressWindow, ArbMode, MasterPort, MemFaultHandle, MemorySlave, MonitorStats, PlbBus,
     PlbBusConfig, PlbMonitor, SharedMem, SlavePort,
 };
-use ppc::{IntController, IssConfig, IssStats, PpcIss};
+use ppc::{IntController, IssStats, PpcIss};
 use resim::RrBoundary;
 use rtlsim::{CompKind, Component, Ctx, DoorbellId, SignalId, Simulator};
 use std::cell::RefCell;
@@ -75,7 +75,7 @@ pub fn main_memory(
     stale_first_beat_bug: bool,
 ) -> MainMemory {
     let mem = SharedMem::new(bytes);
-    let (port, faults) = MemorySlave::instantiate_faulty(
+    let (port, faults) = MemorySlave::instantiate(
         sim,
         "ddr",
         cr.clk,
@@ -243,7 +243,7 @@ pub fn engine_cluster(
         let name = names.module(m.kind);
         match m.kind {
             EngineKind::Census => {
-                CensusEngine::instantiate(sim, &name, *io, 2);
+                CensusEngine::instantiate(sim, &name, *io);
                 census_busy.get_or_insert(io.busy);
             }
             EngineKind::Matching => {
@@ -366,7 +366,7 @@ struct SysCtrl {
     regs: RegFile,
     isolates: Vec<SignalId>,
     /// Doorbell rung by software DCR writes to the SYS block.
-    bell: Option<DoorbellId>,
+    bell: DoorbellId,
 }
 
 impl Component for SysCtrl {
@@ -390,9 +390,7 @@ impl Component for SysCtrl {
         }
         // Purely software-driven: only a DCR write or reset can change
         // the isolate outputs.
-        if let Some(bell) = self.bell {
-            ctx.park_until(&[self.rst], &[bell]);
-        }
+        ctx.park_until(&[self.rst], &[self.bell]);
     }
 }
 
@@ -405,7 +403,7 @@ pub fn system_control(sim: &mut Simulator, cr: ClockReset, regs: RegFile, isolat
         rst: cr.rst,
         regs,
         isolates,
-        bell: Some(bell),
+        bell,
     };
     sim.add_clocked(
         "sysctrl",
@@ -490,7 +488,7 @@ pub fn interrupt_fabric(
     pulse_irq_bug: bool,
 ) -> SignalId {
     let cpu_irq = sim.signal("irq.cpu", 1);
-    IntController::instantiate_with(
+    IntController::instantiate(
         sim,
         "intc",
         cr.clk,
@@ -498,7 +496,6 @@ pub fn interrupt_fabric(
         lines,
         cpu_irq,
         regs,
-        false,
         pulse_irq_bug,
     );
     cpu_irq
@@ -516,7 +513,7 @@ pub struct CpuSubsystem {
     pub stats: Rc<RefCell<IssStats>>,
 }
 
-/// Load `program` (assembled at `0x1000`, see
+/// Load `program` (assembled at [`ppc::ISS_ENTRY`], see
 /// [`crate::ArtifactCache::program`]), install the external-interrupt
 /// vector branch at `0x500`, and instantiate the ISS.
 pub fn cpu_subsystem(
@@ -547,11 +544,6 @@ pub fn cpu_subsystem(
         port,
         mem.clone(),
         dcr_handle,
-        IssConfig {
-            entry: 0x1000,
-            vector_base: 0,
-            trace_depth: 0,
-        },
     );
     CpuSubsystem { port, stats }
 }

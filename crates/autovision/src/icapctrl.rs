@@ -194,7 +194,7 @@ pub struct IcapCtrl {
     /// at the next posedge, so parking is not yet a no-op).
     irq_pulsed: bool,
     /// Doorbell rung by software DCR writes to this controller.
-    bell: Option<DoorbellId>,
+    bell: DoorbellId,
 }
 
 impl IcapCtrl {
@@ -254,7 +254,7 @@ impl IcapCtrl {
             cycle: 0,
             recovery_start: None,
             irq_pulsed: false,
-            bell: Some(bell),
+            bell,
         };
         sim.add_clocked(name, CompKind::UserStatic, Box::new(ctrl), clk, &[rst]);
         rstats
@@ -533,9 +533,7 @@ impl Component for IcapCtrl {
         // Idle with no pulse left to clear: only a DCR write (doorbell)
         // or reset can start the next transfer.
         if self.st == St::Idle && !self.irq_pulsed {
-            if let Some(bell) = self.bell {
-                ctx.park_until(&[self.rst], &[bell]);
-            }
+            ctx.park_until(&[self.rst], &[self.bell]);
         }
     }
 }

@@ -3,16 +3,17 @@
 //! shared PLB with a DCR daisy chain, under either simulation method.
 //!
 //! The assembly is composed from the subsystem builders in
-//! [`crate::fabric`] plus a [`resim::ReconfigBackend`] that populates
-//! the reconfigurable regions — [`SimMethod`] selects the backend, it is
-//! no longer control flow threaded through the build. The
-//! reconfiguration plane is region-indexed end-to-end: `SystemConfig`
-//! carries a `Vec<RegionSpec>`, each region gets its own engine
-//! cluster, isolation layer, engine-control block and interrupt line,
-//! and all regions share one IcapCTRL whose SimB streams are routed by
-//! the RR ID carried in each bitstream's frame address. The paper's
-//! single-region system is the one-element case and is byte-identical
-//! to the pre-refactor monolith.
+//! [`crate::fabric`] plus the reconfiguration plane that populates the
+//! reconfigurable regions — [`SimMethod`] picks [`resim::build_resim`]
+//! or [`resim::build_vmux`] in one `match`, it is not control flow
+//! threaded through the build. The reconfiguration plane is
+//! region-indexed end-to-end: `SystemConfig` carries a
+//! `Vec<RegionSpec>`, each region gets its own engine cluster, isolation
+//! layer, engine-control block and interrupt line, and all regions share
+//! one IcapCTRL whose SimB streams are routed by the RR ID carried in
+//! each bitstream's frame address. The paper's single-region system is
+//! the one-element case and is byte-identical to the pre-refactor
+//! monolith.
 
 use crate::artifacts::ArtifactCache;
 use crate::fabric::{self, RegionNames};
@@ -24,8 +25,8 @@ use engines::EngineCtrl;
 use plb::{MasterPort, MemFaultHandle, MonitorStats, SharedMem};
 use ppc::IssStats;
 use resim::{
-    BackendStats, IcapConfig, IcapFaultHandle, ReconfigBackend, RegionPlan, ResimBackend,
-    RrBoundary, VmuxBackend, VmuxConfig, VmuxRegion, XSource,
+    Backend, BackendStats, ErrorSource, IcapConfig, IcapFaultHandle, RandomSource, RegionOptions,
+    RegionPlan, RrBoundary, SilentSource, VmuxConfig, VmuxRegion, XSource,
 };
 use rtlsim::{ExecMode, KernelError, SignalId, Simulator, PS_PER_NS};
 use std::cell::RefCell;
@@ -125,7 +126,8 @@ pub enum Scenario {
 /// Build-time configuration of one simulation run.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
-    /// DPR simulation method (selects the [`ReconfigBackend`]).
+    /// DPR simulation method (selects the reconfiguration plane's
+    /// builder).
     pub method: SimMethod,
     /// Injected bugs.
     pub faults: FaultSet,
@@ -695,9 +697,9 @@ pub struct AvSystem {
     pub captured_poison: Rc<RefCell<Vec<usize>>>,
     /// CPU statistics.
     pub cpu: Rc<RefCell<IssStats>>,
-    /// The reconfiguration backend, retained for its statistics
-    /// snapshot (see [`AvSystem::backend_stats`]).
-    backend: Box<dyn ReconfigBackend>,
+    /// The reconfiguration plane, retained for its statistics snapshot
+    /// (see [`AvSystem::backend_stats`]).
+    backend: Backend,
     /// Bus protocol monitor statistics.
     pub bus_monitor: Rc<RefCell<MonitorStats>>,
     /// Transient-fault injection handle of the memory slave (recovery
@@ -813,74 +815,61 @@ impl AvSystem {
             .collect();
 
         // ----- reconfiguration backend -----
-        let mut backend: Box<dyn ReconfigBackend> = match cfg.method {
+        let plan = |idx: usize, name: &str| RegionPlan {
+            rr_id: cfg.regions[idx].id,
+            name: name.to_string(),
+            modules: clusters[idx].modules.clone(),
+            boundary: boundaries[idx],
+            initial: cfg.regions[idx].initial,
+        };
+        let backend = match cfg.method {
             SimMethod::Resim => {
-                let kind = cfg.error_source;
-                let seed = cfg.seed;
-                let mut first = true;
-                Box::new(ResimBackend::new(
-                    "icap_artifact",
-                    IcapConfig {
-                        fifo_depth: 16,
-                        cfg_divider: cfg.cfg_divider,
-                        swap_trigger: cfg.swap_trigger,
-                        resilient: cfg.recovery.enabled,
-                    },
-                    resim::RegionOptions {
-                        deselect_during_inject: !cfg.optimistic_region,
-                    },
-                    Box::new(move |rr| {
+                let regions = (0..n)
+                    .map(|idx| {
                         // The first region keeps the configured seed so
-                        // single-region runs are unchanged; later
-                        // regions derive theirs from the RR ID.
-                        let s = if first {
-                            seed
-                        } else {
-                            seed ^ ((rr as u64) << 32)
+                        // single-region runs are unchanged; later regions
+                        // derive theirs from the RR ID.
+                        let seed = match idx {
+                            0 => cfg.seed,
+                            _ => cfg.seed ^ ((cfg.regions[idx].id as u64) << 32),
                         };
-                        first = false;
-                        match kind {
+                        let source: Box<dyn ErrorSource> = match cfg.error_source {
                             ErrorSourceKind::X => Box::new(XSource),
-                            ErrorSourceKind::Silent => Box::new(resim::SilentSource),
-                            ErrorSourceKind::Random => Box::new(resim::RandomSource::new(s)),
-                        }
-                    }),
-                ))
+                            ErrorSourceKind::Silent => Box::new(SilentSource),
+                            ErrorSourceKind::Random => Box::new(RandomSource::new(seed)),
+                        };
+                        (plan(idx, &names[idx].portal), source)
+                    })
+                    .collect();
+                let icap = IcapConfig {
+                    fifo_depth: 16,
+                    cfg_divider: cfg.cfg_divider,
+                    swap_trigger: cfg.swap_trigger,
+                    resilient: cfg.recovery.enabled,
+                };
+                let options = RegionOptions {
+                    deselect_during_inject: !cfg.optimistic_region,
+                };
+                resim::build_resim(&mut sim, cr.clk, cr.rst, icap, options, regions)
             }
             SimMethod::Vmux => {
-                let vmux_regions: Vec<VmuxRegion> = cfg
-                    .regions
-                    .iter()
-                    .enumerate()
-                    .map(|(idx, r)| {
+                let regions = (0..n)
+                    .map(|idx| {
                         let reset_signature = if idx == 0 && f.has(Bug::Hw2SignatureUninit) {
                             None
                         } else {
-                            r.initial.map(u32::from)
+                            cfg.regions[idx].initial.map(u32::from)
                         };
-                        VmuxRegion {
-                            name: names[idx].vmux.clone(),
+                        let vmux = VmuxRegion {
                             regs: sig_regs[idx].clone(),
                             config: VmuxConfig { reset_signature },
-                        }
+                        };
+                        (plan(idx, &names[idx].vmux), vmux)
                     })
                     .collect();
-                Box::new(VmuxBackend::new("icap_unused", vmux_regions))
+                resim::build_vmux(&mut sim, cr.clk, cr.rst, regions)
             }
         };
-        let plans: Vec<RegionPlan> = cfg
-            .regions
-            .iter()
-            .enumerate()
-            .map(|(idx, spec)| RegionPlan {
-                rr_id: spec.id,
-                name: names[idx].portal.clone(),
-                modules: clusters[idx].modules.clone(),
-                boundary: boundaries[idx],
-                initial: spec.initial,
-            })
-            .collect();
-        let handles = backend.instantiate(&mut sim, cr.clk, cr.rst, plans);
 
         // ----- isolation between each region boundary and the bus -----
         let isolations: Vec<fabric::RegionIsolation> = names
@@ -929,7 +918,7 @@ impl AvSystem {
             cr.rst,
             icap_regs.clone(),
             icapctrl_port,
-            handles.icap,
+            backend.icap,
             icap_irq,
             f,
             cfg.recovery,
@@ -985,7 +974,7 @@ impl AvSystem {
             }
         }
         if eng_in_rr {
-            chain.add_slave("eng", eng_regs[0].clone(), handles.inject);
+            chain.add_slave("eng", eng_regs[0].clone(), backend.inject);
         }
         let dcr_handle = chain.finish();
 
@@ -1044,8 +1033,8 @@ impl AvSystem {
                 .iter()
                 .find_map(|c| c.matching_busy)
                 .expect("every supported topology has a matching engine"),
-            reconfiguring: handles.reconfiguring,
-            inject: handles.inject,
+            reconfiguring: backend.reconfiguring,
+            inject: backend.inject,
             isolate: isolations[0].isolate,
             regions: isolations
                 .iter()
@@ -1062,10 +1051,10 @@ impl AvSystem {
             captured: video.captured,
             captured_poison: video.captured_poison,
             cpu: cpu.stats,
+            icap_faults: backend.icap_faults.clone(),
             backend,
             bus_monitor,
             mem_faults: main_mem.faults,
-            icap_faults: handles.icap_faults,
             recovery: recovery_stats,
             input_frames,
             golden,
@@ -1075,7 +1064,7 @@ impl AvSystem {
         }
     }
 
-    /// Snapshot the reconfiguration backend's statistics: ICAP artifact
+    /// Snapshot the reconfiguration plane's statistics: ICAP artifact
     /// counters (ReSim only) plus per-region swap-machinery counters in
     /// [`RegionSpec`] order, one uniform shape for either method.
     pub fn backend_stats(&self) -> BackendStats {

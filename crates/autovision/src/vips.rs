@@ -47,7 +47,7 @@ pub struct VideoInVip {
     short_dma: bool,
     supplied: Rc<RefCell<usize>>,
     /// Doorbell rung by software DCR writes to this VIP's registers.
-    bell: Option<DoorbellId>,
+    bell: DoorbellId,
 }
 
 impl VideoInVip {
@@ -78,7 +78,7 @@ impl VideoInVip {
             busy: false,
             short_dma,
             supplied: supplied.clone(),
-            bell: Some(bell),
+            bell,
         };
         sim.add_clocked(name, CompKind::Vip, Box::new(vip), clk, &[rst]);
         supplied
@@ -134,9 +134,7 @@ impl Component for VideoInVip {
         // Idle with no interrupt pulse to clear: nothing moves until the
         // software writes a register (doorbell) or reset asserts.
         if !self.busy && !pulsed {
-            if let Some(bell) = self.bell {
-                ctx.park_until(&[self.rst], &[bell]);
-            }
+            ctx.park_until(&[self.rst], &[self.bell]);
         }
     }
 }
@@ -157,7 +155,7 @@ pub struct VideoOutVip {
     /// surfaced per captured frame.
     poisoned: Rc<RefCell<Vec<usize>>>,
     /// Doorbell rung by software DCR writes to this VIP's registers.
-    bell: Option<DoorbellId>,
+    bell: DoorbellId,
 }
 
 impl VideoOutVip {
@@ -189,7 +187,7 @@ impl VideoOutVip {
             busy: false,
             captured: captured.clone(),
             poisoned: poisoned.clone(),
-            bell: Some(bell),
+            bell,
         };
         sim.add_clocked(name, CompKind::Vip, Box::new(vip), clk, &[rst]);
         (captured, poisoned)
@@ -243,9 +241,7 @@ impl Component for VideoOutVip {
         // Idle with no interrupt pulse to clear: nothing moves until the
         // software writes a register (doorbell) or reset asserts.
         if !self.busy && !pulsed {
-            if let Some(bell) = self.bell {
-                ctx.park_until(&[self.rst], &[bell]);
-            }
+            ctx.park_until(&[self.rst], &[self.bell]);
         }
     }
 }

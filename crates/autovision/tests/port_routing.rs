@@ -17,7 +17,7 @@ use dcr::RegFile;
 use engines::{EngineIf, EngineParamSignals, IsoPair, Isolation};
 use plb::{AddressWindow, BusMode, MasterPort, PlbBus, PlbBusConfig, SlavePort};
 use resim::{
-    instantiate_region_with, instantiate_vmux, ErrorSource, IcapPort, RandomSource, RegionOptions,
+    instantiate_region, instantiate_vmux, ErrorSource, IcapPort, RandomSource, RegionOptions,
     RrBoundary, VmuxConfig,
 };
 use rtlsim::{CompKind, Component, Ctx, ExecMode, Logic, Lv, SignalId, Simulator};
@@ -526,7 +526,7 @@ fn rr_mux_bench(mode: ExecMode, deselect_during_inject: bool, seed: u64) -> Benc
     let icap = IcapPort::alloc(sim, "icap");
     // The portal only writes `active` on a swap strobe or reset, and
     // both stay low: the test drives `active` itself.
-    instantiate_region_with(
+    instantiate_region(
         sim,
         "rr0",
         modules[0].rst,

@@ -110,5 +110,5 @@ fn main() {
     println!("shape: under ReSim each region reloads once per frame behind its own");
     println!("isolation window while the other region computes; the shared ICAP");
     println!("carries both regions' images, routed by the rr_id in each SimB's FAR.");
-    println!("Under VMUX the same software runs but no bitstream traffic exists.");
+    println!("Under VMUX hacked software runs (signature writes, no ICAP traffic).");
 }

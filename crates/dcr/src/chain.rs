@@ -97,7 +97,7 @@ struct DcrMaster {
     state: MState,
     /// Doorbell rung by [`DcrHandle::request`]; the master parks on it
     /// while idle with an empty queue.
-    bell: Option<DoorbellId>,
+    bell: DoorbellId,
 }
 
 impl Component for DcrMaster {
@@ -119,9 +119,7 @@ impl Component for DcrMaster {
                 if op.is_none() {
                     // Quiescent: nothing to issue until software queues a
                     // request (doorbell) or reset changes.
-                    if let Some(bell) = self.bell {
-                        ctx.park_until(&[self.rst], &[bell]);
-                    }
+                    ctx.park_until(&[self.rst], &[self.bell]);
                 }
                 if let Some(op) = op {
                     self.handle.inner.borrow_mut().in_flight = true;
@@ -344,7 +342,7 @@ impl<'a> DcrChainBuilder<'a> {
             ret_ack: self.tail_ack,
             handle: handle.clone(),
             state: MState::Idle,
-            bell: Some(bell),
+            bell,
         };
         self.sim.add_clocked(
             format!("{}.master", self.name),

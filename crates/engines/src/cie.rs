@@ -2,13 +2,12 @@
 //!
 //! Per frame the engine streams the input image row by row over its PLB
 //! master port, computes the census transform with a three-row line
-//! buffer (one pixel per clock cycle, like the original AutoVision
-//! accelerator), and streams the feature image back to memory. The
-//! signature computation toggles internal datapath signals every cycle,
-//! so the CIE generates more kernel activity per simulated millisecond
-//! than the Matching Engine — reproducing the paper's observation that
-//! 1.1 ms of CIE simulation takes *longer* wall-clock than 1.4 ms of ME
-//! simulation (Table II).
+//! buffer (two pixels per clock cycle), and streams the feature image
+//! back to memory. The signature computation toggles internal datapath
+//! signals every cycle, so the CIE generates more kernel activity per
+//! simulated millisecond than the Matching Engine — reproducing the
+//! paper's observation that 1.1 ms of CIE simulation takes *longer*
+//! wall-clock than 1.4 ms of ME simulation (Table II).
 //!
 //! ## State and reset discipline
 //!
@@ -28,8 +27,8 @@ enum St {
     Idle,
     /// DMA read of the next input row in flight.
     ReadRow,
-    /// Computing signatures for the centre row, one pixel per cycle
-    /// (two when `pixels_per_cycle` is 2).
+    /// Computing signatures for the centre row, [`PIXELS_PER_CYCLE`]
+    /// pixels per cycle.
     Compute {
         x: usize,
     },
@@ -67,14 +66,14 @@ pub struct CensusEngine {
     sig_px: SignalId,
     sig_out: SignalId,
     sig_acc: SignalId,
-    /// Pixels processed per clock (the engine's datapath parallelism).
-    pixels_per_cycle: usize,
 }
+
+/// Pixels processed per clock (the engine's datapath parallelism).
+const PIXELS_PER_CYCLE: usize = 2;
 
 impl CensusEngine {
     /// Build and register the engine.
-    pub fn instantiate(sim: &mut Simulator, name: &str, io: EngineIf, pixels_per_cycle: usize) {
-        assert!(pixels_per_cycle >= 1);
+    pub fn instantiate(sim: &mut Simulator, name: &str, io: EngineIf) {
         let sig_px = sim.signal_init(format!("{name}.dp.px"), 8, 0);
         let sig_out = sim.signal_init(format!("{name}.dp.sig"), 8, 0);
         let sig_acc = sim.signal_init(format!("{name}.dp.acc"), 16, 0);
@@ -91,7 +90,6 @@ impl CensusEngine {
             sig_px,
             sig_out,
             sig_acc,
-            pixels_per_cycle,
         };
         sim.add_clocked(name, CompKind::UserReconf, Box::new(eng), io.clk, &[io.rst]);
     }
@@ -265,7 +263,7 @@ impl Component for CensusEngine {
                 let w = self.latched.width;
                 let mut x = x;
                 let mut acc = 0u16;
-                for _ in 0..self.pixels_per_cycle {
+                for _ in 0..PIXELS_PER_CYCLE {
                     if x >= w {
                         break;
                     }

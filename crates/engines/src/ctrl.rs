@@ -52,7 +52,7 @@ pub struct EngineCtrl {
     /// An engine-run span is open (trace bookkeeping only).
     run_open: bool,
     /// Doorbell rung by DCR writes to this block's registers.
-    bell: Option<DoorbellId>,
+    bell: DoorbellId,
 }
 
 impl EngineCtrl {
@@ -94,7 +94,7 @@ impl EngineCtrl {
             rst_pending: false,
             trace_track,
             run_open: false,
-            bell: Some(bell),
+            bell,
         };
         sim.add_clocked(name, CompKind::UserStatic, Box::new(c), clk, &[rst]);
     }
@@ -191,9 +191,7 @@ impl Component for EngineCtrl {
             && !busy.has_unknown()
             && !done.has_unknown()
         {
-            if let Some(bell) = self.bell {
-                ctx.park_until(&[self.busy_in, self.done_in, self.rst], &[bell]);
-            }
+            ctx.park_until(&[self.busy_in, self.done_in, self.rst], &[self.bell]);
         }
     }
 }

@@ -26,13 +26,13 @@ fn tb(kind: &str, w: usize, h: usize) -> Tb {
     sim.add_clock(clk, PERIOD);
     sim.add_reset(rst, 2 * PERIOD);
     let mem = SharedMem::new(1 << 20);
-    let sport = MemorySlave::instantiate(&mut sim, "mem", clk, rst, mem.clone(), 0);
+    let (sport, _) = MemorySlave::instantiate(&mut sim, "mem", clk, rst, mem.clone(), 0, false);
     let go = sim.signal_init("go", 1, 0);
     let ereset = sim.signal_init("ereset", 1, 0);
     let params = EngineParamSignals::alloc(&mut sim, "p");
     let io = EngineIf::alloc(&mut sim, kind, clk, rst, go, ereset, &params);
     match kind {
-        "cie" => CensusEngine::instantiate(&mut sim, "cie", io, 2),
+        "cie" => CensusEngine::instantiate(&mut sim, "cie", io),
         _ => MatchingEngine::instantiate(&mut sim, "me", io, MatchParams::default()),
     }
     PlbBus::new(

@@ -4,8 +4,7 @@
 //! `chrome://tracing` and <https://ui.perfetto.dev> load directly. Each
 //! `(category, track)` pair becomes one named "thread" so every
 //! subsystem — and every reconfigurable region within a subsystem —
-//! renders as its own timeline row; counter samples become `ph:"C"`
-//! counter tracks.
+//! renders as its own timeline row.
 //!
 //! Timestamps are simulation picoseconds converted to the format's
 //! microsecond unit by pure integer arithmetic, so the export of a
@@ -22,16 +21,14 @@ const PID: u32 = 1;
 
 fn tid_key(cat: TraceCat, track: u32) -> (u8, u32) {
     let c = match cat {
-        TraceCat::Kernel => 0,
-        TraceCat::Simb => 1,
-        TraceCat::Icap => 2,
-        TraceCat::Isolation => 3,
-        TraceCat::Retry => 4,
-        TraceCat::Dma => 5,
-        TraceCat::Engine => 6,
-        TraceCat::Isr => 7,
-        TraceCat::Portal => 8,
-        TraceCat::Sw => 9,
+        TraceCat::Simb => 0,
+        TraceCat::Icap => 1,
+        TraceCat::Isolation => 2,
+        TraceCat::Retry => 3,
+        TraceCat::Dma => 4,
+        TraceCat::Engine => 5,
+        TraceCat::Isr => 6,
+        TraceCat::Portal => 7,
     };
     (c, track)
 }
@@ -101,11 +98,6 @@ pub fn export(events: &[TraceEvent]) -> String {
                  \"pid\":{PID},\"tid\":{tid},\"s\":\"t\",\"args\":{{\"arg\":{}}}}}",
                 ev.arg
             ),
-            TraceKind::Counter => format!(
-                "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"C\",\"ts\":{ts},\
-                 \"pid\":{PID},\"tid\":{tid},\"args\":{{\"value\":{}}}}}",
-                ev.arg
-            ),
         };
         lines.push(line);
     }
@@ -137,14 +129,14 @@ mod tests {
         let evs = [
             ev(1, 1_000_000, TraceKind::Begin, TraceCat::Simb, 1),
             ev(2, 3_000_000, TraceKind::End, TraceCat::Simb, 1),
-            ev(3, 2_000_000, TraceKind::Counter, TraceCat::Kernel, 0),
+            ev(3, 2_000_000, TraceKind::Instant, TraceCat::Icap, 0),
         ];
         let out = export(&evs);
         assert!(out.contains("\"ph\":\"B\""));
         assert!(out.contains("\"ph\":\"E\""));
-        assert!(out.contains("\"ph\":\"C\""));
+        assert!(out.contains("\"ph\":\"i\""));
         assert!(out.contains("\"name\":\"simb rr1\""));
-        assert!(out.contains("\"name\":\"kernel\""));
+        assert!(out.contains("\"name\":\"icap\""));
         assert!(out.contains("\"ts\":1.000000"));
         // Balanced braces/brackets — cheap well-formedness check.
         assert_eq!(

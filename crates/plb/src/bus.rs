@@ -55,9 +55,6 @@ pub struct PlbBusConfig {
     pub arbitration: ArbMode,
     /// Topology.
     pub mode: BusMode,
-    /// If set, the arbiter reports an error when one transfer holds the
-    /// bus longer than this many clock cycles (hung-slave detector).
-    pub hang_limit_cycles: Option<u64>,
 }
 
 impl Default for PlbBusConfig {
@@ -65,12 +62,15 @@ impl Default for PlbBusConfig {
         PlbBusConfig {
             arbitration: ArbMode::FixedPriority,
             mode: BusMode::Shared,
-            hang_limit_cycles: Some(1_000_000),
         }
     }
 }
 
 const NONE: u64 = 0xFF;
+
+/// The arbiter reports an error when one transfer holds the bus longer
+/// than this many clock cycles (hung-slave detector).
+const HANG_LIMIT_CYCLES: u64 = 1_000_000;
 
 /// Builder/handle for an instantiated bus.
 pub struct PlbBus {
@@ -185,13 +185,11 @@ impl Component for Arbiter {
             if s < self.slaves.len() && ctx.is_high(self.slaves[s].0.complete) {
                 ctx.set_u64(self.owner, NONE);
                 ctx.set_u64(self.slave, NONE);
-            } else if let Some(limit) = self.cfg.hang_limit_cycles {
-                if self.held_cycles > limit && !self.hang_reported {
-                    self.hang_reported = true;
-                    ctx.error(format!(
-                        "bus hang: master {owner} has held the bus for {limit} cycles"
-                    ));
-                }
+            } else if self.held_cycles > HANG_LIMIT_CYCLES && !self.hang_reported {
+                self.hang_reported = true;
+                ctx.error(format!(
+                    "bus hang: master {owner} has held the bus for {HANG_LIMIT_CYCLES} cycles"
+                ));
             }
         }
     }

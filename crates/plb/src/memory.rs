@@ -188,8 +188,8 @@ pub struct MemorySlave {
     /// The read output register (observable only through the defect).
     rdata_reg: u32,
     state: MemState,
-    /// Armed transient faults (campaign-controlled), if any.
-    faults: Option<MemFaultHandle>,
+    /// Armed transient faults (campaign-controlled).
+    faults: MemFaultHandle,
     /// A consumed flip fault waiting for its target beat.
     active_flip: Option<(u32, u32)>,
     /// Beat counter within the current read transaction.
@@ -197,77 +197,11 @@ pub struct MemorySlave {
 }
 
 impl MemorySlave {
-    /// Create the slave FSM; register it with
-    /// [`MemorySlave::instantiate`] or manually.
-    pub fn new(
-        port: SlavePort,
-        clk: SignalId,
-        rst: SignalId,
-        mem: SharedMem,
-        wait_states: u32,
-    ) -> MemorySlave {
-        MemorySlave {
-            port,
-            clk,
-            rst,
-            mem,
-            wait_states,
-            stale_first_beat_bug: false,
-            rdata_reg: 0,
-            state: MemState::Idle,
-            faults: None,
-            active_flip: None,
-            beat_idx: 0,
-        }
-    }
-
-    /// Enable the stale-first-beat burst-read defect (fault injection).
-    pub fn with_stale_beat_bug(mut self, on: bool) -> MemorySlave {
-        self.stale_first_beat_bug = on;
-        self
-    }
-
-    /// Attach a transient-fault plan handle (recovery campaign).
-    pub fn with_faults(mut self, faults: MemFaultHandle) -> MemorySlave {
-        self.faults = Some(faults);
-        self
-    }
-
     /// Allocate a port, build the slave and register it with the kernel.
+    /// `stale_first_beat_bug` enables the burst-read defect. Returns the
+    /// port and the handle the recovery campaign arms transient faults
+    /// through.
     pub fn instantiate(
-        sim: &mut Simulator,
-        name: &str,
-        clk: SignalId,
-        rst: SignalId,
-        mem: SharedMem,
-        wait_states: u32,
-    ) -> SlavePort {
-        Self::instantiate_with(sim, name, clk, rst, mem, wait_states, false)
-    }
-
-    /// As [`MemorySlave::instantiate`], optionally with the
-    /// stale-first-beat defect enabled.
-    #[allow(clippy::too_many_arguments)]
-    pub fn instantiate_with(
-        sim: &mut Simulator,
-        name: &str,
-        clk: SignalId,
-        rst: SignalId,
-        mem: SharedMem,
-        wait_states: u32,
-        stale_first_beat_bug: bool,
-    ) -> SlavePort {
-        let port = SlavePort::alloc(sim, name);
-        let slave = MemorySlave::new(port, clk, rst, mem, wait_states)
-            .with_stale_beat_bug(stale_first_beat_bug);
-        sim.add_clocked(name, CompKind::UserStatic, Box::new(slave), clk, &[rst]);
-        port
-    }
-
-    /// As [`MemorySlave::instantiate_with`], with a transient-fault plan
-    /// attached. Returns the port and the handle used to arm faults.
-    #[allow(clippy::too_many_arguments)]
-    pub fn instantiate_faulty(
         sim: &mut Simulator,
         name: &str,
         clk: SignalId,
@@ -277,12 +211,22 @@ impl MemorySlave {
         stale_first_beat_bug: bool,
     ) -> (SlavePort, MemFaultHandle) {
         let port = SlavePort::alloc(sim, name);
-        let handle: MemFaultHandle = Rc::new(RefCell::new(MemFaultPlan::default()));
-        let slave = MemorySlave::new(port, clk, rst, mem, wait_states)
-            .with_stale_beat_bug(stale_first_beat_bug)
-            .with_faults(handle.clone());
+        let faults: MemFaultHandle = Rc::new(RefCell::new(MemFaultPlan::default()));
+        let slave = MemorySlave {
+            port,
+            clk,
+            rst,
+            mem,
+            wait_states,
+            stale_first_beat_bug,
+            rdata_reg: 0,
+            state: MemState::Idle,
+            faults: faults.clone(),
+            active_flip: None,
+            beat_idx: 0,
+        };
         sim.add_clocked(name, CompKind::UserStatic, Box::new(slave), clk, &[rst]);
-        (port, handle)
+        (port, faults)
     }
 }
 
@@ -411,10 +355,7 @@ impl MemorySlave {
     /// or stall); a bit flip only arms `active_flip` and lets the
     /// transaction proceed.
     fn consume_read_fault(&mut self, ctx: &mut Ctx<'_>, addr: u32, size: u32) -> bool {
-        let Some(handle) = &self.faults else {
-            return false;
-        };
-        let mut plan = handle.borrow_mut();
+        let mut plan = self.faults.borrow_mut();
         let eligible = plan.window.is_none_or(|(lo, hi)| addr >= lo && addr < hi);
         if !eligible {
             return false;

@@ -56,7 +56,8 @@ proptest! {
         sim.add_clock(clk, PERIOD);
         sim.add_reset(rst, 2 * PERIOD);
         let mem = SharedMem::new(256 * 1024);
-        let sport = MemorySlave::instantiate(&mut sim, "mem", clk, rst, mem.clone(), wait_states);
+        let (sport, _) =
+            MemorySlave::instantiate(&mut sim, "mem", clk, rst, mem.clone(), wait_states, false);
 
         // Each master owns a disjoint 16 KiB region.
         let mut ports = Vec::new();

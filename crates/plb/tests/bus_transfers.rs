@@ -26,7 +26,8 @@ fn testbench(
     sim.add_reset(rst, 3 * PERIOD);
 
     let mem = SharedMem::new(64 * 1024);
-    let sport = MemorySlave::instantiate(&mut sim, "mem", clk, rst, mem.clone(), wait_states);
+    let (sport, _) =
+        MemorySlave::instantiate(&mut sim, "mem", clk, rst, mem.clone(), wait_states, false);
 
     let mut ports = Vec::new();
     let mut logs = Vec::new();
@@ -283,7 +284,7 @@ fn fixed_latency_master_works_on_point_to_point_bus() {
     sim.add_clock(clk, PERIOD);
     sim.add_reset(rst, 3 * PERIOD);
     let mem = SharedMem::new(4096);
-    let sport = MemorySlave::instantiate(&mut sim, "mem", clk, rst, mem.clone(), 0);
+    let (sport, _) = MemorySlave::instantiate(&mut sim, "mem", clk, rst, mem.clone(), 0, false);
     let data: Vec<u32> = (0..16).collect();
     // addr_latency=2 matches: req at edge N, grant immediate (p2p),
     // aready at N+1, data phase from N+2.

@@ -454,26 +454,10 @@ enum IssState {
     Halted,
 }
 
-/// Configuration for the ISS component.
-#[derive(Debug, Clone)]
-pub struct IssConfig {
-    /// First executed instruction.
-    pub entry: u32,
-    /// Interrupt vector base (external interrupt at `+0x500`).
-    pub vector_base: u32,
-    /// Keep the last N (pc, word) pairs for debugging.
-    pub trace_depth: usize,
-}
-
-impl Default for IssConfig {
-    fn default() -> Self {
-        IssConfig {
-            entry: 0x1000,
-            vector_base: 0,
-            trace_depth: 0,
-        }
-    }
-}
+/// Address the ISS starts executing at after reset (its interrupt
+/// vector base is 0, so the external interrupt enters at `0x500`).
+/// System programs are assembled to load here.
+pub const ISS_ENTRY: u32 = 0x1000;
 
 /// The kernel component wrapping [`CpuCore`].
 pub struct PpcIss {
@@ -487,9 +471,6 @@ pub struct PpcIss {
     state: IssState,
     stats: Rc<RefCell<IssStats>>,
     in_isr: bool,
-    trace: Vec<(u32, u32)>,
-    trace_depth: usize,
-    entry: u32,
 }
 
 impl PpcIss {
@@ -506,11 +487,10 @@ impl PpcIss {
         port: MasterPort,
         mem: SharedMem,
         dcr: DcrHandle,
-        cfg: IssConfig,
     ) -> Rc<RefCell<IssStats>> {
         let stats = Rc::new(RefCell::new(IssStats::default()));
         let iss = PpcIss {
-            core: CpuCore::new(cfg.entry, cfg.vector_base),
+            core: CpuCore::new(ISS_ENTRY, 0),
             clk,
             rst,
             irq,
@@ -520,9 +500,6 @@ impl PpcIss {
             state: IssState::Run,
             stats: stats.clone(),
             in_isr: false,
-            trace: Vec::new(),
-            trace_depth: cfg.trace_depth,
-            entry: cfg.entry,
         };
         sim.add_clocked(name, CompKind::Vip, Box::new(iss), clk, &[rst]);
         stats
@@ -591,7 +568,7 @@ impl PpcIss {
 impl Component for PpcIss {
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
         if ctx.is_high(self.rst) {
-            self.core = CpuCore::new(self.entry, self.core.vector_base);
+            self.core = CpuCore::new(ISS_ENTRY, 0);
             self.state = IssState::Run;
             if self.in_isr {
                 ctx.trace_end(TraceCat::Isr, "isr", 0, u64::MAX);
@@ -650,12 +627,6 @@ impl Component for PpcIss {
                         return;
                     }
                 };
-                if self.trace_depth > 0 {
-                    if self.trace.len() == self.trace_depth {
-                        self.trace.remove(0);
-                    }
-                    self.trace.push((pc, word));
-                }
                 let instr = Instr::decode(word);
                 let was_rfi = matches!(instr, Instr::Rfi);
                 let action = self.core.execute(instr);

@@ -12,12 +12,11 @@
 //! | 2      | ACK    | write-1-to-clear pending bits                 |
 //!
 //! A rising edge on a line latches its pending bit; `irq` is high while
-//! `STATUS & ENABLE != 0`.
+//! `STATUS & ENABLE != 0`; a same-cycle arrival survives an ACK.
 //!
-//! The `clear_race_bug` knob reproduces the static-region bug class
-//! "interrupt lost while being acknowledged" (bug.hw.4): the buggy
-//! controller clears *all* pending bits on any ACK write, losing an
-//! interrupt that arrived in the same cycle.
+//! The `pulse_irq_bug` knob is the case study's bug.hw.4: the buggy
+//! controller pulses `irq` for one cycle on a new pending bit instead of
+//! holding the level until the ISR acknowledges it.
 
 use dcr::RegFile;
 use rtlsim::{CompKind, Component, Ctx, DoorbellId, SignalId, Simulator};
@@ -41,9 +40,6 @@ pub struct IntController {
     regs: RegFile,
     prev_levels: u32,
     pending: u32,
-    /// Reproduces the ACK race bug when true: ACK clears every pending
-    /// bit, losing a same-cycle arrival.
-    clear_race_bug: bool,
     /// Reproduces the "pulse instead of level" bug when true: `irq` is a
     /// single-cycle pulse on new pending bits rather than a level held
     /// until acknowledged — a processor busy in a multi-cycle bus stall
@@ -54,13 +50,14 @@ pub struct IntController {
     /// Interrupt lines plus reset: the park wake set.
     wake: Vec<SignalId>,
     /// Doorbell rung by DCR writes to the controller's registers.
-    bell: Option<DoorbellId>,
+    bell: DoorbellId,
 }
 
 impl IntController {
     /// Build and register the controller. `regs` must have at least 3
     /// registers; `lines` are the interrupt inputs (bit i = line i);
-    /// `irq` is the output wired to the processor.
+    /// `irq` is the output wired to the processor; `pulse_irq_bug`
+    /// enables the pulse-instead-of-level defect.
     #[allow(clippy::too_many_arguments)]
     pub fn instantiate(
         sim: &mut Simulator,
@@ -70,22 +67,6 @@ impl IntController {
         lines: Vec<SignalId>,
         irq: SignalId,
         regs: RegFile,
-        clear_race_bug: bool,
-    ) {
-        Self::instantiate_with(sim, name, clk, rst, lines, irq, regs, clear_race_bug, false)
-    }
-
-    /// As [`IntController::instantiate`], with the pulse-irq defect knob.
-    #[allow(clippy::too_many_arguments)]
-    pub fn instantiate_with(
-        sim: &mut Simulator,
-        name: &str,
-        clk: SignalId,
-        rst: SignalId,
-        lines: Vec<SignalId>,
-        irq: SignalId,
-        regs: RegFile,
-        clear_race_bug: bool,
         pulse_irq_bug: bool,
     ) {
         assert!(
@@ -106,11 +87,10 @@ impl IntController {
             regs,
             prev_levels: 0,
             pending: 0,
-            clear_race_bug,
             pulse_irq_bug,
             prev_pending: 0,
             wake,
-            bell: Some(bell),
+            bell,
         };
         sim.add_clocked(name, CompKind::UserStatic, Box::new(intc), clk, &sens);
     }
@@ -146,20 +126,9 @@ impl Component for IntController {
             }
             // ENABLE writes take effect via the register file itself.
         }
-        if ack_mask != 0 {
-            if self.clear_race_bug {
-                // BUG: clears everything, including bits latched this
-                // very cycle — an interrupt can vanish unobserved.
-                self.pending = 0;
-            } else {
-                self.pending &= !ack_mask;
-            }
-        }
-        // New arrivals win over clears in the correct design; in the
-        // buggy design they were already wiped above if ACK hit.
-        if !(self.clear_race_bug && ack_mask != 0) {
-            self.pending |= rising;
-        }
+        // New arrivals win over clears.
+        self.pending &= !ack_mask;
+        self.pending |= rising;
 
         self.regs.set(reg::STATUS, self.pending);
         let enable = self.regs.get(reg::ENABLE);
@@ -179,9 +148,7 @@ impl Component for IntController {
         // reset moves, or software touches a register. A single-cycle
         // irq pulse keeps the controller awake so the next edge clears it.
         if !pulse_open {
-            if let Some(bell) = self.bell {
-                ctx.park_until(&self.wake, &[bell]);
-            }
+            ctx.park_until(&self.wake, &[self.bell]);
         }
     }
 }
@@ -200,7 +167,7 @@ mod tests {
         regs: RegFile,
     }
 
-    fn tb(buggy: bool) -> Tb {
+    fn tb() -> Tb {
         let mut sim = Simulator::new();
         let clk = sim.signal("clk", 1);
         let rst = sim.signal("rst", 1);
@@ -219,7 +186,7 @@ mod tests {
             lines.clone(),
             irq,
             regs.clone(),
-            buggy,
+            false,
         );
         Tb {
             sim,
@@ -231,7 +198,7 @@ mod tests {
 
     #[test]
     fn rising_edge_latches_and_enable_gates_irq() {
-        let mut t = tb(false);
+        let mut t = tb();
         t.sim.run_for(5 * PERIOD).unwrap();
         t.sim.poke_u64(t.lines[1], 1);
         t.sim.run_for(3 * PERIOD).unwrap();
@@ -248,7 +215,7 @@ mod tests {
 
     #[test]
     fn ack_clears_only_selected_bits() {
-        let mut t = tb(false);
+        let mut t = tb();
         t.sim.run_for(5 * PERIOD).unwrap();
         t.sim.poke_u64(t.lines[0], 1);
         t.sim.poke_u64(t.lines[2], 1);
@@ -261,7 +228,7 @@ mod tests {
 
     #[test]
     fn arrival_during_ack_survives_in_correct_design() {
-        let mut t = tb(false);
+        let mut t = tb();
         t.sim.run_for(5 * PERIOD).unwrap();
         t.sim.poke_u64(t.lines[0], 1);
         t.sim.run_for(3 * PERIOD).unwrap();
@@ -270,17 +237,5 @@ mod tests {
         t.sim.poke_u64(t.lines[3], 1);
         t.sim.run_for(2 * PERIOD).unwrap();
         assert_eq!(t.regs.get(reg::STATUS), 0b1000, "new arrival must survive");
-    }
-
-    #[test]
-    fn buggy_controller_loses_simultaneous_arrival() {
-        let mut t = tb(true);
-        t.sim.run_for(5 * PERIOD).unwrap();
-        t.sim.poke_u64(t.lines[0], 1);
-        t.sim.run_for(3 * PERIOD).unwrap();
-        t.regs.bus_write(0x300 + reg::ACK, 0b1);
-        t.sim.poke_u64(t.lines[3], 1);
-        t.sim.run_for(2 * PERIOD).unwrap();
-        assert_eq!(t.regs.get(reg::STATUS), 0, "bug.hw.4: interrupt lost");
     }
 }

@@ -26,7 +26,7 @@ pub mod insn;
 pub mod intc;
 
 pub use asm::{assemble, AsmError, Program};
-pub use cpu::{Action, CpuCore, IssConfig, IssStats, PpcIss, MSR_EE};
+pub use cpu::{Action, CpuCore, IssStats, PpcIss, ISS_ENTRY, MSR_EE};
 pub use disasm::disassemble;
 pub use insn::{Cond, Instr, Spr};
 pub use intc::IntController;

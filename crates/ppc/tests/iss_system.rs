@@ -5,7 +5,7 @@
 
 use dcr::{DcrChainBuilder, RegFile};
 use plb::{AddressWindow, MasterPort, MemorySlave, PlbBus, PlbBusConfig, SharedMem};
-use ppc::{assemble, intc::reg as intreg, IntController, IssConfig, PpcIss};
+use ppc::{assemble, intc::reg as intreg, IntController, PpcIss, ISS_ENTRY};
 use rtlsim::{SignalId, Simulator};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -29,7 +29,7 @@ fn build(src: &str) -> Sys {
     sim.add_reset(rst, 2 * PERIOD);
 
     let mem = SharedMem::new(1 << 20);
-    let sport = MemorySlave::instantiate(&mut sim, "mem", clk, rst, mem.clone(), 1);
+    let (sport, _) = MemorySlave::instantiate(&mut sim, "mem", clk, rst, mem.clone(), 1, false);
 
     let cpu_port = MasterPort::alloc(&mut sim, "cpu");
     PlbBus::new(
@@ -69,7 +69,7 @@ fn build(src: &str) -> Sys {
         false,
     );
 
-    let program = assemble(src, 0x1000).unwrap();
+    let program = assemble(src, ISS_ENTRY).unwrap();
     mem.load_bytes(program.base, &program.to_bytes());
     // Interrupt vector: a jump at 0x500 to the program's `isr` label, if
     // it defines one.
@@ -94,11 +94,6 @@ fn build(src: &str) -> Sys {
         cpu_port,
         mem.clone(),
         dcr_handle,
-        IssConfig {
-            entry: 0x1000,
-            vector_base: 0,
-            trace_depth: 0,
-        },
     );
     Sys {
         sim,

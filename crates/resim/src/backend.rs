@@ -1,21 +1,20 @@
-//! Reconfiguration backends: one trait, two simulation methods.
+//! The reconfiguration plane: one builder per simulation method.
 //!
-//! A *backend* owns everything method-specific about module swapping —
-//! the ICAP artifact, per-region portals and error injection for ReSim;
-//! the signature-register wrapper for Virtual Multiplexing — behind a
-//! single instantiate/stats/probe interface. The platform (clocking,
-//! bus, isolation, controllers, software) is built once; which backend
-//! populates the reconfigurable regions is a constructor argument, not
-//! control flow scattered through the system assembly.
+//! Everything method-specific about module swapping — the ICAP artifact,
+//! per-region portals and error injection for ReSim; the
+//! signature-register wrapper for Virtual Multiplexing — is built by
+//! [`build_resim`] or [`build_vmux`]. The platform (clocking, bus,
+//! isolation, controllers, software) is built once around the
+//! [`Backend`] either returns, so the method is one `match` in the
+//! system assembly, not control flow scattered through it.
 //!
-//! Every backend consumes the same [`RegionPlan`] list, so a system
-//! generalises from one region to N without either backend knowing how
-//! many regions exist ahead of time: ReSim routes SimBs to regions by
+//! Both builders take one [`RegionPlan`] per region, so a system
+//! generalises from one region to N: ReSim routes SimBs to regions by
 //! the FAR's region ID through one shared ICAP; VMUX gives each region
 //! its own `engine_signature` register.
 
 use crate::icap::{IcapArtifact, IcapConfig, IcapFaultHandle, IcapPort, IcapStats};
-use crate::portal::{instantiate_region_with, ErrorSource, PortalStats, RegionOptions, RrBoundary};
+use crate::portal::{instantiate_region, ErrorSource, PortalStats, RegionOptions, RrBoundary};
 use crate::vmux::{instantiate_vmux, VmuxConfig};
 use dcr::RegFile;
 use engines::EngineIf;
@@ -23,11 +22,12 @@ use rtlsim::{SignalId, Simulator};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Everything a backend needs to know about one reconfigurable region.
+/// Everything a builder needs to know about one reconfigurable region.
 pub struct RegionPlan {
     /// Region ID carried in SimB frame addresses (ReSim routing key).
     pub rr_id: u8,
-    /// Instance-name prefix for the region's swap machinery.
+    /// Instance-name prefix for the region's swap machinery (the portal
+    /// under ReSim, the wrapper under VMUX).
     pub name: String,
     /// Candidate modules: SimB module ID paired with the module's
     /// boundary interface. Under VMUX the module ID doubles as the
@@ -35,17 +35,25 @@ pub struct RegionPlan {
     pub modules: Vec<(u8, EngineIf)>,
     /// The region's output boundary (muxed from the active module).
     pub boundary: RrBoundary,
-    /// Module present in the initial (full) configuration.
+    /// Module present in the initial (full) configuration. VMUX reads
+    /// its reset selection from [`VmuxRegion::config`] instead.
     pub initial: Option<u8>,
 }
 
-/// Handles a backend returns: the configuration port the IcapCTRL
-/// drives, plus whatever probe signals the method actually models
+/// What VMUX adds to a region's [`RegionPlan`].
+pub struct VmuxRegion {
+    /// The region's simulation-only `engine_signature` DCR register.
+    pub regs: RegFile,
+    /// Reset behaviour of the signature register.
+    pub config: VmuxConfig,
+}
+
+/// The built reconfiguration plane: the configuration port the IcapCTRL
+/// drives, the fault handle and probe signals of what the method models
 /// (`None` where it models nothing — VMUX has no bitstream traffic, so
-/// no injection window). Statistics are *not* handed out here: they stay
-/// inside the backend and are snapshotted uniformly through
-/// [`ReconfigBackend::stats`].
-pub struct BackendHandles {
+/// no injection window), and the live counters behind
+/// [`Backend::stats`].
+pub struct Backend {
     /// Configuration port wired to the reconfiguration controller.
     /// Inert (always ready, never strobing) under VMUX.
     pub icap: IcapPort,
@@ -56,36 +64,23 @@ pub struct BackendHandles {
     /// High while the SimB payload streams and region outputs carry the
     /// error source (ReSim only).
     pub inject: Option<SignalId>,
+    icap_stats: Option<Rc<RefCell<IcapStats>>>,
+    /// One entry per region, in [`RegionPlan`] order. VMUX models no
+    /// portal machinery, so its entries stay at zero.
+    regions: Vec<Rc<RefCell<PortalStats>>>,
 }
 
-/// Swap-machinery counters of one reconfigurable region, snapshotted by
-/// [`ReconfigBackend::stats`]. Regions appear in [`RegionPlan`] order
-/// under every method; a method that models no portal machinery (VMUX)
-/// reports the region with all counters zero rather than omitting it, so
-/// per-region indexing is method-independent.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RegionStats {
-    /// Region ID carried in SimB frame addresses.
-    pub rr_id: u8,
-    /// Module swaps applied to this region.
-    pub swaps: u64,
-    /// GCAPTURE strobes addressed to this region.
-    pub captures: u64,
-    /// GRESTORE strobes addressed to this region.
-    pub restores: u64,
-    /// Swap strobes naming an unknown module ID.
-    pub bad_module_ids: u64,
-}
-
-/// One uniform statistics snapshot for any reconfiguration backend —
-/// the single shape callers consume instead of per-method getters.
+/// One statistics snapshot of the reconfiguration plane, the same shape
+/// under either method.
 #[derive(Debug, Clone, Default)]
 pub struct BackendStats {
     /// ICAP artifact counters; `None` when the method models no
     /// bitstream (VMUX).
     pub icap: Option<IcapStats>,
-    /// Per-region counters, in [`RegionPlan`] order.
-    pub regions: Vec<RegionStats>,
+    /// Per-region counters, in [`RegionPlan`] order. Under VMUX every
+    /// region is reported with all counters zero rather than omitted, so
+    /// per-region indexing is method-independent.
+    pub regions: Vec<PortalStats>,
 }
 
 impl BackendStats {
@@ -94,219 +89,90 @@ impl BackendStats {
         self.regions.iter().map(|r| r.swaps).sum()
     }
 
-    /// The snapshot of region `rr_id`, if the backend built one.
-    pub fn region(&self, rr_id: u8) -> Option<&RegionStats> {
+    /// The snapshot of region `rr_id`, if the plane has that region.
+    pub fn region(&self, rr_id: u8) -> Option<&PortalStats> {
         self.regions.iter().find(|r| r.rr_id == rr_id)
     }
 }
 
-/// A DPR simulation method, as a swappable component supplier.
-///
-/// `instantiate` is called exactly once, after the module interfaces and
-/// region boundaries exist but before the isolation/controller layers
-/// that only need the returned handles.
-pub trait ReconfigBackend {
-    /// Build the swap machinery for every region and return the shared
-    /// handles.
-    fn instantiate(
-        &mut self,
-        sim: &mut Simulator,
-        clk: SignalId,
-        rst: SignalId,
-        regions: Vec<RegionPlan>,
-    ) -> BackendHandles;
-
-    /// Snapshot the backend's statistics. Valid after `instantiate`;
-    /// before it, the snapshot is empty.
-    fn stats(&self) -> BackendStats;
-}
-
-/// Factory for per-region error sources. Each region needs its own boxed
-/// source (sources are stateful), keyed by the region's ID.
-pub type ErrorSourceFactory = Box<dyn FnMut(u8) -> Box<dyn ErrorSource>>;
-
-/// The ReSim method: one shared ICAP artifact feeding per-region
-/// extended portals, with error injection during payload streaming.
-pub struct ResimBackend {
-    icap_name: String,
-    config: IcapConfig,
-    options: RegionOptions,
-    source_factory: ErrorSourceFactory,
-    /// Retained after `instantiate` so [`ReconfigBackend::stats`] can
-    /// snapshot the live counters.
-    icap_stats: Option<Rc<RefCell<IcapStats>>>,
-    portals: Vec<(u8, Rc<RefCell<PortalStats>>)>,
-}
-
-impl ResimBackend {
-    /// A backend instantiating the ICAP artifact under `icap_name` with
-    /// `config`, and one portal+mux per region with `options` and an
-    /// error source from `source_factory`.
-    pub fn new(
-        icap_name: impl Into<String>,
-        config: IcapConfig,
-        options: RegionOptions,
-        source_factory: ErrorSourceFactory,
-    ) -> ResimBackend {
-        ResimBackend {
-            icap_name: icap_name.into(),
-            config,
-            options,
-            source_factory,
-            icap_stats: None,
-            portals: Vec::new(),
-        }
-    }
-}
-
-impl ReconfigBackend for ResimBackend {
-    fn instantiate(
-        &mut self,
-        sim: &mut Simulator,
-        clk: SignalId,
-        rst: SignalId,
-        regions: Vec<RegionPlan>,
-    ) -> BackendHandles {
-        let (icap, icap_stats, icap_faults) =
-            IcapArtifact::instantiate_faulty(sim, &self.icap_name, clk, rst, self.config);
-        self.icap_stats = Some(icap_stats);
-        self.portals = Vec::with_capacity(regions.len());
-        for r in regions {
-            let source = (self.source_factory)(r.rr_id);
-            let stats = instantiate_region_with(
-                sim,
-                &r.name,
-                rst,
-                r.rr_id,
-                icap,
-                r.modules,
-                r.boundary,
-                r.initial,
-                source,
-                self.options,
-            );
-            self.portals.push((r.rr_id, stats));
-        }
-        BackendHandles {
-            icap,
-            icap_faults: Some(icap_faults),
-            reconfiguring: Some(icap.reconfiguring),
-            inject: Some(icap.inject),
-        }
-    }
-
-    fn stats(&self) -> BackendStats {
+impl Backend {
+    /// Snapshot the plane's counters.
+    pub fn stats(&self) -> BackendStats {
         BackendStats {
             icap: self.icap_stats.as_ref().map(|s| s.borrow().clone()),
-            regions: self
-                .portals
-                .iter()
-                .map(|(rr_id, p)| {
-                    let p = p.borrow();
-                    RegionStats {
-                        rr_id: *rr_id,
-                        swaps: p.swaps,
-                        captures: p.captures,
-                        restores: p.restores,
-                        bad_module_ids: p.bad_module_ids,
-                    }
-                })
-                .collect(),
+            regions: self.regions.iter().map(|r| r.borrow().clone()).collect(),
         }
     }
 }
 
-/// Per-region configuration of the VMUX backend.
-pub struct VmuxRegion {
-    /// Instance-name prefix of the wrapper.
-    pub name: String,
-    /// The region's simulation-only `engine_signature` DCR register.
-    pub regs: RegFile,
-    /// Reset behaviour of the signature register.
-    pub config: VmuxConfig,
-}
-
-/// The Virtual Multiplexing baseline: per-region signature registers,
-/// zero-delay swaps, no bitstream and no error injection. The ICAP port
-/// it returns is inert (always ready) so the unchanged IcapCTRL can be
-/// instantiated against it.
-pub struct VmuxBackend {
-    icap_name: String,
-    regions: Vec<VmuxRegion>,
-    /// RR IDs recorded at `instantiate` so [`ReconfigBackend::stats`]
-    /// reports one (all-zero) entry per region.
-    rr_ids: Vec<u8>,
-}
-
-impl VmuxBackend {
-    /// A backend allocating the inert ICAP port under `icap_name` and
-    /// one signature-register wrapper per [`VmuxRegion`]. `regions` must
-    /// pair up one-to-one with the [`RegionPlan`] list later passed to
-    /// [`ReconfigBackend::instantiate`].
-    pub fn new(icap_name: impl Into<String>, regions: Vec<VmuxRegion>) -> VmuxBackend {
-        VmuxBackend {
-            icap_name: icap_name.into(),
-            regions,
-            rr_ids: Vec::new(),
-        }
+/// The ReSim method: one shared ICAP artifact (`icap_artifact`) with
+/// `config`, feeding one extended portal and region mux per region with
+/// `options`, each injecting its own error source while the payload
+/// streams.
+pub fn build_resim(
+    sim: &mut Simulator,
+    clk: SignalId,
+    rst: SignalId,
+    config: IcapConfig,
+    options: RegionOptions,
+    regions: Vec<(RegionPlan, Box<dyn ErrorSource>)>,
+) -> Backend {
+    let (icap, icap_stats, icap_faults) =
+        IcapArtifact::instantiate(sim, "icap_artifact", clk, rst, config);
+    let regions = regions
+        .into_iter()
+        .map(|(r, source)| {
+            instantiate_region(
+                sim, &r.name, rst, r.rr_id, icap, r.modules, r.boundary, r.initial, source, options,
+            )
+        })
+        .collect();
+    Backend {
+        icap,
+        icap_faults: Some(icap_faults),
+        reconfiguring: Some(icap.reconfiguring),
+        inject: Some(icap.inject),
+        icap_stats: Some(icap_stats),
+        regions,
     }
 }
 
-impl ReconfigBackend for VmuxBackend {
-    fn instantiate(
-        &mut self,
-        sim: &mut Simulator,
-        clk: SignalId,
-        rst: SignalId,
-        regions: Vec<RegionPlan>,
-    ) -> BackendHandles {
-        assert_eq!(
-            regions.len(),
-            self.regions.len(),
-            "VmuxBackend configured for {} regions, asked to instantiate {}",
-            self.regions.len(),
-            regions.len()
-        );
-        let icap = IcapPort::alloc(sim, &self.icap_name);
-        sim.poke_u64(icap.ready, 1);
-        for (plan, vr) in regions.into_iter().zip(&self.regions) {
-            self.rr_ids.push(plan.rr_id);
-            let modules: Vec<(u32, EngineIf)> = plan
+/// The Virtual Multiplexing baseline: one signature-register wrapper per
+/// region, zero-delay swaps, no bitstream and no error injection. The
+/// ICAP port it returns (`icap_unused`) is inert, always ready, so the
+/// unchanged IcapCTRL can be instantiated against it.
+pub fn build_vmux(
+    sim: &mut Simulator,
+    clk: SignalId,
+    rst: SignalId,
+    regions: Vec<(RegionPlan, VmuxRegion)>,
+) -> Backend {
+    let icap = IcapPort::alloc(sim, "icap_unused");
+    sim.poke_u64(icap.ready, 1);
+    let regions = regions
+        .into_iter()
+        .map(|(r, vr)| {
+            let modules = r
                 .modules
                 .into_iter()
                 .map(|(id, e)| (id as u32, e))
                 .collect();
             instantiate_vmux(
-                sim,
-                &vr.name,
-                clk,
-                rst,
-                vr.regs.clone(),
-                modules,
-                plan.boundary,
-                vr.config,
+                sim, &r.name, clk, rst, vr.regs, modules, r.boundary, vr.config,
             );
-        }
-        BackendHandles {
-            icap,
-            icap_faults: None,
-            reconfiguring: None,
-            inject: None,
-        }
-    }
-
-    fn stats(&self) -> BackendStats {
-        BackendStats {
-            icap: None,
-            regions: self
-                .rr_ids
-                .iter()
-                .map(|&rr_id| RegionStats {
-                    rr_id,
-                    ..RegionStats::default()
-                })
-                .collect(),
-        }
+            Rc::new(RefCell::new(PortalStats {
+                rr_id: r.rr_id,
+                ..PortalStats::default()
+            }))
+        })
+        .collect();
+    Backend {
+        icap,
+        icap_faults: None,
+        reconfiguring: None,
+        inject: None,
+        icap_stats: None,
+        regions,
     }
 }
 
@@ -373,37 +239,45 @@ mod tests {
     #[test]
     fn resim_backend_routes_simbs_per_region() {
         let (mut sim, clk, rst, plans, boundaries) = tb();
-        let mut backend = ResimBackend::new(
-            "icap",
+        let regions = plans
+            .into_iter()
+            .map(|p| (p, Box::new(XSource) as Box<dyn ErrorSource>))
+            .collect();
+        let backend = build_resim(
+            &mut sim,
+            clk,
+            rst,
             IcapConfig::default(),
             RegionOptions::default(),
-            Box::new(|_| Box::new(XSource)),
+            regions,
         );
-        let h = backend.instantiate(&mut sim, clk, rst, plans);
         let s = backend.stats();
         assert_eq!(s.regions.len(), 2);
         assert!(s.icap.is_some());
+        assert!(backend.icap_faults.is_some());
+        assert_eq!(backend.inject, Some(backend.icap.inject));
         sim.run_for(5 * PERIOD).unwrap();
         assert_eq!(sim.peek_u64(boundaries[0].plb.wdata), Some(0x11));
         assert_eq!(sim.peek_u64(boundaries[1].plb.wdata), Some(0x21));
 
         // Reconfigure region 2 only, through the shared ICAP.
+        let icap = backend.icap;
         let simb = build_simb(SimbKind::Config { module: 0x22 }, 2, 32, 5);
-        sim.poke_u64(h.icap.ce, 1);
+        sim.poke_u64(icap.ce, 1);
         for w in &simb {
             let mut guard = 0;
-            while sim.peek_u64(h.icap.ready) != Some(1) {
-                sim.poke_u64(h.icap.cwrite, 0);
+            while sim.peek_u64(icap.ready) != Some(1) {
+                sim.poke_u64(icap.cwrite, 0);
                 sim.run_for(PERIOD).unwrap();
                 guard += 1;
                 assert!(guard < 10_000);
             }
-            sim.poke_u64(h.icap.cdata, *w as u64);
-            sim.poke_u64(h.icap.cwrite, 1);
+            sim.poke_u64(icap.cdata, *w as u64);
+            sim.poke_u64(icap.cwrite, 1);
             sim.run_for(PERIOD).unwrap();
         }
-        sim.poke_u64(h.icap.cwrite, 0);
-        sim.poke_u64(h.icap.ce, 0);
+        sim.poke_u64(icap.cwrite, 0);
+        sim.poke_u64(icap.ce, 0);
         sim.run_for(300 * PERIOD).unwrap();
         assert_eq!(sim.peek_u64(boundaries[1].plb.wdata), Some(0x22));
         assert_eq!(sim.peek_u64(boundaries[0].plb.wdata), Some(0x11));
@@ -419,35 +293,34 @@ mod tests {
         let (mut sim, clk, rst, plans, boundaries) = tb();
         let sig1 = RegFile::new(0x1F0, 1);
         let sig2 = RegFile::new(0x1F1, 1);
-        let mut backend = VmuxBackend::new(
-            "icap_unused",
-            vec![
-                VmuxRegion {
-                    name: "vm1".into(),
-                    regs: sig1.clone(),
-                    config: VmuxConfig {
-                        reset_signature: Some(0x11),
+        let regions = plans
+            .into_iter()
+            .zip([(&sig1, 0x11), (&sig2, 0x21)])
+            .map(|(p, (regs, reset))| {
+                let config = VmuxConfig {
+                    reset_signature: Some(reset),
+                };
+                (
+                    p,
+                    VmuxRegion {
+                        regs: regs.clone(),
+                        config,
                     },
-                },
-                VmuxRegion {
-                    name: "vm2".into(),
-                    regs: sig2.clone(),
-                    config: VmuxConfig {
-                        reset_signature: Some(0x21),
-                    },
-                },
-            ],
-        );
-        let h = backend.instantiate(&mut sim, clk, rst, plans);
+                )
+            })
+            .collect();
+        let backend = build_vmux(&mut sim, clk, rst, regions);
         let s = backend.stats();
         assert!(s.icap.is_none());
+        assert!(backend.icap_faults.is_none() && backend.inject.is_none());
         assert_eq!(s.regions.len(), 2, "one zeroed entry per region");
+        assert_eq!(s.region(2).map(|r| r.swaps), Some(0));
         assert_eq!(s.total_swaps(), 0);
         sim.run_for(5 * PERIOD).unwrap();
         assert_eq!(sim.peek_u64(boundaries[0].plb.wdata), Some(0x11));
         assert_eq!(sim.peek_u64(boundaries[1].plb.wdata), Some(0x21));
         // The inert ICAP port stays ready without ever strobing.
-        assert_eq!(sim.peek_u64(h.icap.ready), Some(1));
+        assert_eq!(sim.peek_u64(backend.icap.ready), Some(1));
 
         // Swap region 2 by writing its signature register; region 1 is
         // untouched.

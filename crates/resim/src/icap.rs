@@ -192,8 +192,8 @@ pub struct IcapArtifact {
     /// flows).
     ready_driven: Option<bool>,
     stats: Rc<RefCell<IcapStats>>,
-    /// Campaign-armed transient faults, if attached.
-    faults: Option<IcapFaultHandle>,
+    /// Campaign-armed transient faults.
+    faults: IcapFaultHandle,
     /// Edge-detect for the `abort` input.
     abort_seen: bool,
     /// Region id of the SimB-transfer trace span currently open (set at
@@ -205,21 +205,10 @@ pub struct IcapArtifact {
 }
 
 impl IcapArtifact {
-    /// Build and register the artifact; returns (port, stats).
+    /// Build and register the artifact; returns its port, its counters
+    /// and the handle the recovery campaign arms ICAP-side transient
+    /// faults through.
     pub fn instantiate(
-        sim: &mut Simulator,
-        name: &str,
-        clk: SignalId,
-        rst: SignalId,
-        cfg: IcapConfig,
-    ) -> (IcapPort, Rc<RefCell<IcapStats>>) {
-        let (port, stats, _) = Self::instantiate_faulty(sim, name, clk, rst, cfg);
-        (port, stats)
-    }
-
-    /// As [`IcapArtifact::instantiate`], also returning the handle used
-    /// by the recovery campaign to arm ICAP-side transient faults.
-    pub fn instantiate_faulty(
         sim: &mut Simulator,
         name: &str,
         clk: SignalId,
@@ -243,7 +232,7 @@ impl IcapArtifact {
             strobe_pending: false,
             ready_driven: None,
             stats: stats.clone(),
-            faults: Some(faults.clone()),
+            faults: faults.clone(),
             abort_seen: false,
             transfer_rr: None,
             inject_rr: None,
@@ -513,13 +502,11 @@ impl Component for IcapArtifact {
         // slots. (A controller that ignores `ready` altogether —
         // bug.dpr.3 — still overflows and is flagged above.)
         let mut ready = self.fifo.len() + 2 < self.cfg.fifo_depth;
-        if let Some(faults) = &self.faults {
-            let mut plan = faults.borrow_mut();
-            if plan.drop_ready_for > 0 {
-                plan.drop_ready_for -= 1;
-                plan.drops_fired += 1;
-                ready = false;
-            }
+        let mut plan = self.faults.borrow_mut();
+        if plan.drop_ready_for > 0 {
+            plan.drop_ready_for -= 1;
+            plan.drops_fired += 1;
+            ready = false;
         }
         if self.ready_driven != Some(ready) {
             self.ready_driven = Some(ready);

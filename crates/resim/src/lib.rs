@@ -27,6 +27,11 @@
 //! paper compares against; it shares the parallel-instantiation idea but
 //! swaps modules by software writes to a simulation-only
 //! `engine_signature` register, with zero delay and no error injection.
+//!
+//! [`backend`] builds either method's swap machinery for a list of
+//! regions: [`build_resim`] and [`build_vmux`] each return one
+//! [`Backend`], the configuration port, fault handle and probe signals
+//! the platform wires up plus the counters behind [`Backend::stats`].
 
 pub mod backend;
 pub mod icap;
@@ -34,17 +39,14 @@ pub mod portal;
 pub mod simb;
 pub mod vmux;
 
-pub use backend::{
-    BackendHandles, BackendStats, ErrorSourceFactory, ReconfigBackend, RegionPlan, RegionStats,
-    ResimBackend, VmuxBackend, VmuxRegion,
-};
+pub use backend::{build_resim, build_vmux, Backend, BackendStats, RegionPlan, VmuxRegion};
 
 pub use icap::{
     IcapArtifact, IcapConfig, IcapFaultHandle, IcapFaultPlan, IcapPort, IcapStats, SwapTrigger,
 };
 pub use portal::{
-    instantiate_region, instantiate_region_with, ErrorSource, ExtendedPortal, PortalStats,
-    RandomSource, RegionOptions, RrBoundary, SilentSource, XSource,
+    instantiate_region, ErrorSource, ExtendedPortal, PortalStats, RandomSource, RegionOptions,
+    RrBoundary, SilentSource, XSource,
 };
 pub use simb::{
     annotate_simb, build_simb, build_simb_integrity, crc32, SimbEvent, SimbKind, SimbParser,

@@ -119,8 +119,10 @@ impl RrBoundary {
 }
 
 /// Portal status shared with the testbench.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct PortalStats {
+    /// Region ID carried in SimB frame addresses.
+    pub rr_id: u8,
     /// Module swaps applied to this region.
     pub swaps: u64,
     /// GCAPTURE strobes addressed to this region.
@@ -301,36 +303,10 @@ pub(crate) fn connect(ctx: &mut Ctx<'_>, sel: Option<&EngineIf>, b: &RrBoundary,
 ///
 /// `modules` pairs each candidate module's SimB ID with its interface;
 /// `initial` optionally names the module present in the initial (full)
-/// configuration. Returns the portal stats handle.
+/// configuration; `source` drives the region outputs while the payload
+/// streams, as `opts` allows. Returns the portal stats handle.
 #[allow(clippy::too_many_arguments)]
 pub fn instantiate_region(
-    sim: &mut Simulator,
-    name: &str,
-    rst: SignalId,
-    rr_id: u8,
-    icap: IcapPort,
-    modules: Vec<(u8, EngineIf)>,
-    boundary: RrBoundary,
-    initial: Option<u8>,
-    source: Box<dyn ErrorSource>,
-) -> Rc<RefCell<PortalStats>> {
-    instantiate_region_with(
-        sim,
-        name,
-        rst,
-        rr_id,
-        icap,
-        modules,
-        boundary,
-        initial,
-        source,
-        RegionOptions::default(),
-    )
-}
-
-/// As [`instantiate_region`] with explicit [`RegionOptions`].
-#[allow(clippy::too_many_arguments)]
-pub fn instantiate_region_with(
     sim: &mut Simulator,
     name: &str,
     rst: SignalId,
@@ -351,7 +327,10 @@ pub fn instantiate_region_with(
         None => NONE,
     };
     let active = sim.signal_init(format!("{name}.active"), 8, initial_idx);
-    let stats = Rc::new(RefCell::new(PortalStats::default()));
+    let stats = Rc::new(RefCell::new(PortalStats {
+        rr_id,
+        ..PortalStats::default()
+    }));
     let portal = ExtendedPortal {
         rst,
         rr_id,

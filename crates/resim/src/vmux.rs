@@ -48,7 +48,7 @@ struct VmuxCtl {
     /// Signature value as a kernel signal (selector of the mux).
     signature: SignalId,
     /// Doorbell rung by DCR writes to the signature register.
-    bell: Option<DoorbellId>,
+    bell: DoorbellId,
 }
 
 impl Component for VmuxCtl {
@@ -69,9 +69,7 @@ impl Component for VmuxCtl {
         }
         // Purely software-driven: only a register write or reset can
         // change the signature output.
-        if let Some(bell) = self.bell {
-            ctx.park_until(&[self.rst], &[bell]);
-        }
+        ctx.park_until(&[self.rst], &[self.bell]);
     }
 }
 
@@ -132,7 +130,7 @@ pub fn instantiate_vmux(
         regs,
         cfg,
         signature,
-        bell: Some(bell),
+        bell,
     };
     sim.add_clocked(
         format!("{name}.ctl"),

@@ -4,7 +4,8 @@
 
 use engines::{EngineIf, EngineParamSignals};
 use resim::{
-    build_simb, instantiate_region, IcapArtifact, IcapConfig, RrBoundary, SimbKind, XSource,
+    build_simb, instantiate_region, IcapArtifact, IcapConfig, RegionOptions, RrBoundary, SimbKind,
+    XSource,
 };
 use rtlsim::{CompKind, Ctx, Simulator};
 
@@ -36,7 +37,7 @@ fn two_regions_swap_independently_through_one_icap() {
     let er = sim.signal_init("er", 1, 0);
     let params = EngineParamSignals::alloc(&mut sim, "p");
 
-    let (icap, stats) =
+    let (icap, stats, _) =
         IcapArtifact::instantiate(&mut sim, "icap", clk, rst, IcapConfig::default());
 
     // Region 1 hosts modules 0x11/0x12; region 2 hosts 0x21/0x22.
@@ -58,6 +59,7 @@ fn two_regions_swap_independently_through_one_icap() {
             boundary,
             Some(ids[0]),
             Box::new(XSource),
+            RegionOptions::default(),
         );
         boundaries.push(boundary);
         portals.push(p);

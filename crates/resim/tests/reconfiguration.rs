@@ -5,8 +5,8 @@
 use dcr::RegFile;
 use engines::{EngineIf, EngineParamSignals};
 use resim::{
-    build_simb, instantiate_region, instantiate_vmux, IcapArtifact, IcapConfig, RrBoundary,
-    SimbKind, VmuxConfig, XSource,
+    build_simb, instantiate_region, instantiate_vmux, IcapArtifact, IcapConfig, RegionOptions,
+    RrBoundary, SimbKind, VmuxConfig, XSource,
 };
 use rtlsim::{CompKind, Ctx, SignalId, Simulator};
 
@@ -51,7 +51,7 @@ fn tb(cfg: IcapConfig) -> Tb {
     let m2 = EngineIf::alloc(&mut sim, "mod2", clk, rst, go, ereset, &params);
     dummy_module(&mut sim, "dummy1", m1, 0x11);
     dummy_module(&mut sim, "dummy2", m2, 0x22);
-    let (icap, icap_stats) = IcapArtifact::instantiate(&mut sim, "icap", clk, rst, cfg);
+    let (icap, icap_stats, _) = IcapArtifact::instantiate(&mut sim, "icap", clk, rst, cfg);
     let boundary = RrBoundary::alloc(&mut sim, "rr");
     let portal_stats = instantiate_region(
         &mut sim,
@@ -63,6 +63,7 @@ fn tb(cfg: IcapConfig) -> Tb {
         boundary,
         Some(0x01),
         Box::new(XSource),
+        RegionOptions::default(),
     );
     let mut t = Tb {
         sim,

@@ -6,7 +6,8 @@
 use engines::{CensusEngine, EngineIf, EngineParamSignals};
 use plb::{AddressWindow, MemorySlave, PlbBus, PlbBusConfig, SharedMem};
 use resim::{
-    build_simb, instantiate_region, IcapArtifact, IcapConfig, RrBoundary, SimbKind, XSource,
+    build_simb, instantiate_region, IcapArtifact, IcapConfig, RegionOptions, RrBoundary, SimbKind,
+    XSource,
 };
 use rtlsim::{CompKind, Ctx, Simulator};
 use video::{census_transform, Frame, Scene};
@@ -39,17 +40,17 @@ fn gcapture_grestore_round_trip_preserves_module_state() {
     sim.add_clock(clk, PERIOD);
     sim.add_reset(rst, 2 * PERIOD);
     let mem = SharedMem::new(256 * 1024);
-    let sport = MemorySlave::instantiate(&mut sim, "mem", clk, rst, mem.clone(), 0);
+    let (sport, _) = MemorySlave::instantiate(&mut sim, "mem", clk, rst, mem.clone(), 0, false);
 
     let go = sim.signal_init("go", 1, 0);
     let er = sim.signal_init("er", 1, 0);
     let params = EngineParamSignals::alloc(&mut sim, "p");
     let cie_if = EngineIf::alloc(&mut sim, "cie", clk, rst, go, er, &params);
     let other_if = EngineIf::alloc(&mut sim, "other", clk, rst, go, er, &params);
-    CensusEngine::instantiate(&mut sim, "cie", cie_if, 2);
+    CensusEngine::instantiate(&mut sim, "cie", cie_if);
     filler_module(&mut sim, other_if);
 
-    let (icap, _stats) =
+    let (icap, _stats, _) =
         IcapArtifact::instantiate(&mut sim, "icap", clk, rst, IcapConfig::default());
     let boundary = RrBoundary::alloc(&mut sim, "rr");
     let portal = instantiate_region(
@@ -62,6 +63,7 @@ fn gcapture_grestore_round_trip_preserves_module_state() {
         boundary,
         Some(1),
         Box::new(XSource),
+        RegionOptions::default(),
     );
     PlbBus::new(
         &mut sim,
@@ -192,7 +194,8 @@ fn without_restore_the_swapped_back_module_uses_stale_wires_semantics() {
             &[clk2],
         );
     }
-    let (icap, _s) = IcapArtifact::instantiate(&mut sim, "icap", clk, rst, IcapConfig::default());
+    let (icap, _s, _) =
+        IcapArtifact::instantiate(&mut sim, "icap", clk, rst, IcapConfig::default());
     let boundary = RrBoundary::alloc(&mut sim, "rr");
     let portal = instantiate_region(
         &mut sim,
@@ -204,6 +207,7 @@ fn without_restore_the_swapped_back_module_uses_stale_wires_semantics() {
         boundary,
         Some(1),
         Box::new(XSource),
+        RegionOptions::default(),
     );
     sim.run_for(5 * PERIOD).unwrap();
     // Capture strobes addressed to ANOTHER region do not reach us.

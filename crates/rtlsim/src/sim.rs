@@ -33,7 +33,7 @@ use crate::component::{CompKind, Component, Ctx};
 use crate::lv::Lv;
 use crate::name::{Name, NameArena, NameId};
 use crate::profile::Profiler;
-use crate::trace::{TraceBuf, TraceCat, TraceEvent, TraceKind, DEFAULT_TRACE_CAPACITY};
+use crate::trace::{TraceBuf, TraceEvent, DEFAULT_TRACE_CAPACITY};
 use crate::vcd::VcdWriter;
 use crate::{CompId, Severity, SignalId};
 use std::fmt;
@@ -41,10 +41,6 @@ use std::fmt;
 /// Maximum delta iterations at one time point before the kernel declares a
 /// combinational oscillation (like an HDL simulator's iteration limit).
 pub const DELTA_LIMIT: u32 = 10_000;
-
-/// Time points between scheduler-occupancy counter samples while the
-/// structured trace is enabled.
-const SCHED_SAMPLE_PERIOD: u64 = 4096;
 
 /// A timestamped diagnostic produced by a component.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -831,21 +827,6 @@ impl Simulator {
             self.core.now = next;
             self.core.step += 1;
             self.stats.time_points += 1;
-            // Sample scheduler occupancy into the trace on a coarse,
-            // deterministic cadence (a simulation-derived counter, so
-            // identical runs sample at identical points).
-            if self.core.trace.enabled && self.stats.time_points.is_multiple_of(SCHED_SAMPLE_PERIOD)
-            {
-                let occ = self.core.queue.len() as u64;
-                self.core.trace.push(
-                    next,
-                    TraceKind::Counter,
-                    TraceCat::Kernel,
-                    "sched.pending",
-                    0,
-                    occ,
-                );
-            }
         }
     }
 

@@ -1,5 +1,5 @@
 //! Structured event tracing: a fixed-capacity ring-buffer sink for typed
-//! trace events emitted by components and the kernel itself.
+//! trace events emitted by components.
 //!
 //! The observability counterpart of the VCD writer: where a VCD records
 //! *every signal toggle*, the trace buffer records *semantic spans* —
@@ -37,8 +37,6 @@ pub enum TraceKind {
     End,
     /// A point event with no duration.
     Instant,
-    /// A sampled counter value (the value is in [`TraceEvent::arg`]).
-    Counter,
 }
 
 /// Coarse category of a trace event — one per instrumented subsystem.
@@ -46,8 +44,6 @@ pub enum TraceKind {
 /// so each subsystem renders as its own timeline row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceCat {
-    /// Kernel-internal samples (scheduler occupancy).
-    Kernel,
     /// SimB bitstream transfers (ICAP artifact, per region).
     Simb,
     /// ICAP parse phases and strobes.
@@ -64,15 +60,12 @@ pub enum TraceCat {
     Isr,
     /// Extended-portal module swaps.
     Portal,
-    /// Software-defined phases (testbench/driver annotations).
-    Sw,
 }
 
 impl TraceCat {
     /// Stable lower-case label used by exporters.
     pub fn label(self) -> &'static str {
         match self {
-            TraceCat::Kernel => "kernel",
             TraceCat::Simb => "simb",
             TraceCat::Icap => "icap",
             TraceCat::Isolation => "isolation",
@@ -81,7 +74,6 @@ impl TraceCat {
             TraceCat::Engine => "engine",
             TraceCat::Isr => "isr",
             TraceCat::Portal => "portal",
-            TraceCat::Sw => "sw",
         }
     }
 }
@@ -95,7 +87,7 @@ pub struct TraceEvent {
     /// Monotonic emission number — total order, including within one
     /// timestamp.
     pub seq: u64,
-    /// Span begin/end, instant, or counter sample.
+    /// Span begin/end or instant.
     pub kind: TraceKind,
     /// Subsystem category.
     pub cat: TraceCat,
@@ -104,8 +96,8 @@ pub struct TraceEvent {
     /// Track discriminator within the category — the reconfigurable
     /// region id for per-region spans, 0 where there is only one track.
     pub track: u32,
-    /// One free integer argument (word counts, error codes, counter
-    /// values...). 0 when unused.
+    /// One free integer argument (word counts, error codes...). 0 when
+    /// unused.
     pub arg: u64,
 }
 
@@ -249,7 +241,7 @@ mod tests {
         let mut t = TraceBuf::new();
         t.enable(4);
         for i in 0..6u64 {
-            t.push(i * 10, TraceKind::Instant, TraceCat::Sw, "e", 0, i);
+            t.push(i * 10, TraceKind::Instant, TraceCat::Dma, "e", 0, i);
         }
         let evs = t.events();
         assert_eq!(evs.len(), 4);
