@@ -1,91 +1,24 @@
-//! Composable SoC-fabric builders.
+//! Per-region SoC-fabric builders.
 //!
-//! `AvSystem::build` used to be one ~400-line monolith that allocated
-//! every signal and component of the demonstrator inline. This module
-//! splits it into reusable subsystem builders — clocking/reset, main
-//! memory, engine clusters, region isolation, system control, video
-//! VIPs, interrupt fabric, CPU, shared bus — each returning a typed
-//! handle struct, so a platform is assembled from parts.
+//! [`AvSystem::build_with`](crate::AvSystem::build_with) instantiates the
+//! static part of the demonstrator (memory, VIPs, interrupt controller,
+//! CPU and the shared PLB) itself. This module holds what it builds once
+//! per reconfigurable region — [`RegionNames`], [`engine_cluster`] and
+//! [`region_isolation`] — plus [`system_control`], whose isolation
+//! bitmask spans every region.
 //!
-//! Builders are deliberately *order-preserving*: the single-region
-//! system assembled through them allocates exactly the same signals and
-//! components, in exactly the same order, as the original monolith —
-//! which is what keeps the paper-reproduction outputs (tables, VCD,
-//! kernel counters) byte-identical. Anything that generalises to N
-//! regions ([`RegionNames`], [`engine_cluster`], [`region_isolation`],
-//! [`system_control`]) reproduces the legacy names for region index 0
-//! and derives names for the rest.
+//! The builders are *order-preserving*: they allocate signals and
+//! components in the order the paper-reproduction outputs (tables, VCD,
+//! kernel counters) are pinned to. Region index 0 reproduces the
+//! single-region names; later regions derive theirs from the index.
 
-use crate::system::{EngineKind, RegionSpec, CLK_PERIOD_PS};
+use crate::system::{EngineKind, RegionSpec};
 use dcr::RegFile;
 use engines::{CensusEngine, EngineIf, EngineParamSignals, IsoPair, Isolation, MatchingEngine};
-use plb::{
-    AddressWindow, ArbMode, MasterPort, MemFaultHandle, MemorySlave, MonitorStats, PlbBus,
-    PlbBusConfig, PlbMonitor, SharedMem, SlavePort,
-};
-use ppc::{IntController, IssStats, PpcIss};
+use plb::MasterPort;
 use resim::RrBoundary;
 use rtlsim::{CompKind, Component, Ctx, DoorbellId, SignalId, Simulator};
-use std::cell::RefCell;
-use std::rc::Rc;
-use video::{Frame, MatchParams};
-
-// ---------------------------------------------------------------------
-// clocking / reset
-// ---------------------------------------------------------------------
-
-/// The global clock and power-on reset wires.
-#[derive(Debug, Clone, Copy)]
-pub struct ClockReset {
-    /// System clock.
-    pub clk: SignalId,
-    /// Power-on reset (high for the first few cycles).
-    pub rst: SignalId,
-}
-
-/// Allocate `clk`/`rst` and drive them from the kernel.
-pub fn clock_reset(sim: &mut Simulator) -> ClockReset {
-    let clk = sim.signal("clk", 1);
-    let rst = sim.signal("rst", 1);
-    sim.add_clock(clk, CLK_PERIOD_PS);
-    sim.add_reset(rst, 5 * CLK_PERIOD_PS);
-    ClockReset { clk, rst }
-}
-
-// ---------------------------------------------------------------------
-// main memory
-// ---------------------------------------------------------------------
-
-/// Main memory and its bus-slave port.
-pub struct MainMemory {
-    /// Backing store (shared with the CPU ISS and test probes).
-    pub mem: SharedMem,
-    /// The DDR controller's slave port on the PLB.
-    pub port: SlavePort,
-    /// Transient-fault injection handle.
-    pub faults: MemFaultHandle,
-}
-
-/// Instantiate the DDR model.
-pub fn main_memory(
-    sim: &mut Simulator,
-    cr: ClockReset,
-    bytes: usize,
-    wait_states: u32,
-    stale_first_beat_bug: bool,
-) -> MainMemory {
-    let mem = SharedMem::new(bytes);
-    let (port, faults) = MemorySlave::instantiate(
-        sim,
-        "ddr",
-        cr.clk,
-        cr.rst,
-        mem.clone(),
-        wait_states,
-        stale_first_beat_bug,
-    );
-    MainMemory { mem, port, faults }
-}
+use video::MatchParams;
 
 // ---------------------------------------------------------------------
 // per-region naming
@@ -215,7 +148,8 @@ pub struct EngineCluster {
 /// allocated before any engine body, matching the legacy layout).
 pub fn engine_cluster(
     sim: &mut Simulator,
-    cr: ClockReset,
+    clk: SignalId,
+    rst: SignalId,
     names: &RegionNames,
     spec: &RegionSpec,
 ) -> EngineCluster {
@@ -225,17 +159,7 @@ pub fn engine_cluster(
     let ifs: Vec<EngineIf> = spec
         .modules
         .iter()
-        .map(|m| {
-            EngineIf::alloc(
-                sim,
-                &names.module(m.kind),
-                cr.clk,
-                cr.rst,
-                go,
-                ereset,
-                &params,
-            )
-        })
+        .map(|m| EngineIf::alloc(sim, &names.module(m.kind), clk, rst, go, ereset, &params))
         .collect();
     let mut census_busy = None;
     let mut matching_busy = None;
@@ -396,191 +320,20 @@ impl Component for SysCtrl {
 
 /// Instantiate the system-control block over the regions' isolate wires
 /// (in region order).
-pub fn system_control(sim: &mut Simulator, cr: ClockReset, regs: RegFile, isolates: Vec<SignalId>) {
+pub fn system_control(
+    sim: &mut Simulator,
+    clk: SignalId,
+    rst: SignalId,
+    regs: RegFile,
+    isolates: Vec<SignalId>,
+) {
     let bell = sim.add_doorbell(regs.dirty_flag());
     let ctl = SysCtrl {
-        clk: cr.clk,
-        rst: cr.rst,
+        clk,
+        rst,
         regs,
         isolates,
         bell,
     };
-    sim.add_clocked(
-        "sysctrl",
-        CompKind::UserStatic,
-        Box::new(ctl),
-        cr.clk,
-        &[cr.rst],
-    );
-}
-
-// ---------------------------------------------------------------------
-// video subsystem
-// ---------------------------------------------------------------------
-
-/// The camera and display VIPs.
-pub struct VideoSubsystem {
-    /// Camera frame-captured interrupt.
-    pub vin_irq: SignalId,
-    /// Display frame-shown interrupt.
-    pub vout_irq: SignalId,
-    /// Camera DMA master port.
-    pub vin_port: MasterPort,
-    /// Display DMA master port.
-    pub vout_port: MasterPort,
-    /// Frames captured by the display VIP.
-    pub captured: Rc<RefCell<Vec<Frame>>>,
-    /// Per-captured-frame count of X-poisoned words.
-    pub captured_poison: Rc<RefCell<Vec<usize>>>,
-}
-
-/// Instantiate camera and display VIPs over `input_frames`.
-#[allow(clippy::too_many_arguments)]
-pub fn video_subsystem(
-    sim: &mut Simulator,
-    cr: ClockReset,
-    vin_regs: RegFile,
-    vout_regs: RegFile,
-    input_frames: Vec<Frame>,
-    width: usize,
-    height: usize,
-    short_dma_bug: bool,
-) -> VideoSubsystem {
-    let vin_irq = sim.signal_init("irq.videoin", 1, 0);
-    let vout_irq = sim.signal_init("irq.videoout", 1, 0);
-    let vin_port = MasterPort::alloc(sim, "videoin.plb");
-    let vout_port = MasterPort::alloc(sim, "videoout.plb");
-    crate::vips::VideoInVip::instantiate(
-        sim,
-        "videoin",
-        cr.clk,
-        cr.rst,
-        vin_regs,
-        vin_port,
-        vin_irq,
-        input_frames,
-        short_dma_bug,
-    );
-    let (captured, captured_poison) = crate::vips::VideoOutVip::instantiate(
-        sim, "videoout", cr.clk, cr.rst, vout_regs, vout_port, vout_irq, width, height,
-    );
-    VideoSubsystem {
-        vin_irq,
-        vout_irq,
-        vin_port,
-        vout_port,
-        captured,
-        captured_poison,
-    }
-}
-
-// ---------------------------------------------------------------------
-// interrupt fabric
-// ---------------------------------------------------------------------
-
-/// Instantiate the interrupt controller over `lines` (bit *i* of the
-/// status register is `lines[i]`) and return the CPU interrupt wire.
-pub fn interrupt_fabric(
-    sim: &mut Simulator,
-    cr: ClockReset,
-    lines: Vec<SignalId>,
-    regs: RegFile,
-    pulse_irq_bug: bool,
-) -> SignalId {
-    let cpu_irq = sim.signal("irq.cpu", 1);
-    IntController::instantiate(
-        sim,
-        "intc",
-        cr.clk,
-        cr.rst,
-        lines,
-        cpu_irq,
-        regs,
-        pulse_irq_bug,
-    );
-    cpu_irq
-}
-
-// ---------------------------------------------------------------------
-// CPU subsystem
-// ---------------------------------------------------------------------
-
-/// The PowerPC subsystem: assembled program in memory, ISR vector, ISS.
-pub struct CpuSubsystem {
-    /// CPU bus master port.
-    pub port: MasterPort,
-    /// Execution statistics (halt flag, instruction counts).
-    pub stats: Rc<RefCell<IssStats>>,
-}
-
-/// Load `program` (assembled at [`ppc::ISS_ENTRY`], see
-/// [`crate::ArtifactCache::program`]), install the external-interrupt
-/// vector branch at `0x500`, and instantiate the ISS.
-pub fn cpu_subsystem(
-    sim: &mut Simulator,
-    cr: ClockReset,
-    cpu_irq: SignalId,
-    mem: &SharedMem,
-    dcr_handle: dcr::DcrHandle,
-    program: &ppc::Program,
-) -> CpuSubsystem {
-    let port = MasterPort::alloc(sim, "cpu.plb");
-    mem.load_bytes(program.base, &program.to_bytes());
-    let isr = program.symbol("isr");
-    mem.write_u32(
-        0x500,
-        ppc::Instr::B {
-            target: (isr as i64 - 0x500) as i32,
-            link: false,
-        }
-        .encode(),
-    );
-    let stats = PpcIss::instantiate(
-        sim,
-        "ppc_iss",
-        cr.clk,
-        cr.rst,
-        cpu_irq,
-        port,
-        mem.clone(),
-        dcr_handle,
-    );
-    CpuSubsystem { port, stats }
-}
-
-// ---------------------------------------------------------------------
-// shared bus
-// ---------------------------------------------------------------------
-
-/// Instantiate the bus monitor and the PLB over `masters` (label +
-/// port, in priority order) and the memory slave.
-pub fn shared_bus(
-    sim: &mut Simulator,
-    cr: ClockReset,
-    masters: Vec<(String, MasterPort)>,
-    mem_port: SlavePort,
-    mem_bytes: usize,
-    arbitration: ArbMode,
-) -> Rc<RefCell<MonitorStats>> {
-    let ports: Vec<MasterPort> = masters.iter().map(|(_, p)| *p).collect();
-    let bus_monitor = PlbMonitor::instantiate(sim, "plb_monitor", cr.clk, cr.rst, masters);
-    PlbBus::new(
-        sim,
-        "plb",
-        cr.clk,
-        cr.rst,
-        PlbBusConfig {
-            arbitration,
-            ..Default::default()
-        },
-        ports,
-        vec![(
-            mem_port,
-            AddressWindow {
-                base: 0,
-                len: mem_bytes as u32,
-            },
-        )],
-    );
-    bus_monitor
+    sim.add_clocked("sysctrl", CompKind::UserStatic, Box::new(ctl), clk, &[rst]);
 }

@@ -2,28 +2,32 @@
 //! the paper): engines + reconfiguration machinery + PowerPC + VIPs on a
 //! shared PLB with a DCR daisy chain, under either simulation method.
 //!
-//! The assembly is composed from the subsystem builders in
-//! [`crate::fabric`] plus the reconfiguration plane that populates the
-//! reconfigurable regions — [`SimMethod`] picks [`resim::build_resim`]
-//! or [`resim::build_vmux`] in one `match`, it is not control flow
-//! threaded through the build. The reconfiguration plane is
-//! region-indexed end-to-end: `SystemConfig` carries a
-//! `Vec<RegionSpec>`, each region gets its own engine cluster, isolation
-//! layer, engine-control block and interrupt line, and all regions share
-//! one IcapCTRL whose SimB streams are routed by the RR ID carried in
-//! each bitstream's frame address. The paper's single-region system is
-//! the one-element case and is byte-identical to the pre-refactor
-//! monolith.
+//! [`AvSystem::build_with`] instantiates the static SoC (memory, VIPs,
+//! interrupt controller, CPU, DCR chain, shared PLB) itself, takes each
+//! region's engines and isolation from the per-region builders in
+//! [`crate::fabric`], and lets [`SimMethod`] pick the reconfiguration
+//! plane, [`resim::build_resim`] or [`resim::build_vmux`], in one
+//! `match`; it is not control flow threaded through the build. The
+//! reconfiguration plane is region-indexed end-to-end: `SystemConfig`
+//! carries a `Vec<RegionSpec>`, each region gets its own engine cluster,
+//! isolation layer, engine-control block and interrupt line, and all
+//! regions share one IcapCTRL whose SimB streams are routed by the RR ID
+//! carried in each bitstream's frame address. The paper's single-region
+//! system is the one-element case.
 
 use crate::artifacts::ArtifactCache;
 use crate::fabric::{self, RegionNames};
 use crate::faults::{Bug, FaultSet};
 use crate::icapctrl::{IcapCtrl, RecoveryPolicy, RecoveryStats};
 use crate::software::{self, dcr_map, SimMethod};
+use crate::vips::{VideoInVip, VideoOutVip};
 use dcr::{DcrChainBuilder, RegFile};
 use engines::EngineCtrl;
-use plb::{MasterPort, MemFaultHandle, MonitorStats, SharedMem};
-use ppc::IssStats;
+use plb::{
+    AddressWindow, MasterPort, MemFaultHandle, MemorySlave, MonitorStats, PlbBus, PlbMonitor,
+    SharedMem,
+};
+use ppc::{IntController, IssStats, PpcIss};
 use resim::{
     Backend, BackendStats, ErrorSource, IcapConfig, IcapFaultHandle, RandomSource, RegionOptions,
     RegionPlan, RrBoundary, SilentSource, VmuxConfig, VmuxRegion, XSource,
@@ -770,13 +774,19 @@ impl AvSystem {
         let layout = MemLayout::for_config(&cfg);
         let f = &cfg.faults;
         let mut sim = Simulator::new();
-        let cr = fabric::clock_reset(&mut sim);
+        let clk = sim.signal("clk", 1);
+        let rst = sim.signal("rst", 1);
+        sim.add_clock(clk, CLK_PERIOD_PS);
+        sim.add_reset(rst, 5 * CLK_PERIOD_PS);
 
         // ----- memory -----
-        let main_mem = fabric::main_memory(
+        let mem = SharedMem::new(layout.mem_bytes);
+        let (mem_port, mem_faults) = MemorySlave::instantiate(
             &mut sim,
-            cr,
-            layout.mem_bytes,
+            "ddr",
+            clk,
+            rst,
+            mem.clone(),
             cfg.mem_wait_states,
             f.has(Bug::Hw1MemBurstWrap),
         );
@@ -806,7 +816,7 @@ impl AvSystem {
             .regions
             .iter()
             .zip(&names)
-            .map(|(spec, nm)| fabric::engine_cluster(&mut sim, cr, nm, spec))
+            .map(|(spec, nm)| fabric::engine_cluster(&mut sim, clk, rst, nm, spec))
             .collect();
         let boundaries: Vec<RrBoundary> = cfg
             .regions
@@ -842,7 +852,6 @@ impl AvSystem {
                     })
                     .collect();
                 let icap = IcapConfig {
-                    fifo_depth: 16,
                     cfg_divider: cfg.cfg_divider,
                     swap_trigger: cfg.swap_trigger,
                     resilient: cfg.recovery.enabled,
@@ -850,7 +859,7 @@ impl AvSystem {
                 let options = RegionOptions {
                     deselect_during_inject: !cfg.optimistic_region,
                 };
-                resim::build_resim(&mut sim, cr.clk, cr.rst, icap, options, regions)
+                resim::build_resim(&mut sim, clk, rst, icap, options, regions)
             }
             SimMethod::Vmux => {
                 let regions = (0..n)
@@ -867,7 +876,7 @@ impl AvSystem {
                         (plan(idx, &names[idx].vmux), vmux)
                     })
                     .collect();
-                resim::build_vmux(&mut sim, cr.clk, cr.rst, regions)
+                resim::build_vmux(&mut sim, clk, rst, regions)
             }
         };
 
@@ -886,8 +895,8 @@ impl AvSystem {
             EngineCtrl::instantiate(
                 &mut sim,
                 &names[idx].eng_ctrl,
-                cr.clk,
-                cr.rst,
+                clk,
+                rst,
                 eng_regs[idx].clone(),
                 cluster.params,
                 cluster.go,
@@ -903,7 +912,8 @@ impl AvSystem {
         // ----- system control -----
         fabric::system_control(
             &mut sim,
-            cr,
+            clk,
+            rst,
             sys_regs.clone(),
             isolations.iter().map(|i| i.isolate).collect(),
         );
@@ -914,8 +924,8 @@ impl AvSystem {
         let recovery_stats = IcapCtrl::instantiate(
             &mut sim,
             "icapctrl",
-            cr.clk,
-            cr.rst,
+            clk,
+            rst,
             icap_regs.clone(),
             icapctrl_port,
             backend.icap,
@@ -927,26 +937,46 @@ impl AvSystem {
         // ----- video VIPs -----
         let golden = artifacts.scene(&cfg);
         let input_frames = golden.inputs.clone();
-        let video = fabric::video_subsystem(
+        let vin_irq = sim.signal_init("irq.videoin", 1, 0);
+        let vout_irq = sim.signal_init("irq.videoout", 1, 0);
+        let vin_port = MasterPort::alloc(&mut sim, "videoin.plb");
+        let vout_port = MasterPort::alloc(&mut sim, "videoout.plb");
+        VideoInVip::instantiate(
             &mut sim,
-            cr,
+            "videoin",
+            clk,
+            rst,
             vin_regs.clone(),
-            vout_regs.clone(),
+            vin_port,
+            vin_irq,
             input_frames.clone(),
-            cfg.width,
-            cfg.height,
             f.has(Bug::Hw3VideoInShortDma),
         );
+        let (captured, captured_poison) = VideoOutVip::instantiate(
+            &mut sim,
+            "videoout",
+            clk,
+            rst,
+            vout_regs.clone(),
+            vout_port,
+            vout_irq,
+            cfg.width,
+            cfg.height,
+        );
 
-        // ----- interrupt fabric -----
+        // ----- interrupt controller -----
         // Line order fixes the status bits the software sees: the legacy
         // four first, extra regions' engine lines appended.
-        let mut irq_lines = vec![video.vin_irq, eng_irqs[0], icap_irq, video.vout_irq];
+        let mut irq_lines = vec![vin_irq, eng_irqs[0], icap_irq, vout_irq];
         irq_lines.extend(eng_irqs.iter().skip(1).copied());
-        let cpu_irq = fabric::interrupt_fabric(
+        let cpu_irq = sim.signal("irq.cpu", 1);
+        IntController::instantiate(
             &mut sim,
-            cr,
+            "intc",
+            clk,
+            rst,
             irq_lines,
+            cpu_irq,
             intc_regs.clone(),
             f.has(Bug::Hw4IrqPulse),
         );
@@ -955,7 +985,7 @@ impl AvSystem {
         // Default order keeps the engine block early; the dpr.2 variant
         // moves region 0's *last* (nearest the return path) and marks it
         // as living inside the region, corrupted while the SimB streams.
-        let mut chain = DcrChainBuilder::new(&mut sim, "dcr", cr.clk, cr.rst);
+        let mut chain = DcrChainBuilder::new(&mut sim, "dcr", clk, rst);
         let eng_in_rr = f.has(Bug::Dpr2DcrInRr) && cfg.method.models_bitstream();
         if !eng_in_rr {
             chain.add_slave("eng", eng_regs[0].clone(), None);
@@ -979,14 +1009,29 @@ impl AvSystem {
         let dcr_handle = chain.finish();
 
         // ----- CPU -----
-        let src = software::generate(&cfg, &layout);
-        let cpu = fabric::cpu_subsystem(
+        // The program is assembled at `ppc::ISS_ENTRY`; the external
+        // interrupt vector at 0x500 branches to its ISR.
+        let cpu_port = MasterPort::alloc(&mut sim, "cpu.plb");
+        let program = artifacts.program(&software::generate(&cfg, &layout));
+        mem.load_bytes(program.base, &program.to_bytes());
+        let isr = program.symbol("isr");
+        mem.write_u32(
+            0x500,
+            ppc::Instr::B {
+                target: (isr as i64 - 0x500) as i32,
+                link: false,
+            }
+            .encode(),
+        );
+        let cpu = PpcIss::instantiate(
             &mut sim,
-            cr,
+            "ppc_iss",
+            clk,
+            rst,
             cpu_irq,
-            &main_mem.mem,
+            cpu_port,
+            mem.clone(),
             dcr_handle,
-            &artifacts.program(&src),
         );
 
         // ----- bitstream "flash": SimBs in main memory -----
@@ -999,27 +1044,34 @@ impl AvSystem {
                 cfg.seed,
                 cfg.recovery.enabled,
             );
-            main_mem.mem.load_words(slot.addr, &words);
+            mem.load_words(slot.addr, &words);
         }
 
         // ----- the shared PLB -----
         // Priority: video-in, video-out, engine regions, IcapCTRL, CPU.
         let mut masters: Vec<(String, MasterPort)> = vec![
-            ("videoin".to_string(), video.vin_port),
-            ("videoout".to_string(), video.vout_port),
+            ("videoin".to_string(), vin_port),
+            ("videoout".to_string(), vout_port),
         ];
         for (nm, iso) in names.iter().zip(&isolations) {
             masters.push((nm.bus_label.clone(), iso.port));
         }
         masters.push(("icapctrl".to_string(), icapctrl_port));
-        masters.push(("cpu".to_string(), cpu.port));
-        let bus_monitor = fabric::shared_bus(
+        masters.push(("cpu".to_string(), cpu_port));
+        let ports: Vec<MasterPort> = masters.iter().map(|(_, p)| *p).collect();
+        let bus_monitor = PlbMonitor::instantiate(&mut sim, "plb_monitor", clk, rst, masters);
+        let window = AddressWindow {
+            base: 0,
+            len: layout.mem_bytes as u32,
+        };
+        PlbBus::new(
             &mut sim,
-            cr,
-            masters,
-            main_mem.port,
-            layout.mem_bytes,
+            "plb",
+            clk,
+            rst,
             cfg.arbitration,
+            ports,
+            vec![(mem_port, window)],
         );
 
         sim.set_exec_mode(cfg.exec_mode);
@@ -1047,14 +1099,14 @@ impl AvSystem {
         };
         AvSystem {
             sim,
-            mem: main_mem.mem,
-            captured: video.captured,
-            captured_poison: video.captured_poison,
-            cpu: cpu.stats,
+            mem,
+            captured,
+            captured_poison,
+            cpu,
             icap_faults: backend.icap_faults.clone(),
             backend,
             bus_monitor,
-            mem_faults: main_mem.faults,
+            mem_faults,
             recovery: recovery_stats,
             input_frames,
             golden,

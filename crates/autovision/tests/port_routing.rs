@@ -15,7 +15,7 @@
 use autovision::fabric::{region_isolation, RegionNames};
 use dcr::RegFile;
 use engines::{EngineIf, EngineParamSignals, IsoPair, Isolation};
-use plb::{AddressWindow, BusMode, MasterPort, PlbBus, PlbBusConfig, SlavePort};
+use plb::{AddressWindow, ArbMode, MasterPort, PlbBus, SlavePort};
 use resim::{
     instantiate_region, instantiate_vmux, ErrorSource, IcapPort, RandomSource, RegionOptions,
     RrBoundary, VmuxConfig,
@@ -234,7 +234,6 @@ struct RelayRef {
     owner: SignalId,
     slave: SignalId,
     errm: SignalId,
-    p2p: bool,
 }
 
 impl Component for RelayRef {
@@ -263,8 +262,7 @@ impl Component for RelayRef {
             let mine = granted && slave == si as u64;
             if mine {
                 let m = &self.masters[owner as usize];
-                let sel = if self.p2p { ctx.is_high(m.req) } else { true };
-                ctx.set_bit(s.sel, sel);
+                ctx.set_bit(s.sel, true);
                 copy(ctx, &master_half(m)[1..], &request_half(s)[1..]);
             } else {
                 for sig in request_half(s) {
@@ -275,14 +273,14 @@ impl Component for RelayRef {
     }
 }
 
-fn relay_bench(mode: ExecMode, p2p: bool, seed: u64) -> Bench {
+fn relay_bench(mode: ExecMode, seed: u64) -> Bench {
     let mut b = Bench::new(mode, seed);
     let sim = &mut b.sim;
     // The arbiter never runs: the clock stays at 0 and reset low, so
     // the test owns the steering signals.
     let clk = sim.signal_init("clk", 1, 0);
     let rst = sim.signal_init("rst", 1, 0);
-    let (n_m, n_s) = if p2p { (1, 1) } else { (3, 2) };
+    let (n_m, n_s) = (3, 2);
     let masters: Vec<MasterPort> = (0..n_m)
         .map(|i| MasterPort::alloc(sim, &format!("m{i}")))
         .collect();
@@ -295,14 +293,6 @@ fn relay_bench(mode: ExecMode, p2p: bool, seed: u64) -> Bench {
     let s_out: Vec<SlavePort> = (0..n_s)
         .map(|i| SlavePort::alloc(sim, &format!("ref.s{i}")))
         .collect();
-    let cfg = PlbBusConfig {
-        mode: if p2p {
-            BusMode::PointToPoint
-        } else {
-            BusMode::Shared
-        },
-        ..Default::default()
-    };
     let windows = slaves
         .iter()
         .enumerate()
@@ -314,7 +304,15 @@ fn relay_bench(mode: ExecMode, p2p: bool, seed: u64) -> Bench {
             (*s, w)
         })
         .collect();
-    let bus = PlbBus::new(sim, "plb", clk, rst, cfg, masters.clone(), windows);
+    let bus = PlbBus::new(
+        sim,
+        "plb",
+        clk,
+        rst,
+        ArbMode::FixedPriority,
+        masters.clone(),
+        windows,
+    );
     let mut sens = vec![bus.owner, bus.slave, bus.errm];
     for m in &masters {
         sens.extend_from_slice(&master_half(m));
@@ -330,7 +328,6 @@ fn relay_bench(mode: ExecMode, p2p: bool, seed: u64) -> Bench {
         owner: bus.owner,
         slave: bus.slave,
         errm: bus.errm,
-        p2p,
     };
     sim.add_component(
         "ref.relay",
@@ -367,8 +364,7 @@ fn relay_bench(mode: ExecMode, p2p: bool, seed: u64) -> Bench {
 #[test]
 fn plb_relay_matches_its_reference() {
     for mode in MODES {
-        relay_bench(mode, false, 0x5EED_0001).run(&format!("shared relay, {mode}"));
-        relay_bench(mode, true, 0x5EED_0002).run(&format!("p2p relay, {mode}"));
+        relay_bench(mode, 0x5EED_0001).run(&format!("shared relay, {mode}"));
     }
 }
 

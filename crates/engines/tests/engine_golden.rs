@@ -2,7 +2,7 @@
 //! reset/parameter-latch discipline, and selection gating.
 
 use engines::{CensusEngine, EngineIf, EngineParamSignals, MatchingEngine};
-use plb::{AddressWindow, MemorySlave, PlbBus, PlbBusConfig, SharedMem};
+use plb::{AddressWindow, ArbMode, MemorySlave, PlbBus, SharedMem};
 use rtlsim::{SignalId, Simulator};
 use video::{census_transform, match_frames, Frame, MatchParams, MotionVector, Scene};
 
@@ -40,7 +40,7 @@ fn tb(kind: &str, w: usize, h: usize) -> Tb {
         "plb",
         clk,
         rst,
-        PlbBusConfig::default(),
+        ArbMode::FixedPriority,
         vec![io.plb],
         vec![(
             sport,

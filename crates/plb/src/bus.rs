@@ -8,7 +8,7 @@
 //! travels across the bus exactly as it would in a 4-state HDL simulation.
 
 use crate::port::{MasterPort, SlavePort};
-use rtlsim::{CompKind, Component, Ctx, Lv, SignalId, Simulator};
+use rtlsim::{CompKind, Component, Ctx, SignalId, Simulator};
 
 /// Arbitration policy among requesting masters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,17 +18,6 @@ pub enum ArbMode {
     FixedPriority,
     /// Rotating priority starting after the previous winner.
     RoundRobin,
-}
-
-/// Bus topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BusMode {
-    /// Arbitrated shared bus (the modified Optical Flow Demonstrator).
-    Shared,
-    /// Dedicated master-0 to slave-0 link with no arbitration (the
-    /// original design's NPI-style IcapCTRL attachment). Only legal with
-    /// exactly one master and one slave.
-    PointToPoint,
 }
 
 /// One slave's address window.
@@ -45,24 +34,6 @@ impl AddressWindow {
     #[inline]
     pub fn contains(&self, addr: u32) -> bool {
         addr >= self.base && (addr - self.base) < self.len
-    }
-}
-
-/// Bus configuration.
-#[derive(Debug, Clone)]
-pub struct PlbBusConfig {
-    /// Arbitration policy (ignored in point-to-point mode).
-    pub arbitration: ArbMode,
-    /// Topology.
-    pub mode: BusMode,
-}
-
-impl Default for PlbBusConfig {
-    fn default() -> Self {
-        PlbBusConfig {
-            arbitration: ArbMode::FixedPriority,
-            mode: BusMode::Shared,
-        }
     }
 }
 
@@ -85,7 +56,7 @@ pub struct PlbBus {
 struct Arbiter {
     clk: SignalId,
     rst: SignalId,
-    cfg: PlbBusConfig,
+    arbitration: ArbMode,
     masters: Vec<MasterPort>,
     slaves: Vec<(SlavePort, AddressWindow)>,
     owner: SignalId,
@@ -106,7 +77,7 @@ impl Arbiter {
 
     fn pick_winner(&mut self, ctx: &Ctx<'_>) -> Option<usize> {
         let n = self.masters.len();
-        match self.cfg.arbitration {
+        match self.arbitration {
             ArbMode::FixedPriority => (0..n).find(|&m| ctx.is_high(self.masters[m].req)),
             ArbMode::RoundRobin => {
                 let start = self.rr_next;
@@ -121,17 +92,8 @@ impl Arbiter {
 impl Component for Arbiter {
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
         if ctx.is_high(self.rst) {
-            match self.cfg.mode {
-                BusMode::PointToPoint => {
-                    // Permanently wired master 0 <-> slave 0.
-                    ctx.set_u64(self.owner, 0);
-                    ctx.set_u64(self.slave, 0);
-                }
-                BusMode::Shared => {
-                    ctx.set_u64(self.owner, NONE);
-                    ctx.set_u64(self.slave, NONE);
-                }
-            }
+            ctx.set_u64(self.owner, NONE);
+            ctx.set_u64(self.slave, NONE);
             ctx.set_u64(self.errm, NONE);
             self.held_cycles = 0;
             self.hang_reported = false;
@@ -139,11 +101,6 @@ impl Component for Arbiter {
         }
         if !ctx.rose(self.clk) {
             return;
-        }
-        if self.cfg.mode == BusMode::PointToPoint {
-            // Permanently granted: only reset ever changes the outputs.
-            ctx.park_until(&[self.rst], &[]);
-            return; // nothing to arbitrate
         }
         // Error pulses last one cycle.
         if ctx.get_u64(self.errm) != Some(NONE) {
@@ -201,10 +158,6 @@ struct Relay {
     owner: SignalId,
     slave: SignalId,
     errm: SignalId,
-    /// In point-to-point mode the grant is permanent, so the slave's
-    /// transaction-start strobe must come from the master's `req` rather
-    /// than from the (constant) steering state.
-    p2p: bool,
     /// The `(owner, slave, errm)` steering of the previous eval; `None`
     /// before the first.
     steering: Option<(u64, u64, u64)>,
@@ -248,9 +201,7 @@ impl Component for Relay {
             let mine = granted && slave == si as u64;
             if mine {
                 let m = &self.masters[owner as usize];
-                if self.p2p {
-                    ctx.route(&[m.req], &[s.sel], all, |v| Lv::bit(v.truthy()));
-                } else if all {
+                if all {
                     ctx.set_bit(s.sel, true);
                 }
                 let (from, to) = (m.master_driven(), s.bus_driven());
@@ -265,15 +216,15 @@ impl Component for Relay {
 }
 
 impl PlbBus {
-    /// Instantiate the bus. `slaves` pairs each slave port with its
-    /// address window; windows must not overlap. Panics on an invalid
-    /// point-to-point configuration or overlapping windows.
+    /// Instantiate the bus, granting `masters` (in index order) by
+    /// `arbitration`. `slaves` pairs each slave port with its address
+    /// window; panics on overlapping windows.
     pub fn new(
         sim: &mut Simulator,
         name: &str,
         clk: SignalId,
         rst: SignalId,
-        cfg: PlbBusConfig,
+        arbitration: ArbMode,
         masters: Vec<MasterPort>,
         slaves: Vec<(SlavePort, AddressWindow)>,
     ) -> PlbBus {
@@ -281,22 +232,14 @@ impl PlbBus {
             !masters.is_empty() && !slaves.is_empty(),
             "bus needs >=1 master and slave"
         );
-        if cfg.mode == BusMode::PointToPoint {
-            assert!(
-                masters.len() == 1 && slaves.len() == 1,
-                "point-to-point bus takes exactly one master and one slave"
-            );
-        }
         for (i, (_, a)) in slaves.iter().enumerate() {
             for (_, b) in slaves.iter().skip(i + 1) {
                 let disjoint = a.base + a.len <= b.base || b.base + b.len <= a.base;
                 assert!(disjoint, "overlapping address windows");
             }
         }
-        let p2p = cfg.mode == BusMode::PointToPoint;
-        let init_owner = if p2p { 0 } else { NONE };
-        let owner = sim.signal_init(format!("{name}.owner"), 8, init_owner);
-        let slave = sim.signal_init(format!("{name}.slave"), 8, init_owner);
+        let owner = sim.signal_init(format!("{name}.owner"), 8, NONE);
+        let slave = sim.signal_init(format!("{name}.slave"), 8, NONE);
         let errm = sim.signal_init(format!("{name}.errm"), 8, NONE);
 
         let mut wake: Vec<SignalId> = masters.iter().map(|m| m.req).collect();
@@ -304,7 +247,7 @@ impl PlbBus {
         let arb = Arbiter {
             clk,
             rst,
-            cfg,
+            arbitration,
             masters: masters.clone(),
             slaves: slaves.clone(),
             owner,
@@ -329,7 +272,6 @@ impl PlbBus {
             owner,
             slave,
             errm,
-            p2p,
             steering: None,
         };
         // Sensitivity: steering state plus every endpoint-driven signal,
@@ -382,7 +324,7 @@ mod tests {
             "plb",
             clk,
             rst,
-            PlbBusConfig::default(),
+            ArbMode::FixedPriority,
             vec![m],
             vec![
                 (
@@ -400,36 +342,6 @@ mod tests {
                     },
                 ),
             ],
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "point-to-point bus takes exactly one")]
-    fn p2p_multi_master_rejected() {
-        let mut sim = Simulator::new();
-        let clk = sim.signal_init("clk", 1, 0);
-        let rst = sim.signal_init("rst", 1, 0);
-        let m0 = MasterPort::alloc(&mut sim, "m0");
-        let m1 = MasterPort::alloc(&mut sim, "m1");
-        let s0 = SlavePort::alloc(&mut sim, "s0");
-        let cfg = PlbBusConfig {
-            mode: BusMode::PointToPoint,
-            ..Default::default()
-        };
-        PlbBus::new(
-            &mut sim,
-            "plb",
-            clk,
-            rst,
-            cfg,
-            vec![m0, m1],
-            vec![(
-                s0,
-                AddressWindow {
-                    base: 0,
-                    len: 0x1000,
-                },
-            )],
         );
     }
 }

@@ -27,7 +27,7 @@
 //! 1. **Request.** A master asserts `req` with `rnw`, `addr` and `size`
 //!    (beats of 32-bit words) held stable.
 //! 2. **Grant + decode.** When idle, the arbiter picks the winning
-//!    requester (mode-dependent) and asserts its `gnt` while selecting
+//!    requester (per its [`ArbMode`]) and asserts its `gnt` while selecting
 //!    the slave whose address window matches. An unmapped address
 //!    completes immediately with `err`.
 //! 3. **Address ack.** The slave raises `aready` when it accepts the
@@ -39,11 +39,10 @@
 //! 5. **Complete.** After the final beat the slave pulses `complete`
 //!    (forwarded to the master) and the bus re-arbitrates.
 //!
-//! The bus also supports the *point-to-point* configuration of the
-//! original AutoVision design (`BusMode::PointToPoint`), in which the
-//! single master owns the slave permanently and no arbitration happens.
-//! The case study's bug.dpr.4 is an IcapCTRL still configured for
-//! point-to-point operation being dropped onto the shared bus.
+//! There is one topology, the modified design's shared bus. The case
+//! study's bug.dpr.4, an IcapCTRL that keeps the fixed-latency timing of
+//! the original design's point-to-point link, is a master-side policy
+//! ([`dma::Handshake::FixedLatency`]) on that bus, not a bus mode.
 
 pub mod bfm;
 pub mod bus;
@@ -53,7 +52,7 @@ pub mod monitor;
 pub mod port;
 
 pub use bfm::{BfmOp, TestMaster};
-pub use bus::{AddressWindow, ArbMode, BusMode, PlbBus, PlbBusConfig};
+pub use bus::{AddressWindow, ArbMode, PlbBus};
 pub use dma::{DmaDriver, DmaEvent};
 pub use memory::{MemFaultHandle, MemFaultPlan, MemorySlave, SharedMem};
 pub use monitor::{MonitorStats, PlbMonitor};

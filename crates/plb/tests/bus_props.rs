@@ -2,9 +2,7 @@
 //! multi-master contention, for both arbitration policies.
 
 use plb::dma::Handshake;
-use plb::{
-    AddressWindow, ArbMode, BfmOp, MemorySlave, PlbBus, PlbBusConfig, SharedMem, TestMaster,
-};
+use plb::{AddressWindow, ArbMode, BfmOp, MemorySlave, PlbBus, SharedMem, TestMaster};
 use proptest::prelude::*;
 use rtlsim::Simulator;
 
@@ -84,16 +82,13 @@ proptest! {
             ports.push(port);
             logs.push(log);
         }
-        let cfg = PlbBusConfig {
-            arbitration: if round_robin { ArbMode::RoundRobin } else { ArbMode::FixedPriority },
-            ..Default::default()
-        };
+        let arbitration = if round_robin { ArbMode::RoundRobin } else { ArbMode::FixedPriority };
         PlbBus::new(
             &mut sim,
             "plb",
             clk,
             rst,
-            cfg,
+            arbitration,
             ports,
             vec![(sport, AddressWindow { base: 0, len: 256 * 1024 })],
         );

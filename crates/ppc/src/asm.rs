@@ -799,19 +799,81 @@ mod tests {
         assert_eq!(p.words[3], 1);
     }
 
+    /// One instruction per row, assembled alone and decoded back: the
+    /// memory-operand forms, then the mnemonics no generated program
+    /// uses, with a negative and a hex immediate where one is taken.
     #[test]
     fn memory_operands() {
-        let p = assemble("lwz r3, 8(r1)\nstw r3, -4(r2)\nlwz r4, (r5)\n", 0).unwrap();
-        assert_eq!(Instr::decode(p.words[0]), Instr::Lwz { rt: 3, ra: 1, d: 8 });
-        assert_eq!(
-            Instr::decode(p.words[1]),
-            Instr::Stw {
-                rs: 3,
-                ra: 2,
-                d: -4
-            }
-        );
-        assert_eq!(Instr::decode(p.words[2]), Instr::Lwz { rt: 4, ra: 5, d: 0 });
+        let rows = [
+            ("lwz r3, 8(r1)", Instr::Lwz { rt: 3, ra: 1, d: 8 }),
+            (
+                "stw r3, -4(r2)",
+                Instr::Stw {
+                    rs: 3,
+                    ra: 2,
+                    d: -4,
+                },
+            ),
+            ("lwz r4, (r5)", Instr::Lwz { rt: 4, ra: 5, d: 0 }),
+            (
+                "lis r6, -2",
+                Instr::Addis {
+                    rt: 6,
+                    ra: 0,
+                    simm: -2,
+                },
+            ),
+            (
+                "lis r6, 0x8000",
+                Instr::Addis {
+                    rt: 6,
+                    ra: 0,
+                    simm: i16::MIN,
+                },
+            ),
+            (
+                "addis r7, r8, -0x12c",
+                Instr::Addis {
+                    rt: 7,
+                    ra: 8,
+                    simm: -300,
+                },
+            ),
+            (
+                "addis r7, r8, 0x7fff",
+                Instr::Addis {
+                    rt: 7,
+                    ra: 8,
+                    simm: 0x7fff,
+                },
+            ),
+            (
+                "xori r9, r10, 0xbeef",
+                Instr::Xori {
+                    ra: 9,
+                    rs: 10,
+                    uimm: 0xbeef,
+                },
+            ),
+            (
+                "subf r11, r12, r13",
+                Instr::Subf {
+                    rt: 11,
+                    ra: 12,
+                    rb: 13,
+                },
+            ),
+            ("mfmsr r14", Instr::Mfmsr { rt: 14 }),
+            ("sync", Instr::Sync),
+            ("isync", Instr::Isync),
+            ("halt", Instr::Trap),
+            ("bctr", Instr::Bctr),
+        ];
+        for (text, want) in rows {
+            let p = assemble(&format!("{text}\n"), 0).unwrap();
+            assert_eq!(p.words.len(), 1, "{text}");
+            assert_eq!(Instr::decode(p.words[0]), want, "{text}");
+        }
     }
 
     #[test]

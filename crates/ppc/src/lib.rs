@@ -10,8 +10,7 @@
 //!   component ([`PpcIss`]) that executes it cycle-by-cycle with real PLB
 //!   loads/stores and DCR accesses;
 //! * [`intc`] — the DCR-programmed interrupt controller that sequences
-//!   the frame pipeline's ISRs;
-//! * [`disasm`] — a disassembler for trace output.
+//!   the frame pipeline's ISRs.
 //!
 //! The ISS models a perfect instruction cache (fetch reads the memory
 //! image directly) but performs every data access as a real bus
@@ -21,12 +20,10 @@
 
 pub mod asm;
 pub mod cpu;
-pub mod disasm;
 pub mod insn;
 pub mod intc;
 
 pub use asm::{assemble, AsmError, Program};
 pub use cpu::{Action, CpuCore, IssStats, PpcIss, ISS_ENTRY, MSR_EE};
-pub use disasm::disassemble;
 pub use insn::{Cond, Instr, Spr};
 pub use intc::IntController;

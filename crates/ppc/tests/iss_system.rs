@@ -4,7 +4,7 @@
 //! case study relies on.
 
 use dcr::{DcrChainBuilder, RegFile};
-use plb::{AddressWindow, MasterPort, MemorySlave, PlbBus, PlbBusConfig, SharedMem};
+use plb::{AddressWindow, ArbMode, MasterPort, MemorySlave, PlbBus, SharedMem};
 use ppc::{assemble, intc::reg as intreg, IntController, PpcIss, ISS_ENTRY};
 use rtlsim::{SignalId, Simulator};
 use std::cell::RefCell;
@@ -37,7 +37,7 @@ fn build(src: &str) -> Sys {
         "plb",
         clk,
         rst,
-        PlbBusConfig::default(),
+        ArbMode::FixedPriority,
         vec![cpu_port],
         vec![(
             sport,

@@ -34,11 +34,12 @@ pub enum SwapTrigger {
     FirstPayloadWord,
 }
 
+/// Depth of the ICAP artifact's input FIFO, in words.
+pub const FIFO_DEPTH: usize = 16;
+
 /// ICAP artifact configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct IcapConfig {
-    /// Input FIFO depth in words.
-    pub fifo_depth: usize,
     /// System-clock cycles per configuration word drained (models the
     /// configuration clock divider; the modified AutoVision design used
     /// a slower configuration clock than the original).
@@ -62,7 +63,6 @@ pub struct IcapConfig {
 impl Default for IcapConfig {
     fn default() -> Self {
         IcapConfig {
-            fifo_depth: 16,
             cfg_divider: 4,
             swap_trigger: SwapTrigger::LastPayloadWord,
             resilient: false,
@@ -215,7 +215,7 @@ impl IcapArtifact {
         rst: SignalId,
         cfg: IcapConfig,
     ) -> (IcapPort, Rc<RefCell<IcapStats>>, IcapFaultHandle) {
-        assert!(cfg.fifo_depth >= 4 && cfg.cfg_divider >= 1);
+        assert!(cfg.cfg_divider >= 1);
         let port = IcapPort::alloc(sim, name);
         let stats = Rc::new(RefCell::new(IcapStats::default()));
         let faults: IcapFaultHandle = Rc::new(RefCell::new(IcapFaultPlan::default()));
@@ -224,7 +224,7 @@ impl IcapArtifact {
             rst,
             port,
             cfg,
-            fifo: VecDeque::with_capacity(cfg.fifo_depth),
+            fifo: VecDeque::with_capacity(FIFO_DEPTH),
             parser: SimbParser::new(),
             drain_count: 0,
             last_far: (0, 0),
@@ -336,7 +336,7 @@ impl Component for IcapArtifact {
         // Accept a word if the controller writes.
         if ctx.is_high(p.ce) && ctx.is_high(p.cwrite) {
             let word = ctx.get(p.cdata);
-            if self.fifo.len() < self.cfg.fifo_depth {
+            if self.fifo.len() < FIFO_DEPTH {
                 match word.to_u64() {
                     Some(w) => {
                         self.fifo.push_back(w as u32);
@@ -501,7 +501,7 @@ impl Component for IcapArtifact {
         // controller can still land two more words, so reserve two
         // slots. (A controller that ignores `ready` altogether —
         // bug.dpr.3 — still overflows and is flagged above.)
-        let mut ready = self.fifo.len() + 2 < self.cfg.fifo_depth;
+        let mut ready = self.fifo.len() + 2 < FIFO_DEPTH;
         let mut plan = self.faults.borrow_mut();
         if plan.drop_ready_for > 0 {
             plan.drop_ready_for -= 1;

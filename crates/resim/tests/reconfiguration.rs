@@ -127,7 +127,6 @@ fn simb_transfer_swaps_the_module() {
 fn x_is_injected_while_payload_streams() {
     let mut t = tb(IcapConfig {
         cfg_divider: 8,
-        fifo_depth: 16,
         ..Default::default()
     });
     let simb = build_simb(SimbKind::Config { module: 0x02 }, 0x01, 64, 2);
@@ -157,7 +156,6 @@ fn swap_triggers_only_after_the_last_payload_word() {
     // words of the SimB were successfully written to the ICAP."
     let mut t = tb(IcapConfig {
         cfg_divider: 1,
-        fifo_depth: 16,
         ..Default::default()
     });
     let simb = build_simb(SimbKind::Config { module: 0x02 }, 0x01, 128, 3);
@@ -177,11 +175,11 @@ fn swap_triggers_only_after_the_last_payload_word() {
 
 #[test]
 fn ignoring_ready_overflows_the_fifo_and_is_detected() {
-    // bug.dpr.3 in miniature: the controller blasts words without
-    // checking `ready` while the config clock drains slowly.
+    // bug.dpr.3 in miniature: the controller blasts the 74-word SimB at
+    // one word per cycle without checking `ready`, while the config
+    // clock drains one word per 16 cycles, so the FIFO overflows.
     let mut t = tb(IcapConfig {
         cfg_divider: 16,
-        fifo_depth: 4,
         ..Default::default()
     });
     let simb = build_simb(SimbKind::Config { module: 0x02 }, 0x01, 64, 4);
@@ -246,7 +244,6 @@ fn transfer_time_scales_with_simb_length_and_divider() {
     let time_to_swap = |payload: usize, divider: u32| -> u64 {
         let mut t = tb(IcapConfig {
             cfg_divider: divider,
-            fifo_depth: 16,
             ..Default::default()
         });
         let simb = build_simb(SimbKind::Config { module: 0x02 }, 0x01, payload, 9);

@@ -4,7 +4,7 @@
 //! back in, so it can resume without a fresh reset/parameter cycle.
 
 use engines::{CensusEngine, EngineIf, EngineParamSignals};
-use plb::{AddressWindow, MemorySlave, PlbBus, PlbBusConfig, SharedMem};
+use plb::{AddressWindow, ArbMode, MemorySlave, PlbBus, SharedMem};
 use resim::{
     build_simb, instantiate_region, IcapArtifact, IcapConfig, RegionOptions, RrBoundary, SimbKind,
     XSource,
@@ -70,7 +70,7 @@ fn gcapture_grestore_round_trip_preserves_module_state() {
         "plb",
         clk,
         rst,
-        PlbBusConfig::default(),
+        ArbMode::FixedPriority,
         vec![boundary.plb],
         vec![(
             sport,

@@ -201,30 +201,14 @@ impl FuzzSchedule {
     /// the shrinker minimises.
     pub fn mutation_count(&self, baseline: &FuzzSchedule) -> usize {
         (0..KNOBS)
-            .filter(|&k| knob_differs(self, baseline, k))
+            .filter(|&k| revert_knob(*self, baseline, k) != *self)
             .count()
     }
 }
 
-fn knob_differs(s: &FuzzSchedule, b: &FuzzSchedule, k: usize) -> bool {
-    match k {
-        0 => s.warmup_cycles != b.warmup_cycles,
-        1 => s.isr_pad_loops != b.isr_pad_loops,
-        2 => s.cfg_divider != b.cfg_divider,
-        3 => s.mem_wait_states != b.mem_wait_states,
-        4 => s.fixed_wait_loops != b.fixed_wait_loops,
-        5 => s.round_robin != b.round_robin,
-        6 => s.topology != b.topology,
-        7 => s.recovery_on != b.recovery_on,
-        8 => s.flip != b.flip,
-        9 => s.stall != b.stall,
-        10 => s.bus_errors != b.bus_errors,
-        11 => s.ready_drop != b.ready_drop,
-        _ => unreachable!("knob index out of range"),
-    }
-}
-
-fn revert_knob(s: &mut FuzzSchedule, b: &FuzzSchedule, k: usize) {
+/// `s` with knob `k` set back to its value in `b`; knob `k` deviates
+/// exactly when this changes `s`.
+fn revert_knob(mut s: FuzzSchedule, b: &FuzzSchedule, k: usize) -> FuzzSchedule {
     match k {
         0 => s.warmup_cycles = b.warmup_cycles,
         1 => s.isr_pad_loops = b.isr_pad_loops,
@@ -240,32 +224,22 @@ fn revert_knob(s: &mut FuzzSchedule, b: &FuzzSchedule, k: usize) {
         11 => s.ready_drop = b.ready_drop,
         _ => unreachable!("knob index out of range"),
     }
+    s
 }
 
 /// Numeric knobs the shrinker bisects toward the baseline (the others
 /// are revert-whole-or-keep).
 const NUMERIC_KNOBS: [usize; 6] = [0, 1, 2, 3, 4, 10];
 
-fn numeric_get(s: &FuzzSchedule, k: usize) -> u32 {
+/// The field of numeric knob `k`.
+fn numeric_knob(s: &mut FuzzSchedule, k: usize) -> &mut u32 {
     match k {
-        0 => s.warmup_cycles,
-        1 => s.isr_pad_loops,
-        2 => s.cfg_divider,
-        3 => s.mem_wait_states,
-        4 => s.fixed_wait_loops,
-        10 => s.bus_errors,
-        _ => unreachable!("not a numeric knob"),
-    }
-}
-
-fn numeric_set(s: &mut FuzzSchedule, k: usize, v: u32) {
-    match k {
-        0 => s.warmup_cycles = v,
-        1 => s.isr_pad_loops = v,
-        2 => s.cfg_divider = v,
-        3 => s.mem_wait_states = v,
-        4 => s.fixed_wait_loops = v,
-        10 => s.bus_errors = v,
+        0 => &mut s.warmup_cycles,
+        1 => &mut s.isr_pad_loops,
+        2 => &mut s.cfg_divider,
+        3 => &mut s.mem_wait_states,
+        4 => &mut s.fixed_wait_loops,
+        10 => &mut s.bus_errors,
         _ => unreachable!("not a numeric knob"),
     }
 }
@@ -801,11 +775,10 @@ pub fn shrink(
             if runs >= max_runs {
                 break;
             }
-            if !knob_differs(&cur, baseline, k) {
+            let cand = revert_knob(cur, baseline, k);
+            if cand == cur {
                 continue;
             }
-            let mut cand = cur;
-            revert_knob(&mut cand, baseline, k);
             let cand = cand.sanitized();
             if cand != cur && check(&cand, &mut runs) {
                 cur = cand;
@@ -818,13 +791,14 @@ pub fn shrink(
     }
     // Pass 2: bisect remaining numeric deviations toward the baseline
     // (smallest warmup offset = earliest divergence).
+    let mut base_knobs = *baseline;
     for k in NUMERIC_KNOBS {
         loop {
             if runs >= max_runs {
                 break;
             }
-            let cv = numeric_get(&cur, k);
-            let bv = numeric_get(baseline, k);
+            let cv = *numeric_knob(&mut cur, k);
+            let bv = *numeric_knob(&mut base_knobs, k);
             if cv == bv {
                 break;
             }
@@ -837,7 +811,7 @@ pub fn shrink(
                 break;
             }
             let mut cand = cur;
-            numeric_set(&mut cand, k, mid);
+            *numeric_knob(&mut cand, k) = mid;
             let cand = cand.sanitized();
             if check(&cand, &mut runs) {
                 cur = cand;
@@ -976,6 +950,29 @@ mod tests {
         assert_eq!(cfg.regions.len(), 1);
         assert_eq!(sch.mutation_count(&sch), 0);
         assert!(!sch.injects_fault());
+        // One edit per knob, each moving that knob alone.
+        let edits: [fn(&mut FuzzSchedule); KNOBS] = [
+            |s| s.warmup_cycles += 1,
+            |s| s.isr_pad_loops += 1,
+            |s| s.cfg_divider += 1,
+            |s| s.mem_wait_states += 1,
+            |s| s.fixed_wait_loops += 1,
+            |s| s.round_robin = !s.round_robin,
+            |s| s.topology = FuzzTopology::Split,
+            |s| s.recovery_on = !s.recovery_on,
+            |s| s.flip = Some((1, 2)),
+            |s| s.stall = Some(3),
+            |s| s.bus_errors += 1,
+            |s| s.ready_drop = Some(4),
+        ];
+        let mut all = sch;
+        for (k, edit) in edits.iter().enumerate() {
+            let mut one = sch;
+            edit(&mut one);
+            assert_eq!(one.mutation_count(&sch), 1, "knob {k}");
+            edit(&mut all);
+        }
+        assert_eq!(all.mutation_count(&sch), KNOBS);
     }
 
     #[test]
